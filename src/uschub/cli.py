@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import uring
 from .formulas import (
@@ -85,13 +84,19 @@ def _poly_out(p: Polynomial, fmt: str) -> str:
     return p.text()
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-stable map, threaded when more than one job is requested."""
-    items = list(items)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _print_rows(rows: list[tuple[Permutation, Polynomial]], n: int, fmt: str, key: str) -> None:
+    """One ``w: polynomial`` line per row, or a JSON list of {w, key} records."""
+    if fmt == "json":
+        print(_json_dumps([{"w": list(w.as_tuple(n + 1)), key: p.to_json()} for w, p in rows]))
+    else:
+        for w, p in rows:
+            print(f"{_word(w, n + 1)}: {_poly_out(p, fmt)}")
+
+
+def _print_expansion(expansion: dict[Permutation, Polynomial], n: int, fmt: str) -> None:
+    """A Schubert-basis expansion in R_n, by length and then one-line word."""
+    rows = sorted(expansion.items(), key=lambda t: (t[0].length(), t[0].as_tuple(n + 1)))
+    _print_rows(rows, n, fmt, "coeff")
 
 
 def _default_n(args, raw: int) -> int:
@@ -228,13 +233,12 @@ def _cmd_search_det19(args) -> int:
     return 0
 
 
-def _census_records(n: int, jobs: int) -> list[dict]:
-    words = list(all_perms(n + 1))
-    return _pmap(lambda w: _spec_record(w, n, det19_search(w, n)), words, jobs)
+def _census_records(n: int) -> list[dict]:
+    return [_spec_record(w, n, det19_search(w, n)) for w in all_perms(n + 1)]
 
 
 def _cmd_census(args) -> int:
-    records = _census_records(args.n, args.jobs)
+    records = _census_records(args.n)
     if args.format == "json":
         print(_json_dumps(records))
         return 0
@@ -253,17 +257,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_table(args) -> int:
     n = 2 if args.n is None else args.n
-    rows = []
-    for w in sorted(all_perms(n + 1), key=lambda u: (-u.length(), u.as_tuple(n + 1))):
-        rows.append((w, universal_double(w, n)))
-    if args.format == "json":
-        print(_json_dumps([
-            {"w": list(w.as_tuple(n + 1)), "polynomial": p.to_json()} for w, p in rows
-        ]))
-    else:
-        render = (lambda p: p.latex()) if args.format == "latex" else (lambda p: p.text())
-        for w, p in rows:
-            print(f"{_word(w, n + 1)}: {render(p)}")
+    words = sorted(all_perms(n + 1), key=lambda u: (-u.length(), u.as_tuple(n + 1)))
+    _print_rows([(w, universal_double(w, n)) for w in words], n, args.format, "polynomial")
     return 0
 
 
@@ -288,16 +283,7 @@ def _cmd_ring(args) -> int:
         u, ru = _parse_perm(words[0])
         v, rv = _parse_perm(words[1])
         n = args.n if args.n is not None else max(ru, rv) - 1
-        expansion = uring.multiply_expand(u, v, n)
-        items = sorted(expansion.items(), key=lambda t: (t[0].length(), t[0].as_tuple(n + 1)))
-        if args.format == "json":
-            print(_json_dumps([
-                {"w": list(w.as_tuple(n + 1)), "coeff": p.to_json()} for w, p in items
-            ]))
-        else:
-            render = (lambda p: p.latex()) if args.format == "latex" else (lambda p: p.text())
-            for w, p in items:
-                print(f"{_word(w, n + 1)}: {render(p)}")
+        _print_expansion(uring.multiply_expand(u, v, n), n, args.format)
         return 0
     n = _ring_n(args)
     if action == "normal-form":
@@ -306,18 +292,7 @@ def _cmd_ring(args) -> int:
         return 0
     if action == "expand":
         el = uring.normal_form(parse_text(_take(args.exprs, 1, action)[0]), n)
-        items = sorted(
-            uring.schubert_basis_expand(el).items(),
-            key=lambda t: (t[0].length(), t[0].as_tuple(n + 1)),
-        )
-        if args.format == "json":
-            print(_json_dumps([
-                {"w": list(w.as_tuple(n + 1)), "coeff": p.to_json()} for w, p in items
-            ]))
-        else:
-            render = (lambda p: p.latex()) if args.format == "latex" else (lambda p: p.text())
-            for w, p in items:
-                print(f"{_word(w, n + 1)}: {render(p)}")
+        _print_expansion(uring.schubert_basis_expand(el), n, args.format)
         return 0
     if action == "inner":
         exprs = _take(args.exprs, 2, action)
@@ -354,7 +329,7 @@ def _cmd_ring(args) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_routes(n: int, jobs: int) -> list[Check]:
+def _suite_routes(n: int) -> list[Check]:
     words = list(all_perms(n + 1))
 
     def agree(w: Permutation) -> bool:
@@ -363,7 +338,7 @@ def _suite_routes(n: int, jobs: int) -> list[Check]:
         collapsed = zero_y(universal_cy(w, n))
         return direct == inductive == collapsed
 
-    bad = [w for w, ok in zip(words, _pmap(agree, words, jobs)) if not ok]
+    bad = [w for w in words if not agree(w)]
     return [(
         f"construction routes agree on S_{n + 1}",
         not bad,
@@ -371,13 +346,13 @@ def _suite_routes(n: int, jobs: int) -> list[Check]:
     )]
 
 
-def _suite_classical(n: int, jobs: int) -> list[Check]:
+def _suite_classical(n: int) -> list[Check]:
     words = list(all_perms(n + 1))
 
     def agree(w: Permutation) -> bool:
         return classical_specialize(universal_single(w, n).to_polynomial("c")) == classical_single(w)
 
-    bad = [w for w, ok in zip(words, _pmap(agree, words, jobs)) if not ok]
+    bad = [w for w in words if not agree(w)]
     return [(
         f"classical specialization matches divided differences on S_{n + 1}",
         not bad,
@@ -385,7 +360,7 @@ def _suite_classical(n: int, jobs: int) -> list[Check]:
     )]
 
 
-def _suite_leading(n: int, jobs: int) -> list[Check]:
+def _suite_leading(n: int) -> list[Check]:
     words = list(all_perms(n + 1))
 
     def unital(w: Permutation) -> bool:
@@ -393,7 +368,7 @@ def _suite_leading(n: int, jobs: int) -> list[Check]:
         lead = max(el.codes)
         return lead == w.code_tail(n) and el.codes[lead] == 1
 
-    bad = [w for w, ok in zip(words, _pmap(unital, words, jobs)) if not ok]
+    bad = [w for w in words if not unital(w)]
     return [(
         f"lex-leading code is the modified code with coefficient 1 on S_{n + 1}",
         not bad,
@@ -401,7 +376,7 @@ def _suite_leading(n: int, jobs: int) -> list[Check]:
     )]
 
 
-def _suite_duality(n: int, jobs: int) -> list[Check]:
+def _suite_duality(n: int) -> list[Check]:
     words = list(all_perms(n + 1))
 
     def dual(w: Permutation) -> bool:
@@ -411,7 +386,7 @@ def _suite_duality(n: int, jobs: int) -> list[Check]:
             expected = -expected
         return flipped == expected
 
-    bad = [w for w, ok in zip(words, _pmap(dual, words, jobs)) if not ok]
+    bad = [w for w in words if not dual(w)]
     smaller = list(all_perms(n))
     stable = [w for w in smaller if universal_double(w, n - 1) != universal_double(w, n)]
     return [
@@ -422,7 +397,7 @@ def _suite_duality(n: int, jobs: int) -> list[Check]:
     ]
 
 
-def _suite_quantum(kmax: int, jobs: int) -> list[Check]:
+def _suite_quantum(kmax: int) -> list[Check]:
     x1, x2, q1 = Polynomial.var(x(1)), Polynomial.var(x(2)), Polynomial.var(q(1))
     checks: list[Check] = []
     got = quantum_specialize(universal_single(Permutation((2, 3, 1)), 2).to_polynomial("c"))
@@ -436,7 +411,7 @@ def _suite_quantum(kmax: int, jobs: int) -> list[Check]:
         base = c_from_g(i, k)
         return base == c_from_g_det(i, k) and base == c_from_g_paths(i, k)
 
-    bad = [p for p, ok in zip(pairs, _pmap(agree, pairs, jobs)) if not ok]
+    bad = [p for p in pairs if not agree(p)]
     checks.append((
         f"recursion, determinant and path expansions agree for i <= k <= {kmax}",
         not bad,
@@ -453,7 +428,7 @@ def _profiles(top: int):
         yield FlagProfile(tuple(i for i in range(1, top + 1) if mask & (1 << (i - 1))))
 
 
-def _suite_flags(top: int, jobs: int) -> list[Check]:
+def _suite_flags(top: int) -> list[Check]:
     profiles = list(_profiles(top))
 
     def dominant_ok(profile: FlagProfile) -> bool:
@@ -467,8 +442,8 @@ def _suite_flags(top: int, jobs: int) -> list[Check]:
             for w in profile.members()
         )
 
-    bad_dom = [p for p, ok in zip(profiles, _pmap(dominant_ok, profiles, jobs)) if not ok]
-    bad_routes = [p for p, ok in zip(profiles, _pmap(routes_ok, profiles, jobs)) if not ok]
+    bad_dom = [p for p in profiles if not dominant_ok(p)]
+    bad_routes = [p for p in profiles if not routes_ok(p)]
     return [
         (f"dominant member formula holds for all profiles inside {top}", not bad_dom,
          f"{len(profiles) - len(bad_dom)}/{len(profiles)} profiles"),
@@ -477,14 +452,14 @@ def _suite_flags(top: int, jobs: int) -> list[Check]:
     ]
 
 
-def _suite_grassmannian(n: int, jobs: int) -> list[Check]:
+def _suite_grassmannian(n: int) -> list[Check]:
     words = [w for w in all_perms(n + 1) if w.is_grassmannian()]
 
     def agree(w: Permutation) -> bool:
         m = max(w.size - 1, 1)
         return grassmannian_det(w) == universal_cy(w, m)
 
-    bad = [w for w, ok in zip(words, _pmap(agree, words, jobs)) if not ok]
+    bad = [w for w in words if not agree(w)]
     return [(
         f"descent-set determinant matches on Grassmannian members of S_{n + 1}",
         not bad,
@@ -499,8 +474,8 @@ _PRINTED_SPECS = {
 }
 
 
-def _suite_census(n: int, jobs: int) -> list[Check]:
-    records = _census_records(n, jobs)
+def _suite_census(n: int) -> list[Check]:
+    records = _census_records(n)
     hits = sum(1 for rec in records if rec["spec"] is not None)
     checks: list[Check] = []
     if n == 4:
@@ -525,7 +500,7 @@ def _suite_census(n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_product_rule(kmax: int, jobs: int) -> list[Check]:
+def _suite_product_rule(kmax: int) -> list[Check]:
     triples = [(i, j, k) for k in range(0, kmax + 1) for i in range(0, k + 1) for j in range(0, k + 1)]
 
     def both(triple: tuple[int, int, int]) -> tuple[bool, bool]:
@@ -535,7 +510,7 @@ def _suite_product_rule(kmax: int, jobs: int) -> list[Check]:
         collapses = reduced == g_classical(to_g_form(report.lhs))
         return report.equal_in_g, collapses
 
-    results = _pmap(both, triples, jobs)
+    results = [both(t) for t in triples]
     bad_rule = [t for t, (ok, _) in zip(triples, results) if not ok]
     bad_reduced = [t for t, (_, ok) in zip(triples, results) if not ok]
     return [
@@ -546,13 +521,13 @@ def _suite_product_rule(kmax: int, jobs: int) -> list[Check]:
     ]
 
 
-def _suite_diagrams(n: int, jobs: int) -> list[Check]:
+def _suite_diagrams(n: int) -> list[Check]:
     words = list(all_perms(n + 1))
 
     def sized(w: Permutation) -> bool:
         return len(w.codiagram(n)) == w.length()
 
-    bad = [w for w, ok in zip(words, _pmap(sized, words, jobs)) if not ok]
+    bad = [w for w in words if not sized(w)]
     checks = [(
         f"modified diagram size equals length on S_{n + 1}",
         not bad,
@@ -585,7 +560,7 @@ def _suite_diagrams(n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_ring(n: int, jobs: int) -> list[Check]:
+def _suite_ring(n: int) -> list[Check]:
     rank = uring.staircase_rank_report(n)
     orth = uring.check_orthogonality(n)
     diag = uring.check_diagonal_vanishing(n)
@@ -620,7 +595,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         fn, default_n = _SUITES[name]
         n = args.n if args.n is not None else default_n
-        for label, ok, detail in fn(n, args.jobs):
+        for label, ok, detail in fn(n):
             print(f"{'ok' if ok else 'FAIL'} {name}: {label} ({detail})")
             failures += 0 if ok else 1
     print("all checks passed" if not failures else f"{failures} check(s) failed")
@@ -698,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("census", help="determinantal expression search over a full S_{n+1}")
     sub.add_argument("--n", type=int, default=4)
-    sub.add_argument("--jobs", type=int, default=1)
     _add_format(sub, choices=("text", "json"))
     sub.set_defaults(handler=_cmd_census)
 
@@ -718,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("verify", help="run a verification sweep")
     sub.add_argument("suite", choices=tuple(_SUITES) + ("all",))
     sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -1,8 +1,7 @@
-"""Small exact linear algebra over the rationals.
+"""Exact matrix inversion over the rationals.
 
 Matrices are lists of lists of Fractions (or ints, coerced on entry).
-Only what the basis-change code needs: solve, invert, determinant.
-Gaussian elimination with first-nonzero pivoting is fine at these
+Gauss-Jordan elimination with first-nonzero pivoting is fine at these
 sizes; everything stays exact.
 """
 
@@ -10,39 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
 
-
-def _as_fractions(rows) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-def solve(a, b) -> list[Fraction]:
-    """Solve a x = b for square a; raises on a singular system."""
-    m = _as_fractions(a)
-    n = len(m)
-    rhs = [Fraction(v) for v in b]
-    if any(len(row) != n for row in m) or len(rhs) != n:
-        raise ValueError("solve needs a square system")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
-
-
-def invert(a) -> Matrix:
-    m = _as_fractions(a)
+def invert(a) -> list[list[Fraction]]:
+    m = [[Fraction(v) for v in row] for row in a]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("invert needs a square matrix")
@@ -59,25 +28,3 @@ def invert(a) -> Matrix:
                 f = aug[r][col]
                 aug[r] = [vr - f * vc for vr, vc in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def determinant(a) -> Fraction:
-    m = _as_fractions(a)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-    return det

@@ -204,11 +204,6 @@ class Permutation:
             if self(i + 1) <= j and inv(j + 1) <= i
         )
 
-    def essential_set(self) -> frozenset[tuple[int, int]]:
-        """Southeast corners of the diagram."""
-        D = self.diagram()
-        return frozenset((i, j) for (i, j) in D if (i + 1, j) not in D and (i, j + 1) not in D)
-
     # -- pattern conditions -----------------------------------------------
 
     def contains_pattern(self, pattern: tuple[int, ...]) -> bool:

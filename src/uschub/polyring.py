@@ -173,10 +173,6 @@ class Polynomial:
             return -1
         return max(_mono_degree(m) for m in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {_mono_degree(m) for m in self._terms}
-        return len(degs) <= 1
-
     def homogeneous_parts(self) -> dict[int, "Polynomial"]:
         parts: dict[int, dict[Monomial, int]] = {}
         for m, co in self._terms.items():
@@ -266,6 +262,11 @@ class Polynomial:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a constant hashes like the int it equals, as __eq__ requires
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and () in self._terms:
+            return hash(self._terms[()])
         return hash(frozenset(self._terms.items()))
 
     # -- structural operations ------------------------------------------
@@ -432,8 +433,8 @@ def dpoly(i: int, j: int) -> Polynomial:
     return Polynomial.var(d(i, j))
 
 
-def elementary_sym(i: int, k: int, kind: str = "x") -> Polynomial:
-    """e_i over the first k variables of a degree-1 family."""
+def elementary_sym(i: int, k: int, offset: int = 0, kind: str = "x") -> Polynomial:
+    """e_i over the window of k variables of a degree-1 family starting after ``offset``."""
     if kind not in ("x", "y"):
         raise ValueError("elementary_sym expects the x or y family")
     if i == 0:
@@ -442,7 +443,7 @@ def elementary_sym(i: int, k: int, kind: str = "x") -> Polynomial:
         return ZERO
     mk = x if kind == "x" else y
     acc: dict[Monomial, int] = {}
-    for combo in combinations(range(1, k + 1), i):
+    for combo in combinations(range(offset + 1, offset + k + 1), i):
         m = tuple((mk(idx), 1) for idx in combo)
         acc[m] = 1
     return Polynomial(acc)
@@ -506,44 +507,59 @@ def _tokenize(s: str) -> list:
 
 
 def parse_text(s: str) -> Polynomial:
-    """Inverse of :meth:`Polynomial.text` (q-degrees read as the default)."""
+    """Inverse of :meth:`Polynomial.text` (q-degrees read as the default).
+
+    The text is a sum of signed products::
+
+        text   := sign* term (sign+ term)*        sign := '+' | '-'
+        term   := factor ('*' factor)*
+        factor := integer | variable ['^' integer]
+
+    Anything else, such as a stray '^', a trailing '*' or two factors
+    side by side with no operator, raises ValueError.
+    """
     tokens = _tokenize(s)
     if not tokens:
         raise ValueError("empty polynomial text")
-    result = ZERO
+    tokens.append(("end", None))
     idx = 0
-    n = len(tokens)
-    while idx < n:
+
+    def fail(expected: str):
+        kind, val = tokens[idx]
+        found = "the end of the text" if kind == "end" else repr(str(val))
+        raise ValueError(f"expected {expected} in polynomial text, found {found}")
+
+    def factor() -> Polynomial:
+        nonlocal idx
+        kind, val = tokens[idx]
+        if kind not in ("num", "var"):
+            fail("a number or a variable")
+        idx += 1
+        if kind == "num":
+            return Polynomial.const(val)
+        if tokens[idx] != ("op", "^"):
+            return Polynomial.var(val)
+        idx += 1
+        if tokens[idx][0] != "num":
+            fail("an integer exponent after '^'")
+        idx += 1
+        return Polynomial.var(val) ** tokens[idx - 1][1]
+
+    result = ZERO
+    while True:
         sign = 1
-        while idx < n and tokens[idx] == ("op", "+") or idx < n and tokens[idx] == ("op", "-"):
-            if tokens[idx][1] == "-":
-                sign = -sign
+        while tokens[idx] in (("op", "+"), ("op", "-")):
+            sign = -sign if tokens[idx][1] == "-" else sign
             idx += 1
-        if idx >= n:
-            raise ValueError("dangling sign in polynomial text")
-        term = Polynomial.const(sign)
-        expect_factor = True
-        while idx < n:
-            kind, val = tokens[idx]
-            if kind == "num" and expect_factor:
-                term = term * val
-                idx += 1
-            elif kind == "var" and expect_factor:
-                exp = 1
-                idx += 1
-                if idx + 1 < n and tokens[idx] == ("op", "^") and tokens[idx + 1][0] == "num":
-                    exp = tokens[idx + 1][1]
-                    idx += 2
-                term = term * (Polynomial.var(val) ** exp)
-            elif kind == "op" and val == "*":
-                idx += 1
-                expect_factor = True
-                continue
-            else:
-                break
-            expect_factor = False
+        term = factor() * sign
+        while tokens[idx] == ("op", "*"):
+            idx += 1
+            term = term * factor()
         result = result + term
-    return result
+        if tokens[idx][0] == "end":
+            return result
+        if tokens[idx] not in (("op", "+"), ("op", "-")):
+            fail("'+', '-' or '*'")
 
 
 def parse_json(data: dict | str) -> Polynomial:

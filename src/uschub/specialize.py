@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactla import Matrix
 from .permutations import Permutation
 from .polyring import (
     ONE,
@@ -257,11 +256,10 @@ def quantum_specialize(p: Polynomial) -> Polynomial:
     return p.substitute(mapping) if mapping else p
 
 
-def partial_flag_substitution(profile: FlagProfile) -> dict[str, object]:
+def partial_flag_substitution(profile: FlagProfile) -> dict[Variable, Polynomial]:
     """The surviving g variables for a profile and their images.
 
-    Returns {"q_of": {Variable: Polynomial}, "is_zero": predicate} where
-    q_of carries g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i
+    Maps g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i, with q_i
     of degree n_{i+1} - n_{i-1}; every other g_s[t], t >= 1 dies.
     """
     q_of: dict[Variable, Polynomial] = {}
@@ -269,11 +267,11 @@ def partial_flag_substitution(profile: FlagProfile) -> dict[str, object]:
         var = g(profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1)
         sign = (-1) ** (profile.k_(i + 1) + 1)
         q_of[var] = Polynomial.var(q(i, degree=profile.q_degree(i))) * sign
-    return {"q_of": q_of}
+    return q_of
 
 
 def _apply_flag_map(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    q_of = partial_flag_substitution(profile)["q_of"]
+    q_of = partial_flag_substitution(profile)
     mapping: dict[Variable, Polynomial] = {}
     for v in p.variables():
         if v.kind != "g":
@@ -312,12 +310,3 @@ def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "
         raise ValueError(f"unknown route {route!r}")
     return _apply_flag_map(to_g_form(p), profile)
 
-
-RULES = {
-    "classical_c_to_e": classical_specialize,
-    "classical_d_to_e_y": classical_specialize,
-    "c_from_g": to_g_form,
-    "quantum_g": quantum_specialize,
-    "zero_y": zero_y,
-    "g_classical": g_classical,
-}

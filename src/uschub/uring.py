@@ -7,14 +7,21 @@ ring Z[g+] (the g_i[j] with j >= 1, i + j <= n+1) the quotient is free
 with the staircase monomials x^a, a_i <= n+1-i, as a basis, and the
 Schubert elements indexed by S_{n+1} form a second basis.
 
-Normal forms are computed degree by degree with exact integer linear
-algebra.  The first relation is linear and eliminates x_{n+1} up front;
-each remaining relation splits as E_i + G_i with E_i its pure-x part
-and G_i the g+ tail.  A monomial in x_1..x_n of degree D has a unique
-integer expansion over products (staircase) * (E_2^.. E_{n+1}^..) of
-the same degree; replacing each E_i by -G_i drops the x-degree, so the
-reduction recurses to a staircase-supported representative.  The
-per-degree expansion matrices are inverted once and cached.
+Normal forms come from a monic triangular rewrite, the universal
+analogue of the standard Groebner basis h_{n+2-k}(x_1..x_k) of the
+coinvariant ideal.  The first relation is linear and eliminates x_{n+1}
+up front.  Write c_i(n+1) = e_i(x_1..x_{n+1}) + T_i, with T_i the part
+that involves g+, and U(t) = 1 - sum_i T_i t^i.  Since the generating
+series of the c_i(n+1) is zero modulo the ideal, for k = 1..n and
+m = n+2-k
+
+    h_m(x_1..x_k) = (-1)^m sum_{j=0}^{n+1-k} e_j(x_{k+1}..x_{n+1}) [t^{m-j}] U(t)^{-1}
+
+in R_n.  This rule rewrites x_k^m: the other monomials of h_m are
+lex-smaller with higher indices ranking higher, and every term on the
+right has lower x-degree, since each T_i carries a g+ factor.  So
+repeated rewriting of any exponent a_k >= n+2-k terminates on the
+staircase; the result is memoized per exponent tuple.
 
 The inner product pairs two elements by multiplying, reducing, and
 reading the coefficient of the top staircase monomial x_1^n ... x_n;
@@ -24,12 +31,20 @@ in the Schubert-basis expansion, and the two are compared in tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product as _itproduct
+from math import comb
 
-from .exactla import invert
 from .permutations import Permutation, all_perms
-from .polyring import Monomial, ONE, Polynomial, Variable, ZERO, g, x
+from .polyring import (
+    ONE,
+    Monomial,
+    Polynomial,
+    Variable,
+    ZERO,
+    complete_sym,
+    elementary_sym,
+    g,
+    x,
+)
 from .schubert import classical_single, universal_double, universal_single
 from .specialize import c_from_g
 
@@ -44,16 +59,6 @@ def universal_ring(n: int) -> "UniversalRing":
     if n not in _ring_cache:
         _ring_cache[n] = UniversalRing(n)
     return _ring_cache[n]
-
-
-def _monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, d - first):
-            out.append((first,) + rest)
-    return out
 
 
 def _x_monomial(exps: tuple[int, ...]) -> Polynomial:
@@ -139,6 +144,11 @@ def _top_staircase(n: int) -> tuple[int, ...]:
     return tuple(n + 1 - i for i in range(1, n + 1)) + (0,)
 
 
+def _rewrite_order(exps: tuple[int, ...]) -> tuple:
+    """x-degree first, then lex with higher indices ranking higher."""
+    return (sum(exps), exps[::-1])
+
+
 class UniversalRing:
     def __init__(self, n: int):
         if n < 1:
@@ -150,24 +160,20 @@ class UniversalRing:
         for i in range(1, n + 1):
             drop = drop - Polynomial.var(x(i))
         self._eliminate = {x(n + 1): drop}
-        # Remaining generators, split into pure-x part and g+ tail.
-        self._pure_e: dict[int, Polynomial] = {}
-        self._g_tail: dict[int, Polynomial] = {}
-        for i in range(2, n + 2):
-            rel = self._to_xg(c_from_g(i, n + 1))
-            pure, tail = self._split_pure_x(rel)
-            self._pure_e[i] = pure
-            self._g_tail[i] = tail
-        self._artin: dict[int, tuple] = {}
+        # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
+        tails = {i: self._to_xg(c_from_g(i, n + 1) - elementary_sym(i, n + 1)) for i in range(2, n + 2)}
+        inv = [ONE]
+        for r in range(1, n + 2):
+            inv.append(sum((tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)), ZERO))
+        # rules[k]: the relation x_k^m + (smaller terms) = 0, m = n+2-k, by x-exponent.
+        self._rules: dict[int, dict[tuple[int, ...], Polynomial]] = {}
+        for k in range(1, n + 1):
+            m = n + 2 - k
+            right = sum((elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m)), ZERO)
+            relation = complete_sym(m, k, kind="x") - self._to_xg(right) * (-1) ** m
+            self._rules[k] = self._by_x_exponent(relation)
         self._nf: dict[tuple[int, ...], RingElement] = {}
         self._schubert: dict[tuple[int, ...], RingElement] = {}
-        self._classical_inverse: list[list[int]] | None = None
-        self._perm_order: list[Permutation] = sorted(
-            all_perms(n + 1), key=lambda w: (w.length(), w.word)
-        )
-        self._staircase_order: list[tuple[int, ...]] = sorted(
-            self._staircase_tuples(), key=lambda t: (sum(t), t)
-        )
 
     # -- presentation -------------------------------------------------------
 
@@ -182,127 +188,82 @@ class UniversalRing:
             p = p.substitute(self._eliminate)
         return p
 
-    @staticmethod
-    def _split_pure_x(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-        pure, tail = {}, {}
+    def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
+        """Split a polynomial in x_1..x_n with g+ coefficients by x-exponent tuple."""
+        out: dict[tuple[int, ...], dict] = {}
         for mono, coeff in p.terms().items():
-            if all(v.kind == "x" for v, _ in mono):
-                pure[mono] = coeff
-            else:
-                tail[mono] = coeff
-        return Polynomial(pure), Polynomial(tail)
-
-    def _staircase_tuples(self) -> list[tuple[int, ...]]:
-        ranges = [range(self.n + 1 - i, -1, -1) for i in range(1, self.n + 1)]
-        return [tuple(t) + (0,) for t in _itproduct(*ranges)]
-
-    # -- per-degree expansion tables -----------------------------------------
-
-    def _artin_table(self, d: int) -> tuple:
-        """Inverse expansion matrix for x-degree d, with its row/column keys."""
-        if d in self._artin:
-            return self._artin[d]
-        rows = _monomials_of_degree(self.n, d)
-        row_index = {m: i for i, m in enumerate(rows)}
-        cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        col_polys: list[Polynomial] = []
-        for stair in self._staircase_order:
-            head = sum(stair)
-            if head > d:
-                continue
-            for gamma in self._weighted_compositions(d - head):
-                poly = _x_monomial(stair[:-1])
-                for i, power in zip(range(2, self.n + 2), gamma):
-                    if power:
-                        poly = poly * self._pure_e[i] ** power
-                cols.append((stair, gamma))
-                col_polys.append(poly)
-        if len(cols) != len(rows):
-            raise ArithmeticError(
-                f"degree {d} slice is {len(rows)}x{len(cols)}, not square"
-            )
-        mat = [[Fraction(0)] * len(cols) for _ in rows]
-        for j, poly in enumerate(col_polys):
-            for mono, coeff in poly.terms().items():
-                exps = [0] * self.n
-                for v, e in mono:
+            exps = [0] * self.n
+            gmono = []
+            for v, e in mono:
+                if v.kind == "x" and v.i <= self.n:
                     exps[v.i - 1] = e
-                mat[row_index[tuple(exps)]][j] = Fraction(coeff)
-        inv = invert(mat)
-        int_inv = []
-        for row in inv:
-            int_row = []
-            for q in row:
-                if q.denominator != 1:
-                    raise ArithmeticError("expansion matrix is not unimodular")
-                int_row.append(int(q))
-            int_inv.append(int_row)
-        table = (rows, row_index, cols, int_inv)
-        self._artin[d] = table
-        return table
+                elif v.kind == "g" and (v.j or 0) >= 1:
+                    gmono.append((v, e))
+                else:
+                    raise ValueError(f"unexpected variable {v.text()} in reduction")
+            out.setdefault(tuple(exps), {})[tuple(gmono)] = coeff
+        return {exps: Polynomial(terms) for exps, terms in out.items()}
 
-    def _weighted_compositions(self, total: int) -> list[tuple[int, ...]]:
-        """Exponent tuples (for weights 2..n+1) with sum of i*gamma_i = total."""
-        weights = list(range(2, self.n + 2))
+    def _lead(self, k: int) -> tuple[int, ...]:
+        """Exponent tuple of x_k^{n+2-k}, the leading term of rule k."""
+        return (0,) * (k - 1) + (self.n + 2 - k,) + (0,) * (self.n - k)
 
-        def rec(pos: int, left: int) -> list[tuple[int, ...]]:
-            if pos == len(weights):
-                return [()] if left == 0 else []
-            out = []
-            w = weights[pos]
-            for e in range(left // w + 1):
-                for rest in rec(pos + 1, left - e * w):
-                    out.append((e,) + rest)
-            return out
-
-        return rec(0, total)
+    def rules_are_triangular(self) -> bool:
+        """Each rule is monic in x_k^{n+2-k} and every other term is smaller."""
+        for k, rule in self._rules.items():
+            lead = self._lead(k)
+            if rule.get(lead) != ONE:
+                return False
+            if any(_rewrite_order(exps) >= _rewrite_order(lead) for exps in rule if exps != lead):
+                return False
+        return True
 
     # -- normal form ----------------------------------------------------------
 
+    def _rewrite(self, exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], Polynomial]] | None:
+        """One rewrite step: x^exps = sum of coeff * x^key, or None on the staircase."""
+        k = next((k for k in range(self.n, 0, -1) if exps[k - 1] > self.n + 1 - k), None)
+        if k is None:
+            return None
+        # x^exps = x^base * x_k^m, and x_k^m = -(the rest of rule k)
+        lead = self._lead(k)
+        base = tuple(a - b for a, b in zip(exps, lead))
+        return [
+            (tuple(a + b for a, b in zip(base, shift)), -coeff)
+            for shift, coeff in self._rules[k].items()
+            if shift != lead
+        ]
+
     def _nf_monomial(self, exps: tuple[int, ...]) -> RingElement:
-        if exps in self._nf:
-            return self._nf[exps]
-        if all(exps[i] <= self.n - i for i in range(self.n)):
-            result = RingElement(self.n, {exps + (0,): ONE})
-            self._nf[exps] = result
-            return result
-        d = sum(exps)
-        rows, row_index, cols, inv = self._artin_table(d)
-        target = row_index[exps]
-        result = RingElement.zero(self.n)
-        for j in range(len(cols)):
-            coeff = inv[j][target]
-            if not coeff:
+        # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
+        pending = [exps]
+        while pending:
+            top = pending[-1]
+            if top in self._nf:
+                pending.pop()
                 continue
-            stair, gamma = cols[j]
-            if not any(gamma):
-                result = result + RingElement(self.n, {stair: Polynomial.const(coeff)})
+            step = self._rewrite(top)
+            if step is None:
+                self._nf[top] = RingElement(self.n, {top + (0,): ONE})
                 continue
-            replaced = _x_monomial(stair[:-1])
-            for i, power in zip(range(2, self.n + 2), gamma):
-                if power:
-                    replaced = replaced * (-self._g_tail[i]) ** power
-            result = result + self._reduce(replaced).scale(coeff)
-        self._nf[exps] = result
-        return result
+            missing = [key for key, _ in step if key not in self._nf]
+            if missing:
+                pending.extend(missing)
+                continue
+            acc: dict[tuple[int, ...], Polynomial] = {}
+            for key, coeff in step:
+                for stair, poly in self._nf[key].coeffs.items():
+                    acc[stair] = acc.get(stair, ZERO) + coeff * poly
+            self._nf[top] = RingElement(self.n, acc)
+        return self._nf[exps]
 
     def _reduce(self, p: Polynomial) -> RingElement:
         """Reduce a polynomial in x_1..x_n with g+ coefficients."""
-        result = RingElement.zero(self.n)
-        for mono, coeff in p.terms().items():
-            exps = [0] * self.n
-            gpart = []
-            for v, e in mono:
-                if v.kind == "x":
-                    exps[v.i - 1] = e
-                elif v.kind == "g" and (v.j or 0) >= 1:
-                    gpart.append(((v, e),))
-                else:
-                    raise ValueError(f"unexpected variable {v.text()} in reduction")
-            gmono: Monomial = tuple(pair[0] for pair in gpart)
-            scalar = Polynomial({gmono: coeff})
-            result = result + self._nf_monomial(tuple(exps)).scale(scalar)
-        return result
+        acc: dict[tuple[int, ...], Polynomial] = {}
+        for exps, scalar in self._by_x_exponent(p).items():
+            for stair, poly in self._nf_monomial(exps).coeffs.items():
+                acc[stair] = acc.get(stair, ZERO) + scalar * poly
+        return RingElement(self.n, acc)
 
     def normal_form(self, p: Polynomial) -> RingElement:
         return self._reduce(self._to_xg(p))
@@ -320,62 +281,34 @@ class UniversalRing:
         poly = self._to_xg(to_g_form(universal_single(w, self.n).to_polynomial()))
         # Staircase support is automatic: x_k enters only through the
         # squarefree ladders at levels k..n, one power each.
-        element = RingElement.zero(self.n)
-        element = element + self._reduce_staircase_only(poly)
+        element = RingElement(self.n, {e + (0,): c for e, c in self._by_x_exponent(poly).items()})
         self._schubert[key] = element
         return element
 
-    def _reduce_staircase_only(self, p: Polynomial) -> RingElement:
-        coeffs: dict[tuple[int, ...], Polynomial] = {}
-        for mono, coeff in p.terms().items():
-            exps = [0] * (self.n + 1)
-            gpart = []
-            for v, e in mono:
-                if v.kind == "x":
-                    exps[v.i - 1] = e
-                else:
-                    gpart.append((v, e))
-            gmono: Monomial = tuple(gpart)
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, ZERO) + Polynomial({gmono: coeff})
-        return RingElement(self.n, coeffs)
+    def _expand_classical(self, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
+        """Integer combination of classical Schubert polynomials with these coefficients.
 
-    def _classical_transition_inverse(self) -> list[list[int]]:
-        if self._classical_inverse is not None:
-            return self._classical_inverse
-        order = self._staircase_order
-        index = {s: i for i, s in enumerate(order)}
-        size = len(order)
-        mat = [[Fraction(0)] * size for _ in range(size)]
-        for j, w in enumerate(self._perm_order):
-            for mono, coeff in classical_single(w).terms().items():
+        Peels the lex-largest exponent: x^{lehmer(w)} leads classical_single(w)
+        with coefficient 1, so each step names the next permutation.
+        """
+        rest = dict(slice_coeffs)
+        out: dict[Permutation, int] = {}
+        while rest:
+            lead = max(rest)
+            coeff = rest.pop(lead)
+            w = Permutation.from_lehmer(lead)
+            out[w] = coeff
+            for mono, c in classical_single(w).terms().items():
                 exps = [0] * (self.n + 1)
                 for v, e in mono:
                     exps[v.i - 1] = e
-                mat[index[tuple(exps)]][j] = Fraction(coeff)
-        inv = invert(mat)
-        out = []
-        for row in inv:
-            int_row = []
-            for q in row:
-                if q.denominator != 1:
-                    raise ArithmeticError("Schubert transition is not unimodular")
-                int_row.append(int(q))
-            out.append(int_row)
-        self._classical_inverse = out
-        return out
-
-    def _expand_classical(self, slice_coeffs: dict[tuple[int, ...], int]) -> dict:
-        inv = self._classical_transition_inverse()
-        index = {s: i for i, s in enumerate(self._staircase_order)}
-        vec = [0] * len(self._staircase_order)
-        for exps, coeff in slice_coeffs.items():
-            vec[index[exps]] = coeff
-        out = {}
-        for i, w in enumerate(self._perm_order):
-            value = sum(inv[i][j] * vec[j] for j in range(len(vec)))
-            if value:
-                out[w] = value
+                exps = tuple(exps)
+                if exps != lead:
+                    value = rest.get(exps, 0) - coeff * c
+                    if value:
+                        rest[exps] = value
+                    else:
+                        rest.pop(exps, None)
         return out
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
@@ -464,14 +397,20 @@ def inner_product(a: RingElement, b: RingElement) -> Polynomial:
 
 
 def staircase_rank_report(n: int) -> dict:
-    """Check the per-degree expansion matrices up to the top staircase degree."""
+    """Certify that the staircase monomials span R_n, with the slice sizes to the top degree.
+
+    The rewrite rules must each be monic in x_k^{n+2-k} with every other
+    term smaller, so rewriting terminates on the staircase, and every
+    generator c_i(n+1) must rewrite to zero, so the rules cover the ideal.
+    Each degree row gives the number of x-monomials in x_1..x_n.
+    """
     ring = universal_ring(n)
     top = n * (n + 1) // 2
-    degrees = []
-    for d in range(top + 1):
-        rows, _, cols, _ = ring._artin_table(d)
-        degrees.append({"degree": d, "dimension": len(rows)})
-    return {"n": n, "top_degree": top, "full_rank": True, "degrees": degrees}
+    full_rank = ring.rules_are_triangular() and not any(
+        ring.normal_form(c_from_g(i, n + 1)) for i in range(1, n + 2)
+    )
+    degrees = [{"degree": d, "dimension": comb(d + n - 1, n - 1)} for d in range(top + 1)]
+    return {"n": n, "top_degree": top, "full_rank": full_rank, "degrees": degrees}
 
 
 def check_orthogonality(n: int) -> dict:

@@ -74,3 +74,13 @@ NF_X1_CUBED_N2 = {
     (0, 1, 0): "g1[1]",
     (0, 0, 0): "-g1[2]",
 }
+
+# sha256 of the sorted lines "<monomial>: <normal form>", text form, over
+# every monomial in x_1..x_{n+1} of degree at most n(n+1)/2 + 2.  Pinned
+# from the per-degree linear-algebra reduction and matched by the monic
+# triangular rewrite that replaced it.
+NF_DIGESTS = {
+    1: "9798d7206299f8551160cd89c954738bbf18e717bfecbce92d268f820d7fab60",
+    2: "21a8a03f254fb50e8d43702c9f0d0107e6d6ebcc43c75eb6bc804ae37ffacdb4",
+    3: "8966433680e6b92769a34727a71b3dffb850bf185b2486871af7d09b38023a7c",
+}

@@ -135,8 +135,18 @@ def test_text_formatting_is_stable():
     assert (ZERO - ONE).text() == "-1"
 
 
-def test_parse_rejects_garbage():
+def test_parse_rejects_garbage(time_limit):
     with pytest.raises(ValueError):
         parse_text("c1(1) +")
     with pytest.raises(ValueError):
         parse_text("z9(9)")
+    # a stray '^', juxtaposed factors and a trailing '*'
+    for text in ("x1^", "x1^x2", "x1^2^3", "2 3", "x1 x2", "c1(1)*"):
+        with time_limit(2), pytest.raises(ValueError):
+            parse_text(text)
+
+
+def test_constants_hash_like_the_ints_they_equal():
+    assert len({Polynomial.const(3), 3}) == 1
+    assert hash(ZERO) == hash(0)
+    assert hash(Polynomial.const(-7)) == hash(-7)

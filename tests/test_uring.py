@@ -1,13 +1,18 @@
 """The finite quotient ring: normal forms, duality pairing, the twist."""
 
+from hashlib import sha256
+from itertools import combinations_with_replacement
+
 import pytest
 
-from frozen import NF_X1_CUBED_N2
+from frozen import NF_DIGESTS, NF_X1_CUBED_N2
+from uschub import uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
 from uschub.specialize import g_classical
 from uschub.uring import (
     RingElement,
+    UniversalRing,
     check_diagonal_vanishing,
     check_orthogonality,
     inner_product,
@@ -35,11 +40,28 @@ def test_relations_at_n1():
     assert normal_form(_xp(1) ** 2, 1) == normal_form(parse_text("g1[1]"), 1)
 
 
+def test_high_powers_reduce_past_the_recursion_limit():
+    # each rewrite step lowers x1's exponent by 2, so 2500 steps here
+    assert normal_form(_xp(1) ** 5000, 1) == normal_form(parse_text("g1[1]^2500"), 1)
+
+
 def test_x1_cubed_at_n2():
     reduced = normal_form(_xp(1) ** 3, 2)
     assert set(reduced.coeffs) == set(NF_X1_CUBED_N2)
     for exps, text in NF_X1_CUBED_N2.items():
         assert reduced.coefficient(exps) == parse_text(text)
+
+
+def test_normal_forms_match_the_frozen_digest():
+    for n, digest in NF_DIGESTS.items():
+        lines = []
+        for d in range(n * (n + 1) // 2 + 3):
+            for combo in combinations_with_replacement(range(1, n + 2), d):
+                mono = ONE
+                for i in combo:
+                    mono = mono * _xp(i)
+                lines.append(f"{mono.text()}: {normal_form(mono, n).text()}")
+        assert sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest, n
 
 
 def test_normal_form_is_idempotent():
@@ -96,6 +118,24 @@ def test_staircase_rank():
         assert report["top_degree"] == n * (n + 1) // 2
     dims = [row["dimension"] for row in staircase_rank_report(2)["degrees"]]
     assert dims == [1, 2, 3, 4]
+
+
+def test_rank_report_rejects_a_non_monic_rule(monkeypatch):
+    ring = universal_ring(2)
+    doubled = {exps: coeff * 2 for exps, coeff in ring._rules[1].items()}
+    monkeypatch.setitem(ring._rules, 1, doubled)
+    assert staircase_rank_report(2)["full_rank"] is False
+
+
+def test_rank_report_rejects_a_rule_outside_the_ideal(monkeypatch):
+    # still monic and triangular, but c_i(3) no longer rewrites to zero
+    ring = UniversalRing(2)
+    flipped = dict(ring._rules[2])
+    flipped[(1, 1)] = -flipped[(1, 1)]
+    monkeypatch.setitem(ring._rules, 2, flipped)
+    monkeypatch.setitem(uring._ring_cache, 2, ring)
+    assert ring.rules_are_triangular()
+    assert staircase_rank_report(2)["full_rank"] is False
 
 
 # -- the basis and its products ----------------------------------------------------
