@@ -84,3 +84,17 @@ NF_DIGESTS = {
     2: "21a8a03f254fb50e8d43702c9f0d0107e6d6ebcc43c75eb6bc804ae37ffacdb4",
     3: "8966433680e6b92769a34727a71b3dffb850bf185b2486871af7d09b38023a7c",
 }
+
+# sha256 of the newline-joined lines "<object>: <printed form>", pinned
+# from the four hand-written renderers before they were folded into one
+# formatter:
+#   text, latex  universal_double(w, 3) for every w in S_4;
+#   melement     MElement.text() of universal_single(w, 4), w in S_5;
+#   locus        render_locus of every strict (w, A, B) on S_4 whose
+#                rank profile covers the codiagram of w.
+RENDER_DIGESTS = {
+    "text": "5b1328f274f46f4e18290dd2197fd46ddb62caa3fcade2d06b8c195eab972374",
+    "latex": "80e37727d9f34e3d9422acf91d06991d8285aa6eb86db6420056722e93b10907",
+    "melement": "636d0ecc2d17cd19286a0d445f12d921873a42622674002b5e9a4b5aed9efbc3",
+    "locus": "1341535a5c06e14d0dae4771772b38895734bb72a3d25902e8de30aac0553806",
+}

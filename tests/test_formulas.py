@@ -1,5 +1,7 @@
 """Determinantal formulas, the expression census, rewriting, loci, pushforwards."""
 
+from hashlib import sha256
+
 import pytest
 
 from frozen import (
@@ -7,6 +9,7 @@ from frozen import (
     CENSUS_HITS,
     CENSUS_TOTAL,
     DET19_WITNESSES,
+    RENDER_DIGESTS,
     VEXILLARY_S5,
 )
 from uschub.formulas import (
@@ -31,7 +34,7 @@ from uschub.formulas import (
 )
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, cpoly, parse_text, x, y
-from uschub.schubert import schubert_expand_M, universal_cy, universal_single
+from uschub.schubert import schubert_expand_M, universal_cy, universal_double, universal_single
 from uschub.specialize import FlagProfile, classical_specialize, to_g_form
 
 
@@ -297,6 +300,30 @@ def test_locus_strict_on_every_covering_profile_of_s4():
                 profile = RankProfile(A, B)
                 if profile.contains_codiagram(w):
                     locus_formula(w, profile)
+
+
+def _rendered_lines() -> dict[str, list[str]]:
+    """Every printed form the renderer digests cover, one line per object."""
+    lines: dict[str, list[str]] = {"text": [], "latex": [], "melement": [], "locus": []}
+    for w in all_perms(4):
+        p = universal_double(w, 3)
+        lines["text"].append(f"{w.as_tuple(4)}: {p.text()}")
+        lines["latex"].append(f"{w.as_tuple(4)}: {p.latex()}")
+    for w in all_perms(5):
+        lines["melement"].append(f"{w.as_tuple(5)}: {universal_single(w, 4).text()}")
+    subsets = [tuple(i for i in range(1, 4) if mask & (1 << (i - 1))) for mask in range(1, 8)]
+    for w in all_perms(4):
+        for A in subsets:
+            for B in subsets:
+                profile = RankProfile(A, B)
+                if profile.contains_codiagram(w):
+                    lines["locus"].append(f"{w.as_tuple(4)} {A} {B}: {render_locus(locus_formula(w, profile), profile)}")
+    return lines
+
+
+def test_renderers_match_the_frozen_digests():
+    for name, lines in _rendered_lines().items():
+        assert sha256("\n".join(lines).encode()).hexdigest() == RENDER_DIGESTS[name], name
 
 
 def test_gysin_sweep():
