@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from . import uring
 from .formulas import (
     DetSpec,
     RankProfile,
+    det19_census,
+    det19_record,
     det19_search,
     dominant_formula,
     grassmannian_det,
@@ -202,21 +205,13 @@ def _cmd_product_rule(args) -> int:
     return 0 if report.equal_in_g else 2
 
 
-def _spec_record(w: Permutation, n: int, hit) -> dict:
-    return {
-        "w": list(w.as_tuple(n + 1)),
-        "sigma": list(hit[0].as_tuple(n)) if hit else None,
-        "spec": {"a": list(hit[1].a), "b": list(hit[1].b)} if hit else None,
-    }
-
-
 def _cmd_search_det19(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
     if args.exhaustive:
         hits = det19_search(w, n, exhaustive=True)
         if args.format == "json":
-            print(_json_dumps([_spec_record(w, n, hit) for hit in hits]))
+            print(_json_dumps([det19_record(w, n, hit) for hit in hits]))
         elif not hits:
             print("none")
         else:
@@ -225,7 +220,7 @@ def _cmd_search_det19(args) -> int:
         return 0
     hit = det19_search(w, n)
     if args.format == "json":
-        print(_json_dumps(_spec_record(w, n, hit)))
+        print(_json_dumps(det19_record(w, n, hit)))
     elif hit is None:
         print("none")
     else:
@@ -233,12 +228,8 @@ def _cmd_search_det19(args) -> int:
     return 0
 
 
-def _census_records(n: int) -> list[dict]:
-    return [_spec_record(w, n, det19_search(w, n)) for w in all_perms(n + 1)]
-
-
 def _cmd_census(args) -> int:
-    records = _census_records(args.n)
+    records = det19_census(args.n)
     if args.format == "json":
         print(_json_dumps(records))
         return 0
@@ -329,56 +320,42 @@ def _cmd_ring(args) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_routes(n: int) -> list[Check]:
-    words = list(all_perms(n + 1))
+def _tally(label: str, items, ok: Callable[..., bool]) -> Check:
+    """Passes when ``ok`` holds for every item; the detail reads ``passed/total``."""
+    items = list(items)
+    passed = sum(1 for item in items if ok(item))
+    return (label, passed == len(items), f"{passed}/{len(items)}")
 
+
+def _suite_routes(n: int) -> list[Check]:
     def agree(w: Permutation) -> bool:
         direct = universal_single(w, n).to_polynomial("c")
         inductive = universal_single_inductive(w, n).to_polynomial("c")
         collapsed = zero_y(universal_cy(w, n))
         return direct == inductive == collapsed
 
-    bad = [w for w in words if not agree(w)]
-    return [(
-        f"construction routes agree on S_{n + 1}",
-        not bad,
-        f"{len(words) - len(bad)}/{len(words)}",
-    )]
+    return [_tally(f"construction routes agree on S_{n + 1}", all_perms(n + 1), agree)]
 
 
 def _suite_classical(n: int) -> list[Check]:
-    words = list(all_perms(n + 1))
-
     def agree(w: Permutation) -> bool:
         return classical_specialize(universal_single(w, n).to_polynomial("c")) == classical_single(w)
 
-    bad = [w for w in words if not agree(w)]
-    return [(
-        f"classical specialization matches divided differences on S_{n + 1}",
-        not bad,
-        f"{len(words) - len(bad)}/{len(words)}",
-    )]
+    return [_tally(f"classical specialization matches divided differences on S_{n + 1}",
+                   all_perms(n + 1), agree)]
 
 
 def _suite_leading(n: int) -> list[Check]:
-    words = list(all_perms(n + 1))
-
     def unital(w: Permutation) -> bool:
         el = universal_single(w, n)
         lead = max(el.codes)
         return lead == w.code_tail(n) and el.codes[lead] == 1
 
-    bad = [w for w in words if not unital(w)]
-    return [(
-        f"lex-leading code is the modified code with coefficient 1 on S_{n + 1}",
-        not bad,
-        f"{len(words) - len(bad)}/{len(words)}",
-    )]
+    return [_tally(f"lex-leading code is the modified code with coefficient 1 on S_{n + 1}",
+                   all_perms(n + 1), unital)]
 
 
 def _suite_duality(n: int) -> list[Check]:
-    words = list(all_perms(n + 1))
-
     def dual(w: Permutation) -> bool:
         flipped = universal_double(w, n).swap_kinds("c", "d")
         expected = universal_double(w.inverse(), n)
@@ -386,14 +363,10 @@ def _suite_duality(n: int) -> list[Check]:
             expected = -expected
         return flipped == expected
 
-    bad = [w for w in words if not dual(w)]
-    smaller = list(all_perms(n))
-    stable = [w for w in smaller if universal_double(w, n - 1) != universal_double(w, n)]
     return [
-        (f"kind swap equals signed inverse on S_{n + 1}", not bad,
-         f"{len(words) - len(bad)}/{len(words)}"),
-        (f"double polynomials are stable under S_{n} -> S_{n + 1}", not stable,
-         f"{len(smaller) - len(stable)}/{len(smaller)}"),
+        _tally(f"kind swap equals signed inverse on S_{n + 1}", all_perms(n + 1), dual),
+        _tally(f"double polynomials are stable under S_{n} -> S_{n + 1}", all_perms(n),
+               lambda w: universal_double(w, n - 1) == universal_double(w, n)),
     ]
 
 
@@ -411,12 +384,8 @@ def _suite_quantum(kmax: int) -> list[Check]:
         base = c_from_g(i, k)
         return base == c_from_g_det(i, k) and base == c_from_g_paths(i, k)
 
-    bad = [p for p in pairs if not agree(p)]
-    checks.append((
-        f"recursion, determinant and path expansions agree for i <= k <= {kmax}",
-        not bad,
-        f"{len(pairs) - len(bad)}/{len(pairs)}",
-    ))
+    checks.append(_tally(f"recursion, determinant and path expansions agree for i <= k <= {kmax}",
+                         pairs, agree))
     mono = parse_text("g1[0]*g2[2]*g5[0]*g6[1]*g9[0]").terms()
     coeff = c_from_g(8, 9).terms().get(next(iter(mono)), 0)
     checks.append(("c8(9) contains the monomial x1 g2[2] x5 g6[1] x9", coeff == 1, f"coefficient {coeff}"))
@@ -442,29 +411,19 @@ def _suite_flags(top: int) -> list[Check]:
             for w in profile.members()
         )
 
-    bad_dom = [p for p in profiles if not dominant_ok(p)]
-    bad_routes = [p for p in profiles if not routes_ok(p)]
-    return [
-        (f"dominant member formula holds for all profiles inside {top}", not bad_dom,
-         f"{len(profiles) - len(bad_dom)}/{len(profiles)} profiles"),
-        (f"both flag routes agree for all members of profiles inside {top}", not bad_routes,
-         f"{len(profiles) - len(bad_routes)}/{len(profiles)} profiles"),
+    checks = [
+        _tally(f"dominant member formula holds for all profiles inside {top}", profiles, dominant_ok),
+        _tally(f"both flag routes agree for all members of profiles inside {top}", profiles, routes_ok),
     ]
+    return [(label, ok, f"{detail} profiles") for label, ok, detail in checks]
 
 
 def _suite_grassmannian(n: int) -> list[Check]:
-    words = [w for w in all_perms(n + 1) if w.is_grassmannian()]
-
     def agree(w: Permutation) -> bool:
-        m = max(w.size - 1, 1)
-        return grassmannian_det(w) == universal_cy(w, m)
+        return grassmannian_det(w) == universal_cy(w, max(w.size - 1, 1))
 
-    bad = [w for w in words if not agree(w)]
-    return [(
-        f"descent-set determinant matches on Grassmannian members of S_{n + 1}",
-        not bad,
-        f"{len(words) - len(bad)}/{len(words)}",
-    )]
+    return [_tally(f"descent-set determinant matches on Grassmannian members of S_{n + 1}",
+                   (w for w in all_perms(n + 1) if w.is_grassmannian()), agree)]
 
 
 _PRINTED_SPECS = {
@@ -475,7 +434,7 @@ _PRINTED_SPECS = {
 
 
 def _suite_census(n: int) -> list[Check]:
-    records = _census_records(n)
+    records = det19_census(n)
     hits = sum(1 for rec in records if rec["spec"] is not None)
     checks: list[Check] = []
     if n == 4:
@@ -504,35 +463,21 @@ def _suite_product_rule(kmax: int) -> list[Check]:
     triples = [(i, j, k) for k in range(0, kmax + 1) for i in range(0, k + 1) for j in range(0, k + 1)]
 
     def both(triple: tuple[int, int, int]) -> tuple[bool, bool]:
-        i, j, k = triple
-        report = product_rule(i, j, k)
-        reduced = classical_specialize(remark47_first_sum(i, j, k))
-        collapses = reduced == g_classical(to_g_form(report.lhs))
-        return report.equal_in_g, collapses
+        report = product_rule(*triple)
+        reduced = classical_specialize(remark47_first_sum(*triple))
+        return report.equal_in_g, reduced == g_classical(to_g_form(report.lhs))
 
-    results = [both(t) for t in triples]
-    bad_rule = [t for t, (ok, _) in zip(triples, results) if not ok]
-    bad_reduced = [t for t, (_, ok) in zip(triples, results) if not ok]
+    results = {t: both(t) for t in triples}
     return [
-        (f"product rule holds in g for 0 <= i, j <= k <= {kmax}", not bad_rule,
-         f"{len(triples) - len(bad_rule)}/{len(triples)}"),
-        (f"classically only the leading sum survives for k <= {kmax}", not bad_reduced,
-         f"{len(triples) - len(bad_reduced)}/{len(triples)}"),
+        _tally(f"product rule holds in g for 0 <= i, j <= k <= {kmax}", triples, lambda t: results[t][0]),
+        _tally(f"classically only the leading sum survives for k <= {kmax}", triples,
+               lambda t: results[t][1]),
     ]
 
 
 def _suite_diagrams(n: int) -> list[Check]:
-    words = list(all_perms(n + 1))
-
-    def sized(w: Permutation) -> bool:
-        return len(w.codiagram(n)) == w.length()
-
-    bad = [w for w in words if not sized(w)]
-    checks = [(
-        f"modified diagram size equals length on S_{n + 1}",
-        not bad,
-        f"{len(words) - len(bad)}/{len(words)}",
-    )]
+    checks = [_tally(f"modified diagram size equals length on S_{n + 1}", all_perms(n + 1),
+                     lambda w: len(w.codiagram(n)) == w.length())]
     subsets = [tuple(i for i in range(1, 4) if mask & (1 << (i - 1))) for mask in range(1, 8)]
     occ_bad = []
     for w in all_perms(4):
@@ -551,12 +496,8 @@ def _suite_diagrams(n: int) -> list[Check]:
         f"{len(occ_bad)} escapes",
     ))
     pairs = [(k, i) for k in range(0, 5) for i in range(0, k + 1)]
-    gys_bad = [p for p in pairs if not gysin_check(*p)]
-    checks.append((
-        "projective-bundle pushforward identity holds for 0 <= i <= k <= 4",
-        not gys_bad,
-        f"{len(pairs) - len(gys_bad)}/{len(pairs)}",
-    ))
+    checks.append(_tally("projective-bundle pushforward identity holds for 0 <= i <= k <= 4",
+                         pairs, lambda p: gysin_check(*p)))
     return checks
 
 
@@ -701,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:  # RecursionError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

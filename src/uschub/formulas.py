@@ -20,7 +20,7 @@ output only; the underlying polynomial algebra never changes kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -36,7 +36,7 @@ from .polyring import (
     x,
 )
 from .schubert import MElement, universal_double, universal_single
-from .specialize import FlagProfile
+from .specialize import FlagProfile, to_g_form
 
 
 # -- f and D ------------------------------------------------------------------
@@ -173,17 +173,18 @@ def det19_search(w: Permutation, n: int, exhaustive: bool = False):
     return found if exhaustive else None
 
 
+def det19_record(w: Permutation, n: int, hit) -> dict:
+    """JSON record of one search result (sigma, DetSpec), or nulls for None."""
+    return {
+        "w": list(w.as_tuple(n + 1)),
+        "sigma": list(hit[0].as_tuple(n)) if hit else None,
+        "spec": {"a": list(hit[1].a), "b": list(hit[1].b)} if hit else None,
+    }
+
+
 def det19_census(n: int) -> list[dict]:
     """One record per w in S_{n+1}: the lex-first expression or null."""
-    out = []
-    for w in all_perms(n + 1):
-        hit = det19_search(w, n)
-        out.append({
-            "w": list(w.as_tuple(n + 1)),
-            "sigma": list(hit[0].as_tuple(n)) if hit else None,
-            "spec": {"a": list(hit[1].a), "b": list(hit[1].b)} if hit else None,
-        })
-    return out
+    return [det19_record(w, n, det19_search(w, n)) for w in all_perms(n + 1)]
 
 
 # -- the product rule -----------------------------------------------------------
@@ -222,6 +223,29 @@ def member_two_term_shifted(a: int, b: int, k: int, p: int) -> Polynomial:
     )
 
 
+def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
+    """Right side of the rule for c_i(k) c_j(k), in the proof's explicit form.
+
+    The family at k+1, plus g_k[1] times the family at k, plus
+    g_{k-p}[p+1] times the shifted forms of its members with w(k-p) > w(k).
+    """
+    rhs = ZERO
+    for (_, a, b) in product_family(i + 1, j + 1, k + 1):
+        rhs = rhs + member_two_term(a, b, k + 1)
+    family = product_family(i, j, k)
+    if not family:  # always so at k = 0, where g_0[1] does not exist
+        return rhs
+    gk1 = Polynomial.var(g(k, 1))
+    for (_, a, b) in family:
+        rhs = rhs + gk1 * member_two_term(a, b, k)
+    for p in range(1, k):
+        gp = Polynomial.var(g(k - p, p + 1))
+        for (w, a, b) in family:
+            if w(k - p) > w(k):
+                rhs = rhs + gp * member_two_term_shifted(a, b, k, p)
+    return rhs
+
+
 @dataclass
 class ProductRuleReport:
     i: int
@@ -230,42 +254,14 @@ class ProductRuleReport:
     lhs: Polynomial
     rhs: Polynomial
     equal_in_g: bool
-    first_terms: list[tuple[Permutation, Polynomial]] = field(default_factory=list)
-    second_terms: list[tuple[Permutation, Polynomial]] = field(default_factory=list)
-    correction_terms: dict[int, list[tuple[Permutation, Polynomial]]] = field(default_factory=dict)
 
 
 def product_rule(i: int, j: int, k: int) -> ProductRuleReport:
     """Both sides of the rule for c_i(k) c_j(k), checked in the g variables."""
     if not (0 <= i <= k and 0 <= j <= k):
         raise ValueError("need 0 <= i, j <= k")
-    lhs = cpoly(i, k) * cpoly(j, k)
-    first_terms = [(w, member_two_term(a, b, k + 1)) for (w, a, b) in product_family(i + 1, j + 1, k + 1)]
-    second_terms = [(w, member_two_term(a, b, k)) for (w, a, b) in product_family(i, j, k)]
-    correction: dict[int, list[tuple[Permutation, Polynomial]]] = {}
-    for p in range(1, k):
-        terms = []
-        for (w, a, b) in product_family(i, j, k):
-            if w(k - p) > w(k):
-                u = w * Permutation.t(k - p, k)
-                terms.append((u, member_two_term_shifted(a, b, k, p)))
-        if terms:
-            correction[p] = terms
-    rhs = ZERO
-    for _, poly in first_terms:
-        rhs = rhs + poly
-    if second_terms:
-        gk1 = Polynomial.var(g(k, 1))
-        for _, poly in second_terms:
-            rhs = rhs + gk1 * poly
-    for p, terms in correction.items():
-        gp = Polynomial.var(g(k - p, p + 1))
-        for _, poly in terms:
-            rhs = rhs + gp * poly
-    from .specialize import to_g_form
-
-    equal = to_g_form(lhs) == to_g_form(rhs)
-    return ProductRuleReport(i, j, k, lhs, rhs, equal, first_terms, second_terms, correction)
+    lhs, rhs = cpoly(i, k) * cpoly(j, k), _rule_rhs(i, j, k)
+    return ProductRuleReport(i, j, k, lhs, rhs, to_g_form(lhs) == to_g_form(rhs))
 
 
 def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:
@@ -280,22 +276,6 @@ def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:
 
 
 # -- square elimination -----------------------------------------------------------
-
-def _pair_replacement(i: int, j: int, k: int) -> Polynomial:
-    """Right side of the rule for c_i(k) c_j(k), in the proof's explicit form."""
-    rhs = ZERO
-    for (_, a, b) in product_family(i + 1, j + 1, k + 1):
-        rhs = rhs + member_two_term(a, b, k + 1)
-    gk1 = Polynomial.var(g(k, 1))
-    for (_, a, b) in product_family(i, j, k):
-        rhs = rhs + gk1 * member_two_term(a, b, k)
-    for p in range(1, k):
-        gp = Polynomial.var(g(k - p, p + 1))
-        for (w, a, b) in product_family(i, j, k):
-            if w(k - p) > w(k):
-                rhs = rhs + gp * member_two_term_shifted(a, b, k, p)
-    return rhs
-
 
 def rewrite_no_squares(p: Polynomial, n: int | None = None, budget: int = 10**6) -> Polynomial:
     """Eliminate all same-point products c_i(k) c_j(k) with i, j >= 1.
@@ -331,7 +311,7 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None, budget: int = 10**6)
         if steps > budget:
             raise RuntimeError("square elimination exceeded its step budget")
         k, i, j = best
-        replacement = _pair_replacement(i, j, k)
+        replacement = _rule_rhs(i, j, k)
         updated = ZERO
         for mono, coeff in work.terms().items():
             counts = {v: e for v, e in mono}
@@ -435,29 +415,12 @@ def _snap(k: int, ranks: tuple[int, ...]) -> int | None:
 
 def render_locus(p: Polynomial, profile: RankProfile) -> str:
     """Text form with evaluation points renamed to bundle tags E_p / F_q."""
-    epos = {a: idx for idx, a in enumerate(profile.A, start=1)}
-    fpos = {b: idx for idx, b in enumerate(profile.B, start=1)}
-    if not p:
-        return "0"
-    chunks: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        names = []
-        for v, e in mono:
-            if v.kind == "c":
-                tag = f"c{v.i}(E{epos[v.j]})"
-            elif v.kind == "d":
-                tag = f"c{v.i}(F{fpos[v.j]})"
-            else:
-                tag = v.text()
-            names.append(tag + (f"^{e}" if e > 1 else ""))
-        body = "*".join(names)
-        mag = abs(coeff)
-        piece = body if (mag == 1 and body) else (f"{mag}*{body}" if body else str(mag))
-        if not chunks:
-            chunks.append(piece if coeff > 0 else "-" + piece)
-        else:
-            chunks.append((" + " if coeff > 0 else " - ") + piece)
-    return "".join(chunks)
+    tags = {"c": {a: f"E{idx}" for idx, a in enumerate(profile.A, start=1)},
+            "d": {b: f"F{idx}" for idx, b in enumerate(profile.B, start=1)}}
+    def name(v: Variable) -> str:
+        return f"c{v.i}({tags[v.kind][v.j]})" if v.kind in tags else v.text()
+
+    return p.render(name, "*", "^{}")
 
 
 # -- projective-bundle pushforward check ------------------------------------------

@@ -12,7 +12,6 @@ Conventions used throughout:
     code_tail(n)    i_k = #{j <= k : w(j) > w(k+1)}, for w in S_{n+1};
                     the sequence (i_1, ..., i_n) satisfies i_k <= k and
                     determines w
-    diagram         D(w)  = {(i,j) : w(i) > j, w^{-1}(j) > i}
     codiagram(n)    D'(w) = {(i,j) : w(i+1) <= j, w^{-1}(j+1) <= i},
                     drawn inside the n x n grid
 """
@@ -182,16 +181,6 @@ class Permutation:
         return w0 * v * w0
 
     # -- diagrams ------------------------------------------------------------
-
-    def diagram(self) -> frozenset[tuple[int, int]]:
-        m = self.size
-        inv = self.inverse()
-        return frozenset(
-            (i, j)
-            for i in range(1, m + 1)
-            for j in range(1, m + 1)
-            if self(i) > j and inv(j) > i
-        )
 
     def codiagram(self, n: int) -> frozenset[tuple[int, int]]:
         if self.size > n + 1:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -48,19 +49,19 @@ class Variable:
     def __lt__(self, other: "Variable") -> bool:
         return self.sort_key() < other.sort_key()
 
+    def _name(self, left: str, right: str) -> str:
+        """Kind, first index between ``left`` and ``right``, then (j) or [j] if paired."""
+        if self.kind in "cd":
+            return f"{self.kind}{left}{self.i}{right}({self.j})"
+        if self.kind in "gh":
+            return f"{self.kind}{left}{self.i}{right}[{self.j}]"
+        return f"{self.kind}{left}{self.i}{right}"
+
     def text(self) -> str:
-        if self.kind in ("c", "d"):
-            return f"{self.kind}{self.i}({self.j})"
-        if self.kind in ("g", "h"):
-            return f"{self.kind}{self.i}[{self.j}]"
-        return f"{self.kind}{self.i}"
+        return self._name("", "")
 
     def latex(self) -> str:
-        if self.kind in ("c", "d"):
-            return f"{self.kind}_{{{self.i}}}({self.j})"
-        if self.kind in ("g", "h"):
-            return f"{self.kind}_{{{self.i}}}[{self.j}]"
-        return f"{self.kind}_{{{self.i}}}"
+        return self._name("_{", "}")
 
     def __repr__(self) -> str:
         return self.text()
@@ -296,34 +297,26 @@ class Polynomial:
             out = out + base * factor
         return out
 
-    def rename_kind(self, src: str, dst: str) -> "Polynomial":
-        """Send one paired family to another, e.g. every c_i(j) -> d_i(j)."""
-        if src not in _PAIRED or dst not in _PAIRED:
-            raise ValueError("rename_kind only applies to the c/d/g/h families")
+    def _relabel(self, trade: dict[str, str]) -> "Polynomial":
+        """Move every variable of a paired family to the family ``trade`` names for it."""
+        if not set(trade) | set(trade.values()) <= _PAIRED:
+            raise ValueError("kind renaming only applies to the c/d/g/h families")
         acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
             nm = tuple(sorted(
-                ((Variable(dst, v.i, v.j, v.degree) if v.kind == src else v, e)
-                 for v, e in m),
+                ((Variable(trade.get(v.kind, v.kind), v.i, v.j, v.degree), e) for v, e in m),
                 key=lambda p: p[0].sort_key(),
             ))
             acc[nm] = acc.get(nm, 0) + co
         return Polynomial(acc)
 
+    def rename_kind(self, src: str, dst: str) -> "Polynomial":
+        """Send one paired family to another, e.g. every c_i(j) -> d_i(j)."""
+        return self._relabel({src: dst})
+
     def swap_kinds(self, a: str, b: str) -> "Polynomial":
         """Exchange two paired families in one pass, e.g. c <-> d."""
-        if a not in _PAIRED or b not in _PAIRED:
-            raise ValueError("swap_kinds only applies to the c/d/g/h families")
-        trade = {a: b, b: a}
-        acc: dict[Monomial, int] = {}
-        for m, co in self._terms.items():
-            nm = tuple(sorted(
-                ((Variable(trade.get(v.kind, v.kind), v.i, v.j, v.degree), e)
-                 for v, e in m),
-                key=lambda p: p[0].sort_key(),
-            ))
-            acc[nm] = acc.get(nm, 0) + co
-        return Polynomial(acc)
+        return self._relabel({a: b, b: a})
 
     def coefficient_of(self, mono: Monomial) -> "Polynomial":
         """Exact coefficient of ``mono`` viewed as a polynomial in its variables.
@@ -353,43 +346,19 @@ class Polynomial:
 
     # -- printing and parsing -------------------------------------------
 
+    def render(self, name: Callable[[Variable], str], times: str, power: str) -> str:
+        """Signed sum of the sorted terms: variables printed by ``name``, joined by
+        ``times``, exponents above 1 through the ``power`` format."""
+        return signed_sum([
+            (times.join([name(v) if e == 1 else name(v) + power.format(e) for v, e in m]), co)
+            for m, co in self.sorted_terms()
+        ], times)
+
     def text(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for m, co in self.sorted_terms():
-            body = "*".join(v.text() + (f"^{e}" if e > 1 else "") for v, e in m)
-            mag = abs(co)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if co > 0 else "-" + piece)
-            else:
-                chunks.append((" + " if co > 0 else " - ") + piece)
-        return "".join(chunks)
+        return self.render(Variable.text, "*", "^{}")
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for m, co in self.sorted_terms():
-            body = " ".join(v.latex() + (f"^{{{e}}}" if e > 1 else "") for v, e in m)
-            mag = abs(co)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag} {body}"
-            if not chunks:
-                chunks.append(piece if co > 0 else "-" + piece)
-            else:
-                chunks.append((" + " if co > 0 else " - ") + piece)
-        return "".join(chunks)
+        return self.render(Variable.latex, " ", "^{{{}}}")
 
     def to_json(self) -> dict:
         terms = []
@@ -412,6 +381,19 @@ class Polynomial:
 
 ZERO = Polynomial.zero()
 ONE = Polynomial.one()
+
+
+def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
+    """Print ordered (body, coeff) pairs as ``a - 2*b + c``; an empty body is the unit."""
+    chunks: list[str] = []
+    for body, co in terms:
+        mag = abs(co)
+        piece = body if mag == 1 and body else f"{mag}{times}{body}" if body else str(mag)
+        if chunks:
+            chunks.append((" - " if co < 0 else " + ") + piece)
+        else:
+            chunks.append("-" + piece if co < 0 else piece)
+    return "".join(chunks) or "0"
 
 
 # -- convention-aware expression constructors ----------------------------

@@ -40,6 +40,7 @@ from .polyring import (
     divide_by_difference,
     dpoly,
     elementary_sym,
+    signed_sum,
     x,
     y,
 )
@@ -265,19 +266,10 @@ class MElement:
         return cls(codes, n)
 
     def text(self) -> str:
-        if not self.codes:
-            return "0"
-        chunks: list[str] = []
-        for code in sorted(self.codes, reverse=True):
-            coeff = self.codes[code]
-            body = "[" + ",".join(map(str, code)) + "]"
-            mag = abs(coeff)
-            piece = body if mag == 1 else f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if coeff > 0 else "-" + piece)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + piece)
-        return "".join(chunks)
+        return signed_sum([
+            ("[" + ",".join(map(str, code)) + "]", self.codes[code])
+            for code in sorted(self.codes, reverse=True)
+        ], "*")
 
     def __repr__(self) -> str:
         return self.text()

@@ -197,7 +197,9 @@ class UniversalRing:
             for v, e in mono:
                 if v.kind == "x" and v.i <= self.n:
                     exps[v.i - 1] = e
-                elif v.kind == "g" and (v.j or 0) >= 1:
+                elif v.kind == "g" and v.j >= 1:
+                    if v.i + v.j > self.n + 1:
+                        raise ValueError(f"{v.text()} is outside Z[g+] for n = {self.n}")
                     gmono.append((v, e))
                 else:
                     raise ValueError(f"unexpected variable {v.text()} in reduction")

@@ -6,7 +6,7 @@ import json
 import pathlib
 
 from frozen import QUANTUM_231
-from uschub.cli import _census_records, main
+from uschub.cli import main
 from uschub.formulas import det19_census
 from uschub.permutations import Permutation
 from uschub.polyring import parse_json
@@ -116,8 +116,10 @@ def test_census_text_summary():
     assert out.rstrip().endswith("expressed 24 of 24")
 
 
-def test_census_records_track_the_library():
-    assert _census_records(3) == det19_census(3)
+def test_census_json_is_the_library_census():
+    code, out, _ = run("census", "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == det19_census(3)
 
 
 def test_census_is_deterministic():
@@ -156,6 +158,26 @@ def test_domain_error_exits_1():
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_g_variables_outside_the_coefficient_ring_exit_1():
+    for args in (
+        ("ring", "expand", "g9[9]", "--n", "1"),
+        ("ring", "normal-form", "g9[9]*x1", "--n", "1"),
+        ("ring", "inner", "g3[3]", "x1", "--n", "1"),
+    ):
+        code, out, err = run(*args)
+        assert (code, out) == (1, ""), args
+        assert err.startswith("error:"), args
+
+
+def test_too_deep_a_recursion_exits_1_without_a_traceback(time_limit):
+    word = ",".join(map(str, [*range(1, 45), 46, 45]))
+    with time_limit(30):
+        code, out, err = run("single", word)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_malformed_expression_exits_1(time_limit):

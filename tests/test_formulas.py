@@ -317,7 +317,8 @@ def _rendered_lines() -> dict[str, list[str]]:
             for B in subsets:
                 profile = RankProfile(A, B)
                 if profile.contains_codiagram(w):
-                    lines["locus"].append(f"{w.as_tuple(4)} {A} {B}: {render_locus(locus_formula(w, profile), profile)}")
+                    rendered = render_locus(locus_formula(w, profile), profile)
+                    lines["locus"].append(f"{w.as_tuple(4)} {A} {B}: {rendered}")
     return lines
 
 

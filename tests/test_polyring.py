@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic: ring laws, substitution, printing, division."""
 
+from datetime import timedelta
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +146,28 @@ def test_parse_rejects_garbage(time_limit):
     for text in ("x1^", "x1^x2", "x1^2^3", "2 3", "x1 x2", "c1(1)*"):
         with time_limit(2), pytest.raises(ValueError):
             parse_text(text)
+
+
+# Strings over the parser's token alphabet: whole factors (one out of range)
+# or raw characters, glued by operators, broken operators or nothing.
+FACTORS = ("c1(1)", "c2(3)", "d1(2)", "g1[0]", "g2[1]", "h1[2]", "x1", "x2", "y3", "q1",
+           "0", "1", "2", "17", "c9(2)")
+GLUES = (" + ", " - ", "*", "-", "+", "^", "^2", " ", "", "+-")
+TEXTS = st.lists(
+    st.tuples(st.sampled_from(GLUES),
+              st.sampled_from(FACTORS) | st.text("cdghxyq0123456789()[]+-*^ ", max_size=2)),
+    max_size=8,
+).map(lambda parts: "".join(glue + factor for glue, factor in parts))
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(TEXTS)
+def test_parse_raises_or_round_trips(text):
+    try:
+        p = parse_text(text)
+    except ValueError:
+        return
+    assert parse_text(p.text()) == p
 
 
 def test_constants_hash_like_the_ints_they_equal():
