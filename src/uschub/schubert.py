@@ -27,7 +27,6 @@ terminates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _itproduct
 
 from .exactla import invert
