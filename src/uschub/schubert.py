@@ -10,12 +10,13 @@ Four flavours are constructed here, all exact:
   * universal_cy(w, n) /      mixed forms with a second alphabet, in
     universal_double(w, n)    Z[c; y] and Z[c; d] respectively
 
-The classical polynomials come from the divided-difference ladder that
-starts at the dominant staircase monomial.  The universal single form is
-obtained by rewriting the classical polynomial in the triangular basis
-of products e_{i_1}(x_1) e_{i_2}(x_1,x_2) ... and renaming e_i of the
-first k variables to c_i(k); an independent route applies the code-level
-ladder operator directly and must agree.
+The universal single form is built by the code-level ladder operator
+(MElement.partial): the longest element of S_{n+1} has the single code
+(1, 2, ..., n), and each step down to w applies the operator at an
+ascent.  Everything stays in integer code combinations.  The classical
+polynomials come from the divided-difference ladder that starts at the
+dominant staircase monomial; classical_single is the oracle the
+universal form must specialize to.
 
 Codes are converted to and from permutations via the count
 code_tail(w)_k = #{j <= k : w(j) > w(k+1)}, which is also the key to
@@ -27,9 +28,6 @@ terminates.
 
 from __future__ import annotations
 
-from itertools import product as _itproduct
-
-from .exactla import invert
 from .permutations import Permutation
 from .polyring import (
     ONE,
@@ -47,10 +45,8 @@ from .polyring import (
 _classical_single_cache: dict[tuple[int, ...], Polynomial] = {}
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _universal_single_cache: dict[tuple[tuple[int, ...], int], "MElement"] = {}
-_universal_inductive_cache: dict[tuple[tuple[int, ...], int], "MElement"] = {}
 _universal_cy_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
 _universal_double_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
-_e_basis_cache: dict[tuple[int, int], tuple] = {}
 
 
 def clear_caches() -> None:
@@ -58,10 +54,8 @@ def clear_caches() -> None:
         _classical_single_cache,
         _classical_double_cache,
         _universal_single_cache,
-        _universal_inductive_cache,
         _universal_cy_cache,
         _universal_double_cache,
-        _e_basis_cache,
     ):
         cache.clear()
 
@@ -274,114 +268,18 @@ class MElement:
         return self.text()
 
 
-# -- elementary-product basis change ----------------------------------------
-
-def _codes_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
-    out = [
-        code
-        for code in _itproduct(*(range(k + 1) for k in range(1, n + 1)))
-        if sum(code) == d
-    ]
-    out.sort()
-    return out
-
-
-def _staircase_exponents(n: int, d: int) -> list[tuple[int, ...]]:
-    out = [
-        j
-        for j in _itproduct(*(range(n + 2 - k) for k in range(1, n + 1)))
-        if sum(j) == d
-    ]
-    out.sort()
-    return out
-
-
-def _e_basis(n: int, d: int):
-    """Codes, staircase exponents and the integer inverse transition at degree d."""
-    key = (n, d)
-    hit = _e_basis_cache.get(key)
-    if hit is not None:
-        return hit
-    codes = _codes_of_degree(n, d)
-    monos = _staircase_exponents(n, d)
-    if len(codes) != len(monos):
-        raise RuntimeError(f"basis size mismatch at n={n}, d={d}")
-    index = {j: r for r, j in enumerate(monos)}
-    mat = [[0] * len(codes) for _ in monos]
-    for col, code in enumerate(codes):
-        prod = ONE
-        for alpha, i in enumerate(code, start=1):
-            if i:
-                prod = prod * elementary_sym(i, alpha)
-        for mono, coeff in prod.terms().items():
-            exps = [0] * n
-            for v, e in mono:
-                exps[v.i - 1] = e
-            mat[index[tuple(exps)]][col] = coeff
-    inv = invert(mat)
-    for row in inv:
-        for entry in row:
-            if entry.denominator != 1:
-                raise RuntimeError(f"transition at n={n}, d={d} is not unimodular")
-    inv_int = [[int(entry) for entry in row] for row in inv]
-    result = (codes, monos, inv_int)
-    _e_basis_cache[key] = result
-    return result
-
-
-def e_expand(p: Polynomial, n: int) -> MElement:
-    """Write p in the basis of products e_{i_1}(x_1)...e_{i_n}(x_1..x_n).
-
-    p must be an integer polynomial in x_1..x_n supported on exponents
-    j_k <= n+1-k; the expansion is then unique with integer
-    coefficients, returned as the code combination.
-    """
-    for v in p.variables():
-        if v.kind != "x" or v.i > n:
-            raise ValueError(f"e_expand needs a polynomial in x_1..x_{n}")
-    out: dict[tuple[int, ...], int] = {}
-    for deg, part in p.homogeneous_parts().items():
-        codes, monos, inv = _e_basis(n, deg)
-        index = {j: r for r, j in enumerate(monos)}
-        b = [0] * len(monos)
-        for mono, coeff in part.terms().items():
-            exps = [0] * n
-            for v, e in mono:
-                exps[v.i - 1] = e
-            row = index.get(tuple(exps))
-            if row is None:
-                raise ValueError(f"monomial {mono} lies outside the staircase for n={n}")
-            b[row] = coeff
-        for col, code in enumerate(codes):
-            a = sum(inv[col][r] * b[r] for r in range(len(b)))
-            if a:
-                out[code] = a
-    return MElement(out, n)
-
-
 # -- universal single form ---------------------------------------------------
 
 def universal_single(w: Permutation, n: int | None = None) -> MElement:
-    """The code combination of w, via the elementary-product rewrite."""
+    """The code combination of w, built by the ladder operator from the top code.
+
+    The longest element of S_{n+1} has the single code (1, 2, ..., n); each
+    step down applies ``partial(k)`` at an ascent k of w.
+    """
     if n is None:
         n = max(w.size - 1, 1)
     key = (w.word, n)
     hit = _universal_single_cache.get(key)
-    if hit is not None:
-        return hit
-    if w.size > n + 1:
-        raise ValueError(f"{w} does not fit in S_{n + 1}")
-    result = e_expand(classical_single(w), n)
-    _universal_single_cache[key] = result
-    return result
-
-
-def universal_single_inductive(w: Permutation, n: int | None = None) -> MElement:
-    """The same combination, built by the ladder operator from the top code."""
-    if n is None:
-        n = max(w.size - 1, 1)
-    key = (w.word, n)
-    hit = _universal_inductive_cache.get(key)
     if hit is not None:
         return hit
     if w.size > n + 1:
@@ -391,9 +289,14 @@ def universal_single_inductive(w: Permutation, n: int | None = None) -> MElement
         result = MElement.single_code(tuple(range(1, n + 1)))
     else:
         k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
-        result = universal_single_inductive(w * Permutation.s(k), n).partial(k)
-    _universal_inductive_cache[key] = result
+        result = universal_single(w * Permutation.s(k), n).partial(k)
+    _universal_single_cache[key] = result
     return result
+
+
+# bench/workloads.py still calls the ladder by this name; keep the alias
+# while it does.
+universal_single_inductive = universal_single
 
 
 # -- universal double forms ---------------------------------------------------

@@ -49,7 +49,7 @@ DET19_WITNESSES = {
 }
 
 # Census over S_5: the search expresses 113 of 120 members.  Every hit's
-# determinant agrees with the inductive and y = 0 construction routes,
+# determinant agrees with the e_expand and y = 0 construction routes,
 # and an exhaustive search over all row orders finds none for the 7
 # failures.  The stated count for this census is 112; the acceptance
 # suite reports it beside the 113 and does not assert it.

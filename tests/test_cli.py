@@ -180,6 +180,14 @@ def test_too_deep_a_recursion_exits_1_without_a_traceback(time_limit):
     assert "Traceback" not in err
 
 
+def test_ladder_answers_long_and_padded_words(time_limit):
+    # Both ran for more than 20 s when the construction climbed by divided
+    # differences and inverted one rational matrix per degree.
+    with time_limit(10):
+        assert run("single", "1,2,3,4,5,6,7,8,9,10,12,11") == (0, "c1(11)\n", "")
+        assert run("single", "4,3,2,1", "--n", "6") == (0, "c1(1)*c2(2)*c3(3)\n", "")
+
+
 def test_malformed_expression_exits_1(time_limit):
     with time_limit(10):
         code, out, err = run("expand", "x1^")

@@ -1,10 +1,13 @@
 """Exact polynomial arithmetic: ring laws, substitution, printing, division."""
 
+import ast
+import pathlib
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uschub
 from uschub.polyring import (
     ExactDivisionError,
     Polynomial,
@@ -174,3 +177,20 @@ def test_constants_hash_like_the_ints_they_equal():
     assert len({Polynomial.const(3), 3}) == 1
     assert hash(ZERO) == hash(0)
     assert hash(Polynomial.const(-7)) == hash(-7)
+
+
+def test_no_module_imports_fractions():
+    # The package computes over the integers; rational arithmetic stays in
+    # the reference routes under tests/.
+    offenders = []
+    for path in sorted(pathlib.Path(uschub.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
