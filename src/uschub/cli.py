@@ -197,9 +197,8 @@ def _cmd_product_rule(args) -> int:
             "equal": report.equal_in_g,
         }))
     else:
-        render = (lambda p: p.latex()) if args.format == "latex" else (lambda p: p.text())
-        print(f"lhs: {render(report.lhs)}")
-        print(f"rhs: {render(report.rhs)}")
+        print(f"lhs: {_poly_out(report.lhs, args.format)}")
+        print(f"rhs: {_poly_out(report.rhs, args.format)}")
         print(f"equal in g: {'yes' if report.equal_in_g else 'NO'}")
     return 0 if report.equal_in_g else 2
 

@@ -47,13 +47,9 @@ def f_poly(m: int, k: int, a: int, b: int) -> Polynomial:
         return ZERO
     if m == 0:
         return ONE
-    total = ZERO
-    for p in range(0, m + 1):
-        term = cpoly(m - p, a) * complete_sym(p, k, offset=b, kind="y")
-        if p % 2:
-            term = -term
-        total = total + term
-    return total
+    return Polynomial.sum(
+        cpoly(m - p, a) * complete_sym(p, k, offset=b, kind="y") * (-1) ** p for p in range(0, m + 1)
+    )
 
 
 def _det(mat: list[list[Polynomial]]) -> Polynomial:
@@ -62,15 +58,11 @@ def _det(mat: list[list[Polynomial]]) -> Polynomial:
         return ONE
     if n == 1:
         return mat[0][0]
-    total = ZERO
-    for col in range(n):
-        entry = mat[0][col]
-        if not entry:
-            continue
-        minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-        term = entry * _det(minor)
-        total = total + (term if col % 2 == 0 else -term)
-    return total
+    return Polynomial.sum(
+        mat[0][col] * _det([row[:col] + row[col + 1:] for row in mat[1:]]) * (-1) ** col
+        for col in range(n)
+        if mat[0][col]
+    )
 
 
 def det_D(k: int, a: int, b: int) -> Polynomial:
@@ -229,21 +221,16 @@ def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     The family at k+1, plus g_k[1] times the family at k, plus
     g_{k-p}[p+1] times the shifted forms of its members with w(k-p) > w(k).
     """
-    rhs = ZERO
-    for (_, a, b) in product_family(i + 1, j + 1, k + 1):
-        rhs = rhs + member_two_term(a, b, k + 1)
+    parts = [member_two_term(a, b, k + 1) for (_, a, b) in product_family(i + 1, j + 1, k + 1)]
     family = product_family(i, j, k)
     if not family:  # always so at k = 0, where g_0[1] does not exist
-        return rhs
+        return Polynomial.sum(parts)
     gk1 = Polynomial.var(g(k, 1))
-    for (_, a, b) in family:
-        rhs = rhs + gk1 * member_two_term(a, b, k)
+    parts += [gk1 * member_two_term(a, b, k) for (_, a, b) in family]
     for p in range(1, k):
         gp = Polynomial.var(g(k - p, p + 1))
-        for (w, a, b) in family:
-            if w(k - p) > w(k):
-                rhs = rhs + gp * member_two_term_shifted(a, b, k, p)
-    return rhs
+        parts += [gp * member_two_term_shifted(a, b, k, p) for (w, a, b) in family if w(k - p) > w(k)]
+    return Polynomial.sum(parts)
 
 
 @dataclass
@@ -267,12 +254,10 @@ def product_rule(i: int, j: int, k: int) -> ProductRuleReport:
 def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:
     """Closed form of the rule's leading sum:
     sum_{l>=0} c_{i-l}(k+1) c_{j+l}(k) - sum_{l>=1} c_{i-l}(k) c_{j+l}(k+1)."""
-    total = ZERO
-    for l in range(0, i + 1):
-        total = total + cpoly(i - l, k + 1) * cpoly(j + l, k)
-    for l in range(1, i + 1):
-        total = total - cpoly(i - l, k) * cpoly(j + l, k + 1)
-    return total
+    return Polynomial.sum(
+        [cpoly(i - l, k + 1) * cpoly(j + l, k) for l in range(0, i + 1)]
+        + [-cpoly(i - l, k) * cpoly(j + l, k + 1) for l in range(1, i + 1)]
+    )
 
 
 # -- square elimination -----------------------------------------------------------
@@ -312,25 +297,19 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None, budget: int = 10**6)
             raise RuntimeError("square elimination exceeded its step budget")
         k, i, j = best
         replacement = _rule_rhs(i, j, k)
-        updated = ZERO
+        ci, cj = Variable("c", i, k, i), Variable("c", j, k, j)
+        parts = []
         for mono, coeff in work.terms().items():
-            counts = {v: e for v, e in mono}
-            ci = Variable("c", i, k, i)
-            cj = Variable("c", j, k, j)
-            have = counts.get(ci, 0) >= 1 and (
-                counts.get(cj, 0) >= (2 if i == j else 1)
-            )
-            if not have:
-                updated = updated + Polynomial({mono: coeff})
-                continue
-            counts[ci] -= 1
-            counts[cj] -= 1
-            rest = tuple(sorted(
-                ((v, e) for v, e in counts.items() if e),
-                key=lambda t: t[0].sort_key(),
-            ))
-            updated = updated + Polynomial({rest: coeff}) * replacement
-        work = updated
+            counts = dict(mono)
+            if counts.get(ci, 0) >= 1 and counts.get(cj, 0) >= (2 if i == j else 1):
+                counts[ci] -= 1
+                counts[cj] -= 1
+                # dropping exponents keeps the monomial's variable order
+                rest = tuple((v, e) for v, e in counts.items() if e)
+                parts.append(Polynomial({rest: coeff}) * replacement)
+            else:
+                parts.append(Polynomial({mono: coeff}))
+        work = Polynomial.sum(parts)
 
 
 def split_by_g(p: Polynomial, n: int) -> dict[Monomial, MElement]:
@@ -392,15 +371,13 @@ def locus_formula(w: Permutation, profile: RankProfile, mode: str = "strict") ->
         raise ValueError(f"unknown mode {mode!r}")
     if not profile.covers_descents(w):
         raise ValueError(f"descents of {w} or its inverse escape the profile")
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
-        if v.kind == "c":
-            snapped = _snap(v.j, profile.A)
-            mapping[v] = cpoly(v.i, snapped) if snapped else ZERO
-        elif v.kind == "d":
-            snapped = _snap(v.j, profile.B)
-            mapping[v] = dpoly(v.i, snapped) if snapped else ZERO
-    return p.substitute(mapping) if mapping else p
+    def snapped(v: Variable) -> Polynomial | None:
+        if v.kind not in "cd":
+            return None
+        point = _snap(v.j, profile.A if v.kind == "c" else profile.B)
+        return (cpoly if v.kind == "c" else dpoly)(v.i, point) if point else ZERO
+
+    return p.substitute(snapped)
 
 
 def _snap(k: int, ranks: tuple[int, ...]) -> int | None:
@@ -437,26 +414,18 @@ def gysin_check(k: int, i: int) -> bool:
     if not 0 <= i <= k:
         raise ValueError("need 0 <= i <= k")
     zeta = Polynomial.var(x(1))
-    top = ZERO
-    for a in range(0, k + 1):
-        top = top + (-1) ** a * cpoly(a, k) * zeta ** (k - a)
-    ch = ZERO
-    for b in range(0, i + 1):
-        ch = ch + (-1) ** b * dpoly(i - b, k + 1) * zeta ** b
+    top = Polynomial.sum((-1) ** a * cpoly(a, k) * zeta ** (k - a) for a in range(0, k + 1))
+    ch = Polynomial.sum((-1) ** b * dpoly(i - b, k + 1) * zeta ** b for b in range(0, i + 1))
     prod = top * ch
 
     max_r = i
     segre: list[Polynomial] = [ONE]
     for r in range(1, max_r + 1):
-        s = ZERO
-        for t in range(1, min(r, k + 1) + 1):
-            s = s - dpoly(t, k + 1) * segre[r - t]
-        segre.append(s)
+        segre.append(-Polynomial.sum(dpoly(t, k + 1) * segre[r - t] for t in range(1, min(r, k + 1) + 1)))
 
-    pushed = ZERO
+    pushed = []
     for zpart, cof in prod.coefficients_by("x").items():
         m = zpart[0][1] if zpart else 0
-        if m < k:
-            continue
-        pushed = pushed + (-1) ** (m - k) * cof * segre[m - k]
-    return pushed == cpoly(i, k)
+        if m >= k:
+            pushed.append((-1) ** (m - k) * cof * segre[m - k])
+    return Polynomial.sum(pushed) == cpoly(i, k)

@@ -138,9 +138,6 @@ class Permutation:
         w = self._w
         return sum(1 for i, j in combinations(range(len(w)), 2) if w[i] > w[j])
 
-    def sign(self) -> int:
-        return -1 if self.length() % 2 else 1
-
     def descents(self) -> tuple[int, ...]:
         w = self._w + (len(self._w) + 1,)
         return tuple(k for k in range(1, len(self._w) + 1) if w[k - 1] > w[k])

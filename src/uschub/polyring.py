@@ -157,6 +157,17 @@ class Polynomial:
     def var(cls, v: Variable) -> "Polynomial":
         return cls({((v, 1),): 1})
 
+    @classmethod
+    def sum(cls, parts: Iterable["Polynomial | int"]) -> "Polynomial":
+        """The sum of polynomials and ints, in one pass over their terms."""
+        acc: dict[Monomial, int] = {}
+        for part in parts:
+            if isinstance(part, int):
+                part = cls.const(part)
+            for m, co in part._terms.items():
+                acc[m] = acc.get(m, 0) + co
+        return cls(acc)
+
     # -- basic queries -------------------------------------------------
 
     def terms(self) -> dict[Monomial, int]:
@@ -173,15 +184,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(_mono_degree(m) for m in self._terms)
-
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict[Monomial, int]] = {}
-        for m, co in self._terms.items():
-            parts.setdefault(_mono_degree(m), {})[m] = co
-        return {deg: Polynomial(t) for deg, t in sorted(parts.items())}
-
-    def constant_term(self) -> int:
-        return self._terms.get((), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -272,14 +274,20 @@ class Polynomial:
 
     # -- structural operations ------------------------------------------
 
-    def substitute(self, mapping: dict[Variable, "Polynomial | int"]) -> "Polynomial":
-        """Ring homomorphism sending each mapped variable to its image.
+    def substitute(self, image: Callable[[Variable], "Polynomial | int | None"]) -> "Polynomial":
+        """Ring homomorphism sending each variable v to ``image(v)``; None keeps v.
 
-        Unmapped variables pass through unchanged.
+        ``image`` is called once per distinct variable; when it maps none,
+        the polynomial itself is returned.
         """
-        imgs = {v: (p if isinstance(p, Polynomial) else Polynomial.const(p))
-                for v, p in mapping.items()}
-        out = Polynomial()
+        imgs: dict[Variable, Polynomial] = {}
+        for v in self.variables():
+            img = image(v)
+            if img is not None:
+                imgs[v] = img if isinstance(img, Polynomial) else Polynomial.const(img)
+        if not imgs:
+            return self
+        parts = []
         for m, co in self._terms.items():
             kept: list[tuple[Variable, int]] = []
             factor = Polynomial.const(co)
@@ -291,24 +299,17 @@ class Polynomial:
                     factor = factor * (img ** e)
                     if not factor:
                         break
-            if not factor:
-                continue
-            base = Polynomial({tuple(kept): 1})
-            out = out + base * factor
-        return out
+            if factor:
+                parts.append(Polynomial({tuple(kept): 1}) * factor)
+        return Polynomial.sum(parts)
 
     def _relabel(self, trade: dict[str, str]) -> "Polynomial":
         """Move every variable of a paired family to the family ``trade`` names for it."""
         if not set(trade) | set(trade.values()) <= _PAIRED:
             raise ValueError("kind renaming only applies to the c/d/g/h families")
-        acc: dict[Monomial, int] = {}
-        for m, co in self._terms.items():
-            nm = tuple(sorted(
-                ((Variable(trade.get(v.kind, v.kind), v.i, v.j, v.degree), e) for v, e in m),
-                key=lambda p: p[0].sort_key(),
-            ))
-            acc[nm] = acc.get(nm, 0) + co
-        return Polynomial(acc)
+        return self.substitute(
+            lambda v: Polynomial.var(Variable(trade[v.kind], v.i, v.j, v.degree)) if v.kind in trade else None
+        )
 
     def rename_kind(self, src: str, dst: str) -> "Polynomial":
         """Send one paired family to another, e.g. every c_i(j) -> d_i(j)."""
@@ -317,23 +318,6 @@ class Polynomial:
     def swap_kinds(self, a: str, b: str) -> "Polynomial":
         """Exchange two paired families in one pass, e.g. c <-> d."""
         return self._relabel({a: b, b: a})
-
-    def coefficient_of(self, mono: Monomial) -> "Polynomial":
-        """Exact coefficient of ``mono`` viewed as a polynomial in its variables.
-
-        Terms must match the exponent of every variable of ``mono``
-        exactly; all other variables ride along symbolically.
-        """
-        want = dict(mono)
-        picked = set(want)
-        acc: dict[Monomial, int] = {}
-        for m, co in self._terms.items():
-            proj = {v: e for v, e in m if v in picked}
-            if proj != want:
-                continue
-            rest = tuple((v, e) for v, e in m if v not in picked)
-            acc[rest] = acc.get(rest, 0) + co
-        return Polynomial(acc)
 
     def coefficients_by(self, kinds: str) -> dict[Monomial, "Polynomial"]:
         """Split into {monomial in the given kinds: cofactor polynomial}."""
@@ -394,6 +378,17 @@ def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
         else:
             chunks.append("-" + piece if co < 0 else piece)
     return "".join(chunks) or "0"
+
+
+def sum_by_key(pairs: Iterable[tuple[object, Polynomial]]) -> dict:
+    """Sum the polynomials that share a key, one :meth:`Polynomial.sum` per key.
+
+    Keys whose sum is zero are left out.
+    """
+    groups: dict = {}
+    for key, poly in pairs:
+        groups.setdefault(key, []).append(poly)
+    return {key: total for key, group in groups.items() if (total := Polynomial.sum(group))}
 
 
 # -- convention-aware expression constructors ----------------------------
@@ -527,7 +522,7 @@ def parse_text(s: str) -> Polynomial:
         idx += 1
         return Polynomial.var(val) ** tokens[idx - 1][1]
 
-    result = ZERO
+    terms = []
     while True:
         sign = 1
         while tokens[idx] in (("op", "+"), ("op", "-")):
@@ -537,9 +532,9 @@ def parse_text(s: str) -> Polynomial:
         while tokens[idx] == ("op", "*"):
             idx += 1
             term = term * factor()
-        result = result + term
+        terms.append(term)
         if tokens[idx][0] == "end":
-            return result
+            return Polynomial.sum(terms)
         if tokens[idx] not in (("op", "+"), ("op", "-")):
             fail("'+', '-' or '*'")
 
@@ -583,32 +578,14 @@ def divide_by_difference(p: Polynomial, a: Variable, b: Variable) -> Polynomial:
     """
     by_exp: dict[int, dict[Monomial, int]] = {}
     for m, co in p.terms().items():
-        e = 0
-        rest: list[tuple[Variable, int]] = []
-        for v, ve in m:
-            if v == a:
-                e = ve
-            else:
-                rest.append((v, ve))
-        by_exp.setdefault(e, {})
-        key = tuple(rest)
-        by_exp[e][key] = by_exp[e].get(key, 0) + co
-    if not by_exp:
-        return ZERO
-    coeffs = {e: Polynomial(t) for e, t in by_exp.items()}
-    top = max(coeffs)
-    bpoly = Polynomial.var(b)
-    quo: dict[int, Polynomial] = {}
+        by_exp.setdefault(dict(m).get(a, 0), {})[tuple((v, e) for v, e in m if v != a)] = co
+    apoly, bpoly = Polynomial.var(a), Polynomial.var(b)
+    parts = []
     carry = ZERO
-    for e in range(top, 0, -1):
-        qe = coeffs.get(e, ZERO) + carry
-        quo[e - 1] = qe
+    for e in range(max(by_exp, default=0), 0, -1):
+        qe = Polynomial(by_exp.get(e)) + carry
+        parts.append(qe * (apoly ** (e - 1)))
         carry = bpoly * qe
-    remainder = coeffs.get(0, ZERO) + carry
-    if remainder:
+    if Polynomial(by_exp.get(0)) + carry:
         raise ExactDivisionError("division by variable difference left a remainder")
-    apoly = Polynomial.var(a)
-    out = ZERO
-    for e, qe in quo.items():
-        out = out + qe * (apoly ** e)
-    return out
+    return Polynomial.sum(parts)

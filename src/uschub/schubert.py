@@ -1,9 +1,8 @@
 """Schubert polynomials: classical, and the universal forms in Chern classes.
 
-Four flavours are constructed here, all exact:
+Three flavours are constructed here, all exact:
 
   * classical_single(w)       in Z[x_1, x_2, ...]
-  * classical_double(w)       in Z[x; y]
   * universal_single(w, n)    an integer combination of bounded codes
                               (i_1, ..., i_n), i_k <= k, standing for the
                               products c_{i_1}(1) ... c_{i_n}(n)
@@ -16,7 +15,10 @@ The universal single form is built by the code-level ladder operator
 ascent.  Everything stays in integer code combinations.  The classical
 polynomials come from the divided-difference ladder that starts at the
 dominant staircase monomial; classical_single is the oracle the
-universal form must specialize to.
+universal form must specialize to.  The tests hold further oracles in
+tests/oracles.py: the double Schubert polynomial classical_double, the
+substitution d_to_y, and e_expand, the basis change from classical_single
+to code combinations.
 
 Codes are converted to and from permutations via the count
 code_tail(w)_k = #{j <= k : w(j) > w(k+1)}, which is also the key to
@@ -28,22 +30,21 @@ terminates.
 
 from __future__ import annotations
 
+from math import prod
+
 from .permutations import Permutation
 from .polyring import (
     ONE,
-    ZERO,
     Polynomial,
     cpoly,
     divide_by_difference,
     dpoly,
-    elementary_sym,
     signed_sum,
     x,
     y,
 )
 
 _classical_single_cache: dict[tuple[int, ...], Polynomial] = {}
-_classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _universal_single_cache: dict[tuple[tuple[int, ...], int], "MElement"] = {}
 _universal_cy_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
 _universal_double_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
@@ -52,7 +53,6 @@ _universal_double_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
 def clear_caches() -> None:
     for cache in (
         _classical_single_cache,
-        _classical_double_cache,
         _universal_single_cache,
         _universal_cy_cache,
         _universal_double_cache,
@@ -66,7 +66,7 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
     """(p - s_k p) / (v_k - v_{k+1}) in the chosen degree-1 family."""
     mk = x if kind == "x" else y
     a, b = mk(k), mk(k + 1)
-    swapped = p.substitute({a: Polynomial.var(b), b: Polynomial.var(a)})
+    swapped = p.substitute(lambda v: Polynomial.var(b if v == a else a) if v in (a, b) else None)
     return divide_by_difference(p - swapped, a, b)
 
 
@@ -94,29 +94,6 @@ def classical_single(w: Permutation) -> Polynomial:
     return result
 
 
-def classical_double(w: Permutation) -> Polynomial:
-    """Double Schubert polynomial of w in x and y."""
-    key = w.word
-    hit = _classical_double_cache.get(key)
-    if hit is not None:
-        return hit
-    if w.is_identity():
-        result = ONE
-    else:
-        m = w.size
-        top = Permutation.longest(m)
-        if w == top:
-            result = ONE
-            for i in range(1, m):
-                for j in range(1, m + 1 - i):
-                    result = result * (Polynomial.var(x(i)) - Polynomial.var(y(j)))
-        else:
-            k = next(k for k in range(1, m) if w(k) < w(k + 1))
-            result = divided_difference(classical_double(w * Permutation.s(k)), k)
-    _classical_double_cache[key] = result
-    return result
-
-
 # -- code combinations -------------------------------------------------------
 
 class MElement:
@@ -141,10 +118,6 @@ class MElement:
                 clean[code] = coeff
         self.codes = clean
         self.n = n
-
-    @classmethod
-    def zero(cls, n: int) -> "MElement":
-        return cls({}, n)
 
     @classmethod
     def single_code(cls, code: tuple[int, ...]) -> "MElement":
@@ -234,14 +207,10 @@ class MElement:
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
         make = cpoly if kind == "c" else dpoly
-        total = ZERO
-        for code, coeff in self.codes.items():
-            term = Polynomial.const(coeff)
-            for alpha, i in enumerate(code, start=1):
-                if i:
-                    term = term * make(i, alpha)
-            total = total + term
-        return total
+        return Polynomial.sum(
+            prod((make(i, alpha) for alpha, i in enumerate(code, start=1) if i), start=Polynomial.const(coeff))
+            for code, coeff in self.codes.items()
+        )
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, n: int, kind: str = "c") -> "MElement":
@@ -321,11 +290,8 @@ def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
     if w == top:
         result = ONE
         for i in range(1, n + 1):
-            factor = ZERO
             yv = Polynomial.var(y(n + 1 - i))
-            for j in range(0, i + 1):
-                factor = factor + cpoly(i - j, i) * ((-1) ** j) * (yv ** j)
-            result = result * factor
+            result = result * Polynomial.sum(cpoly(i - j, i) * ((-1) ** j) * (yv ** j) for j in range(0, i + 1))
     else:
         inv = w.inverse()
         k = next(k for k in range(1, n + 1) if inv(k) < inv(k + 1))
@@ -346,9 +312,9 @@ def universal_double(w: Permutation, n: int | None = None) -> Polynomial:
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
     lw = w.length()
-    total = ZERO
     from .permutations import all_perms
 
+    parts = []
     for v in all_perms(n + 1):
         lv = v.length()
         if lv > lw:
@@ -360,19 +326,10 @@ def universal_double(w: Permutation, n: int | None = None) -> Polynomial:
             universal_single(u, n).to_polynomial("c")
             * universal_single(v, n).to_polynomial("d")
         )
-        total = total + (-1) ** lv * term
-    _universal_double_cache[key] = total
-    return total
-
-
-def d_to_y(p: Polynomial) -> Polynomial:
-    """Substitute every d_i(j) by the elementary symmetric e_i(y_1..y_j)."""
-    mapping = {
-        v: elementary_sym(v.i, v.j, kind="y")
-        for v in p.variables()
-        if v.kind == "d"
-    }
-    return p.substitute(mapping)
+        parts.append((-1) ** lv * term)
+    result = Polynomial.sum(parts)
+    _universal_double_cache[key] = result
+    return result
 
 
 # -- Schubert-basis expansion -------------------------------------------------

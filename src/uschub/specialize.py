@@ -22,7 +22,6 @@ n_{i+1} - n_{i-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .permutations import Permutation
 from .polyring import (
@@ -34,6 +33,7 @@ from .polyring import (
     elementary_sym,
     g,
     q,
+    sum_by_key,
     x,
     y,
 )
@@ -118,11 +118,11 @@ def c_from_g(i: int, k: int) -> Polynomial:
     hit = _c_from_g_cache.get(key)
     if hit is not None:
         return hit
-    total = c_from_g(i, k - 1)
-    for j in range(0, min(i, k)):
-        total = total + Polynomial.var(g(k - j, j)) * c_from_g(i - j - 1, k - j - 1)
-    _c_from_g_cache[key] = total
-    return total
+    result = Polynomial.sum([c_from_g(i, k - 1)] + [
+        Polynomial.var(g(k - j, j)) * c_from_g(i - j - 1, k - j - 1) for j in range(0, min(i, k))
+    ])
+    _c_from_g_cache[key] = result
+    return result
 
 
 def c_from_g_det(i: int, k: int) -> Polynomial:
@@ -153,19 +153,15 @@ def c_from_g_det(i: int, k: int) -> Polynomial:
         if not rows:
             return {0: ONE}
         r = rows[0]
-        acc: dict[int, Polynomial] = {}
+        terms = []
         for pos, s in enumerate(cols):
             cell = entries.get((r, s))
             if not cell:
                 continue
             sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
             sign = -1 if pos % 2 else 1
-            for t1, p1 in cell.items():
-                for t2, p2 in sub.items():
-                    term = p1 * p2 * sign
-                    if term:
-                        acc[t1 + t2] = acc.get(t1 + t2, ZERO) + term
-        return {t: p for t, p in acc.items() if p}
+            terms.extend((t1 + t2, p1 * p2 * sign) for t1, p1 in cell.items() for t2, p2 in sub.items())
+        return sum_by_key(terms)
 
     full = minor_det(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
     return full.get(k - i, ZERO)
@@ -182,57 +178,48 @@ def c_from_g_paths(i: int, k: int) -> Polynomial:
         # sum over families using vertices >= start that cover `left` more
         if left == 0:
             return ONE
-        total = ZERO
-        for s in range(start, k - left + 2):
-            for t in range(0, left):
-                if s + t > k:
-                    break
-                tail = walk(s + t + 1, left - t - 1)
-                if tail:
-                    total = total + Polynomial.var(g(s, t)) * tail
-        return total
+        return Polynomial.sum(
+            Polynomial.var(g(s, t)) * walk(s + t + 1, left - t - 1)
+            for s in range(start, k - left + 2)
+            for t in range(0, min(left, k + 1 - s))
+        )
 
     return walk(1, i)
 
 
 def to_g_form(p: Polynomial) -> Polynomial:
     """Substitute c_i(j) -> c_from_g(i, j) and d_i(j) -> the h analogue."""
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
+    def image(v: Variable) -> Polynomial | None:
         if v.kind == "c":
-            mapping[v] = c_from_g(v.i, v.j)
-        elif v.kind == "d":
-            mapping[v] = c_from_g(v.i, v.j).rename_kind("g", "h")
-    return p.substitute(mapping) if mapping else p
+            return c_from_g(v.i, v.j)
+        if v.kind == "d":
+            return c_from_g(v.i, v.j).rename_kind("g", "h")
+        return None
+
+    return p.substitute(image)
 
 
 # -- terminal substitutions ---------------------------------------------------
 
 def classical_specialize(p: Polynomial) -> Polynomial:
     """c_i(j) -> e_i(x_1..x_j) and d_i(j) -> e_i(y_1..y_j)."""
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
-        if v.kind == "c":
-            mapping[v] = elementary_sym(v.i, v.j, kind="x")
-        elif v.kind == "d":
-            mapping[v] = elementary_sym(v.i, v.j, kind="y")
-    return p.substitute(mapping) if mapping else p
+    return p.substitute(
+        lambda v: elementary_sym(v.i, v.j, kind="x" if v.kind == "c" else "y") if v.kind in "cd" else None
+    )
 
 
 def g_classical(p: Polynomial) -> Polynomial:
     """g_i[0] -> x_i, h_i[0] -> y_i, everything of bracket degree > 0 to zero."""
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
-        if v.kind == "g":
-            mapping[v] = Polynomial.var(x(v.i)) if v.j == 0 else ZERO
-        elif v.kind == "h":
-            mapping[v] = Polynomial.var(y(v.i)) if v.j == 0 else ZERO
-    return p.substitute(mapping) if mapping else p
+    def image(v: Variable) -> Polynomial | None:
+        if v.kind not in "gh":
+            return None
+        return Polynomial.var((x if v.kind == "g" else y)(v.i)) if v.j == 0 else ZERO
+
+    return p.substitute(image)
 
 
 def zero_y(p: Polynomial) -> Polynomial:
-    mapping = {v: ZERO for v in p.variables() if v.kind == "y"}
-    return p.substitute(mapping) if mapping else p
+    return p.substitute(lambda v: ZERO if v.kind == "y" else None)
 
 
 def quantum_specialize(p: Polynomial) -> Polynomial:
@@ -243,53 +230,41 @@ def quantum_specialize(p: Polynomial) -> Polynomial:
     """
     if any(v.kind in ("d", "h") for v in p.variables()):
         raise ValueError("quantum specialization is defined for single polynomials only")
-    p = to_g_form(p)
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
-        if v.kind == "g":
-            if v.j == 0:
-                mapping[v] = Polynomial.var(x(v.i))
-            elif v.j == 1:
-                mapping[v] = Polynomial.var(q(v.i))
-            else:
-                mapping[v] = ZERO
-    return p.substitute(mapping) if mapping else p
+
+    def image(v: Variable) -> Polynomial | None:
+        if v.kind != "g":
+            return None
+        if v.j == 0:
+            return Polynomial.var(x(v.i))
+        return Polynomial.var(q(v.i)) if v.j == 1 else ZERO
+
+    return to_g_form(p).substitute(image)
 
 
-def partial_flag_substitution(profile: FlagProfile) -> dict[Variable, Polynomial]:
-    """The surviving g variables for a profile and their images.
+def _apply_flag_map(p: Polynomial, profile: FlagProfile) -> Polynomial:
+    """g_i[0] -> x_i and the profile's surviving g variables to signed q's.
 
     Maps g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i, with q_i
     of degree n_{i+1} - n_{i-1}; every other g_s[t], t >= 1 dies.
     """
-    q_of: dict[Variable, Polynomial] = {}
-    for i in range(1, profile.l):
-        var = g(profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1)
-        sign = (-1) ** (profile.k_(i + 1) + 1)
-        q_of[var] = Polynomial.var(q(i, degree=profile.q_degree(i))) * sign
-    return q_of
+    q_at = {(profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1): i for i in range(1, profile.l)}
 
-
-def _apply_flag_map(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    q_of = partial_flag_substitution(profile)
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
+    def image(v: Variable) -> Polynomial | None:
         if v.kind != "g":
-            continue
+            return None
         if v.j == 0:
-            mapping[v] = Polynomial.var(x(v.i))
-        else:
-            mapping[v] = q_of.get(v, ZERO)
-    return p.substitute(mapping) if mapping else p
+            return Polynomial.var(x(v.i))
+        i = q_at.get((v.i, v.j))
+        if i is None:
+            return ZERO
+        return Polynomial.var(q(i, degree=profile.q_degree(i))) * (-1) ** (profile.k_(i + 1) + 1)
+
+    return p.substitute(image)
 
 
 def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
     """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j."""
-    mapping: dict[Variable, Polynomial] = {}
-    for v in p.variables():
-        if v.kind == "c":
-            mapping[v] = cpoly(v.i, profile.block_of(v.j))
-    return p.substitute(mapping) if mapping else p
+    return p.substitute(lambda v: cpoly(v.i, profile.block_of(v.j)) if v.kind == "c" else None)
 
 
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:

@@ -43,6 +43,7 @@ from .polyring import (
     complete_sym,
     elementary_sym,
     g,
+    sum_by_key,
     x,
 )
 from .schubert import classical_single, universal_double, universal_single
@@ -111,10 +112,7 @@ class RingElement:
     def __add__(self, other: "RingElement") -> "RingElement":
         if self.n != other.n:
             raise ValueError("mixed ambient n")
-        out = dict(self.coeffs)
-        for exps, poly in other.coeffs.items():
-            out[exps] = out.get(exps, ZERO) + poly
-        return RingElement(self.n, out)
+        return RingElement(self.n, sum_by_key([*self.coeffs.items(), *other.coeffs.items()]))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + other.scale(Polynomial.const(-1))
@@ -128,10 +126,7 @@ class RingElement:
         return self.coeffs.get(exps, ZERO)
 
     def to_polynomial(self) -> Polynomial:
-        total = ZERO
-        for exps, poly in self.coeffs.items():
-            total = total + poly * _x_monomial(exps[:-1])
-        return total
+        return Polynomial.sum(poly * _x_monomial(exps[:-1]) for exps, poly in self.coeffs.items())
 
     def text(self) -> str:
         return self.to_polynomial().text()
@@ -156,20 +151,17 @@ class UniversalRing:
         self.n = n
         self.w0 = Permutation.longest(n + 1)
         # x_{n+1} -> -(x_1 + ... + x_n): the linear generator, g-free.
-        drop = ZERO
-        for i in range(1, n + 1):
-            drop = drop - Polynomial.var(x(i))
-        self._eliminate = {x(n + 1): drop}
+        self._drop = -elementary_sym(1, n)
         # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
         tails = {i: self._to_xg(c_from_g(i, n + 1) - elementary_sym(i, n + 1)) for i in range(2, n + 2)}
         inv = [ONE]
         for r in range(1, n + 2):
-            inv.append(sum((tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)), ZERO))
+            inv.append(Polynomial.sum(tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)))
         # rules[k]: the relation x_k^m + (smaller terms) = 0, m = n+2-k, by x-exponent.
         self._rules: dict[int, dict[tuple[int, ...], Polynomial]] = {}
         for k in range(1, n + 1):
             m = n + 2 - k
-            right = sum((elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m)), ZERO)
+            right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
             relation = complete_sym(m, k, kind="x") - self._to_xg(right) * (-1) ** m
             self._rules[k] = self._by_x_exponent(relation)
         self._nf: dict[tuple[int, ...], RingElement] = {}
@@ -178,15 +170,13 @@ class UniversalRing:
     # -- presentation -------------------------------------------------------
 
     def _to_xg(self, p: Polynomial) -> Polynomial:
-        sub: dict[Variable, Polynomial] = {}
-        for v in p.variables():
-            if v.kind == "g" and v.j == 0:
-                sub[v] = Polynomial.var(x(v.i))
-        if sub:
-            p = p.substitute(sub)
-        if x(self.n + 1) in p.variables():
-            p = p.substitute(self._eliminate)
-        return p
+        """g_k[0] -> x_k, with x_{n+1} eliminated."""
+        def image(v: Variable) -> Polynomial | None:
+            if v.i == self.n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
+                return self._drop
+            return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
+
+        return p.substitute(image)
 
     def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
         """Split a polynomial in x_1..x_n with g+ coefficients by x-exponent tuple."""
@@ -252,20 +242,18 @@ class UniversalRing:
             if missing:
                 pending.extend(missing)
                 continue
-            acc: dict[tuple[int, ...], Polynomial] = {}
-            for key, coeff in step:
-                for stair, poly in self._nf[key].coeffs.items():
-                    acc[stair] = acc.get(stair, ZERO) + coeff * poly
-            self._nf[top] = RingElement(self.n, acc)
+            self._nf[top] = RingElement(self.n, sum_by_key(
+                (stair, coeff * poly) for key, coeff in step for stair, poly in self._nf[key].coeffs.items()
+            ))
         return self._nf[exps]
 
     def _reduce(self, p: Polynomial) -> RingElement:
         """Reduce a polynomial in x_1..x_n with g+ coefficients."""
-        acc: dict[tuple[int, ...], Polynomial] = {}
-        for exps, scalar in self._by_x_exponent(p).items():
-            for stair, poly in self._nf_monomial(exps).coeffs.items():
-                acc[stair] = acc.get(stair, ZERO) + scalar * poly
-        return RingElement(self.n, acc)
+        return RingElement(self.n, sum_by_key(
+            (stair, scalar * poly)
+            for exps, scalar in self._by_x_exponent(p).items()
+            for stair, poly in self._nf_monomial(exps).coeffs.items()
+        ))
 
     def normal_form(self, p: Polynomial) -> RingElement:
         return self._reduce(self._to_xg(p))
@@ -315,10 +303,10 @@ class UniversalRing:
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+]."""
-        remainder = {exps: poly for exps, poly in e.coeffs.items()}
-        out: dict[Permutation, Polynomial] = {}
+        remainder = dict(e.coeffs)
+        out: list[tuple[Permutation, Polynomial]] = []
         guard = 0
-        while any(remainder.values()):
+        while remainder:
             guard += 1
             if guard > 10_000:
                 raise ArithmeticError("Schubert expansion failed to terminate")
@@ -327,17 +315,17 @@ class UniversalRing:
                 for gmono, coeff in poly.terms().items():
                     slices.setdefault(gmono, {})[exps] = coeff
             min_deg = min(sum(v.degree * e_ for v, e_ in m) for m in slices)
+            parts = list(remainder.items())
             for gmono in sorted(slices, key=lambda m: (tuple(sorted((v.sort_key(), e_) for v, e_ in m)))):
                 if sum(v.degree * e_ for v, e_ in gmono) != min_deg:
                     continue
                 gscalar = Polynomial({gmono: 1})
                 for w, coeff in self._expand_classical(slices[gmono]).items():
-                    out[w] = out.get(w, ZERO) + gscalar * Polynomial.const(coeff)
-                    for exps, poly in self.schubert(w).coeffs.items():
-                        delta = gscalar * poly * Polynomial.const(-coeff)
-                        remainder[exps] = remainder.get(exps, ZERO) + delta
-            remainder = {e_: p for e_, p in remainder.items() if p}
-        return {w: p for w, p in out.items() if p}
+                    out.append((w, gscalar * Polynomial.const(coeff)))
+                    parts += [(exps, gscalar * poly * Polynomial.const(-coeff))
+                              for exps, poly in self.schubert(w).coeffs.items()]
+            remainder = sum_by_key(parts)
+        return sum_by_key(out)
 
     # -- products and the pairing ----------------------------------------------
 
@@ -359,21 +347,21 @@ class UniversalRing:
 
     def omega(self, p: Polynomial) -> Polynomial:
         n = self.n
-        sub: dict[Variable, Polynomial] = {}
-        for v in p.variables():
+
+        def image(v: Variable) -> Polynomial:
             if v.kind == "x":
                 if not 1 <= v.i <= n + 1:
                     raise ValueError(f"{v.text()} is outside x_1..x_{n + 1}")
-                sub[v] = -Polynomial.var(x(n + 2 - v.i))
-            elif v.kind == "g" and (v.j or 0) >= 1:
+                return -Polynomial.var(x(n + 2 - v.i))
+            if v.kind == "g" and (v.j or 0) >= 1:
                 target = n + 2 - v.i - v.j
                 if target < 1:
                     raise ValueError(f"{v.text()} has no mirror for n = {n}")
-                image = Polynomial.var(g(target, v.j))
-                sub[v] = image if v.j % 2 else -image
-            else:
-                raise ValueError(f"unexpected variable {v.text()} under omega")
-        return p.substitute(sub)
+                mirror = Polynomial.var(g(target, v.j))
+                return mirror if v.j % 2 else -mirror
+            raise ValueError(f"unexpected variable {v.text()} under omega")
+
+        return p.substitute(image)
 
 
 def normal_form(p: Polynomial, n: int) -> RingElement:

@@ -1,5 +1,10 @@
 """Reference routes the tests compare the library against.
 
+``classical_double`` builds double Schubert polynomials by divided
+differences from the dominant product, and ``d_to_y`` reads a mixed c/d
+form in c and y; the y-ladder ``uschub.schubert.universal_cy`` is checked
+against both.
+
 The universal single polynomial of w is also the classical Schubert
 polynomial of w written in the triangular basis of products
 e_{i_1}(x_1) e_{i_2}(x_1,x_2) ... e_{i_n}(x_1..x_n), with e_i of the
@@ -15,10 +20,52 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _itproduct
 
-from uschub.polyring import ONE, Polynomial, elementary_sym
-from uschub.schubert import MElement
+from uschub.permutations import Permutation
+from uschub.polyring import ONE, Monomial, Polynomial, _mono_degree, elementary_sym, x, y
+from uschub.schubert import MElement, divided_difference
 
+_classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _e_basis_cache: dict[tuple[int, int], tuple] = {}
+
+
+def classical_double(w: Permutation) -> Polynomial:
+    """Double Schubert polynomial of w in x and y."""
+    key = w.word
+    hit = _classical_double_cache.get(key)
+    if hit is not None:
+        return hit
+    if w.is_identity():
+        result = ONE
+    else:
+        m = w.size
+        top = Permutation.longest(m)
+        if w == top:
+            result = ONE
+            for i in range(1, m):
+                for j in range(1, m + 1 - i):
+                    result = result * (Polynomial.var(x(i)) - Polynomial.var(y(j)))
+        else:
+            k = next(k for k in range(1, m) if w(k) < w(k + 1))
+            result = divided_difference(classical_double(w * Permutation.s(k)), k)
+    _classical_double_cache[key] = result
+    return result
+
+
+def d_to_y(p: Polynomial) -> Polynomial:
+    """Substitute every d_i(j) by the elementary symmetric e_i(y_1..y_j)."""
+    mapping = {
+        v: elementary_sym(v.i, v.j, kind="y")
+        for v in p.variables()
+        if v.kind == "d"
+    }
+    return p.substitute(mapping.get)
+
+
+def homogeneous_parts(p: Polynomial) -> dict[int, Polynomial]:
+    parts: dict[int, dict[Monomial, int]] = {}
+    for m, co in p.terms().items():
+        parts.setdefault(_mono_degree(m), {})[m] = co
+    return {deg: Polynomial(t) for deg, t in sorted(parts.items())}
 
 
 def invert(a) -> list[list[Fraction]]:
@@ -105,7 +152,7 @@ def e_expand(p: Polynomial, n: int) -> MElement:
         if v.kind != "x" or v.i > n:
             raise ValueError(f"e_expand needs a polynomial in x_1..x_{n}")
     out: dict[tuple[int, ...], int] = {}
-    for deg, part in p.homogeneous_parts().items():
+    for deg, part in homogeneous_parts(p).items():
         codes, monos, inv = _e_basis(n, deg)
         index = {j: r for r, j in enumerate(monos)}
         b = [0] * len(monos)

@@ -79,8 +79,8 @@ def test_reduced_det_under_a_flag_context():
         for v in to_g_form(poly).variables():
             if v.kind == "g" and v.j >= 1 and (v.i, v.j) not in nonzero:
                 kill[v] = ZERO
-    reduced = to_g_form(lemma42_reduced(2, 2, 0, nonzero)).substitute(kill)
-    full = to_g_form(det_D(2, 2, 0)).substitute(kill)
+    reduced = to_g_form(lemma42_reduced(2, 2, 0, nonzero)).substitute(kill.get)
+    full = to_g_form(det_D(2, 2, 0)).substitute(kill.get)
     assert reduced == full
 
 

@@ -3,14 +3,12 @@
 import pytest
 
 from frozen import CLASSICAL_TABLE, S3_TABLE
-from oracles import e_expand
+from oracles import classical_double, d_to_y, e_expand
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ZERO, Polynomial, cpoly, parse_text, x, y
 from uschub.schubert import (
     MElement,
-    classical_double,
     classical_single,
-    d_to_y,
     divided_difference,
     schubert_expand_M,
     schubert_expand_polynomial,
