@@ -23,10 +23,15 @@ right has lower x-degree, since each T_i carries a g+ factor.  So
 repeated rewriting of any exponent a_k >= n+2-k terminates on the
 staircase; the result is memoized per exponent tuple.
 
-The inner product pairs two elements by multiplying, reducing, and
-reading the coefficient of the top staircase monomial x_1^n ... x_n;
-an equivalent route reads the coefficient of the longest permutation
-in the Schubert-basis expansion, and the two are compared in tests.
+The inner product of two elements is the coefficient of the top
+staircase monomial x_1^n ... x_n in the normal form of their product.
+It is read without building the product: ``top(exps)``, the top
+coefficient of the normal form of x^exps, is memoized, and <a, b> is the
+sum of a_alpha b_beta top(alpha + beta).  A rewrite step never raises
+x-degree, so top vanishes below x-degree n(n+1)/2, and those pairs are
+skipped.  An equivalent route reads the coefficient of the longest
+permutation in the Schubert-basis expansion of the product, and the
+routes are compared in tests.
 """
 
 from __future__ import annotations
@@ -165,6 +170,9 @@ class UniversalRing:
             relation = complete_sym(m, k, kind="x") - self._to_xg(right) * (-1) ** m
             self._rules[k] = self._by_x_exponent(relation)
         self._nf: dict[tuple[int, ...], RingElement] = {}
+        self._top_degree = n * (n + 1) // 2
+        self._top_exps = _top_staircase(n)[:-1]
+        self._tops: dict[tuple[int, ...], Polynomial] = {}
         self._schubert: dict[tuple[int, ...], RingElement] = {}
 
     # -- presentation -------------------------------------------------------
@@ -246,6 +254,29 @@ class UniversalRing:
                 (stair, coeff * poly) for key, coeff in step for stair, poly in self._nf[key].coeffs.items()
             ))
         return self._nf[exps]
+
+    def top(self, exps: tuple[int, ...]) -> Polynomial:
+        """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
+        if sum(exps) < self._top_degree:
+            return ZERO
+        # An explicit stack, as in _nf_monomial; keys below the top degree add nothing.
+        pending = [exps]
+        while pending:
+            cur = pending[-1]
+            if cur in self._tops:
+                pending.pop()
+                continue
+            step = self._rewrite(cur)
+            if step is None:
+                self._tops[cur] = ONE if cur == self._top_exps else ZERO
+                continue
+            step = [(key, coeff) for key, coeff in step if sum(key) >= self._top_degree]
+            missing = [key for key, _ in step if key not in self._tops]
+            if missing:
+                pending.extend(missing)
+                continue
+            self._tops[cur] = Polynomial.sum(coeff * self._tops[key] for key, coeff in step)
+        return self._tops[exps]
 
     def _reduce(self, p: Polynomial) -> RingElement:
         """Reduce a polynomial in x_1..x_n with g+ coefficients."""
@@ -337,7 +368,13 @@ class UniversalRing:
         return self.schubert_basis_expand(product)
 
     def inner_product(self, a: RingElement, b: RingElement) -> Polynomial:
-        return self.multiply(a, b).coefficient(_top_staircase(self.n))
+        """The top staircase coefficient of a*b, without building the product."""
+        return Polynomial.sum(
+            self.top(tuple(i + j for i, j in zip(alpha[:-1], beta[:-1]))) * pa * pb
+            for alpha, pa in a.coeffs.items()
+            for beta, pb in b.coeffs.items()
+            if sum(alpha) + sum(beta) >= self._top_degree
+        )
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
         expansion = self.schubert_basis_expand(self.multiply(a, b))

@@ -13,6 +13,10 @@ computes that expansion by inverting one transition matrix per degree
 over the rationals.  It is slow (each degree's table is a Gauss-Jordan
 inversion) and independent of the ladder operator that
 ``uschub.schubert.universal_single`` uses, which is why it lives here.
+
+``inner_product_full`` pairs two elements of R_n by building and reducing
+the whole product, then reading its top staircase coefficient; the
+library reads that coefficient through a memoized functional instead.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from itertools import product as _itproduct
 from uschub.permutations import Permutation
 from uschub.polyring import ONE, Monomial, Polynomial, _mono_degree, elementary_sym, x, y
 from uschub.schubert import MElement, divided_difference
+from uschub.uring import RingElement, UniversalRing, _top_staircase
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _e_basis_cache: dict[tuple[int, int], tuple] = {}
@@ -59,6 +64,10 @@ def d_to_y(p: Polynomial) -> Polynomial:
         if v.kind == "d"
     }
     return p.substitute(mapping.get)
+
+
+def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> Polynomial:
+    return ring.multiply(a, b).coefficient(_top_staircase(ring.n))
 
 
 def homogeneous_parts(p: Polynomial) -> dict[int, Polynomial]:

@@ -100,6 +100,22 @@ def test_integer_coercion():
     assert 2 - p == -(p - 2)
 
 
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    p = parse_text("x1 + 2*y1 - c1(2)")
+    assert p ** 0 == ONE
+    assert p ** 1 == p
+    powers = [ONE]
+    for _ in range(9):
+        powers.append(powers[-1] * p)
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    for e in range(1, 10):
+        calls.clear()
+        assert p ** e == powers[e]
+        assert len(calls) <= bin(e).count("1") + e.bit_length() - 1, e
+
+
 def test_elementary_symmetric_values():
     assert elementary_sym(0, 2, kind="x") == ONE
     assert elementary_sym(1, 2, kind="x") == parse_text("x1 + x2")

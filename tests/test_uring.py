@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from frozen import NF_DIGESTS, NF_X1_CUBED_N2
+from oracles import inner_product_full
 from uschub import uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
@@ -180,18 +181,40 @@ def test_inner_product_unit():
     assert inner_product(one, one) == ZERO
 
 
-def test_inner_product_routes_agree():
-    ring = universal_ring(2)
-    elements = [
-        normal_form(ONE, 2),
-        normal_form(_xp(1), 2),
-        normal_form(_xp(1) * _xp(2), 2),
-        ring.schubert(Permutation((3, 2, 1))),
-        ring.schubert(Permutation((2, 3, 1))),
-    ]
-    for a in elements:
-        for b in elements:
-            assert ring.inner_product(a, b) == ring.inner_product_w0(a, b)
+def _dual(ring: UniversalRing, v: Permutation):
+    return ring.normal_form(ring.omega(ring.schubert(v * ring.w0).to_polynomial()))
+
+
+def _routes_agree(ring: UniversalRing, a, b) -> bool:
+    return ring.inner_product(a, b) == inner_product_full(ring, a, b) == ring.inner_product_w0(a, b)
+
+
+def test_inner_product_routes_agree(time_limit):
+    for n in (1, 2):
+        ring = universal_ring(n)
+        perms = list(all_perms(n + 1))
+        elements = [ring.schubert(w) for w in perms] + [_dual(ring, v) for v in perms]
+        elements += [normal_form(p, n) for p in (ONE, _xp(1), _xp(1) * _xp(n + 1) ** 2)]
+        for a in elements:
+            for b in elements:
+                assert _routes_agree(ring, a, b), (n, a, b)
+    ring = universal_ring(3)
+    with time_limit(30):
+        for v in (Permutation((2, 1)), Permutation((1, 3, 2)), Permutation((2, 4, 1, 3)), ring.w0):
+            dual = _dual(ring, v)
+            for u in all_perms(4):
+                assert _routes_agree(ring, ring.schubert(u), dual), (u, v)
+
+
+def test_orthogonality_against_some_duals_at_n4(time_limit):
+    # the duals of e and s_1 are left out: they take 7-18 s each to reduce
+    ring = universal_ring(4)
+    with time_limit(10):
+        duals = {v: _dual(ring, v) for v in (Permutation((1, 3, 2, 5, 4)), Permutation((3, 1, 4, 2, 5)), ring.w0)}
+        for u in all_perms(5):
+            su = ring.schubert(u)
+            for v, dual in duals.items():
+                assert ring.inner_product(su, dual) == (ONE if u == v else ZERO), (u, v)
 
 
 # -- the twist ----------------------------------------------------------------------
