@@ -19,6 +19,7 @@ treated as immutable values.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections.abc import Callable, Iterable
@@ -28,6 +29,23 @@ from itertools import combinations, combinations_with_replacement
 KINDS = "cdghxyq"
 _KIND_RANK = {k: r for r, k in enumerate(KINDS)}
 _PAIRED = frozenset("cdgh")
+
+
+# Every memoized function of the package, in the order it was defined.
+MEMOS: list = []
+
+
+def memo(fn):
+    """``functools.cache`` whose cache :func:`clear_caches` empties."""
+    cached = functools.cache(fn)
+    MEMOS.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every memo in the package."""
+    for cached in MEMOS:
+        cached.cache_clear()
 
 
 class ExactDivisionError(ArithmeticError):
@@ -450,13 +468,14 @@ def complete_sym(p: int, k: int, offset: int = 0, kind: str = "y") -> Polynomial
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
-    r"(?P<cd>[cd])(?P<cdi>\d+)\((?P<cdj>\d+)\)"
-    r"|(?P<gh>[gh])(?P<ghi>\d+)\[(?P<ghj>\d+)\]"
-    r"|(?P<xyq>[xyq])(?P<xyqi>\d+)"
+    r"(?P<var>[cd]\d+\(\d+\)|[gh]\d+\[\d+\]|[xyq]\d+)"
     r"|(?P<num>\d+)"
     r"|(?P<op>[+\-*^])"
     r")"
 )
+
+# Variable constructors by kind; their arguments are the indices, then a q-degree.
+_VARIABLE = {"c": c, "d": d, "g": g, "h": h, "x": x, "y": y, "q": q}
 
 
 def _tokenize(s: str) -> list:
@@ -469,14 +488,9 @@ def _tokenize(s: str) -> list:
                 break
             raise ValueError(f"cannot parse polynomial text near {s[pos:pos+12]!r}")
         pos = m.end()
-        if m.group("cd"):
-            tokens.append(("var", (c if m.group("cd") == "c" else d)(int(m.group("cdi")), int(m.group("cdj")))))
-        elif m.group("gh"):
-            tokens.append(("var", (g if m.group("gh") == "g" else h)(int(m.group("ghi")), int(m.group("ghj")))))
-        elif m.group("xyq"):
-            fam = m.group("xyq")
-            mk = {"x": x, "y": y, "q": q}[fam]
-            tokens.append(("var", mk(int(m.group("xyqi")))))
+        if m.group("var"):
+            name = m.group("var")
+            tokens.append(("var", _VARIABLE[name[0]](*map(int, re.findall(r"\d+", name)))))
         elif m.group("num"):
             tokens.append(("num", int(m.group("num"))))
         else:
@@ -549,20 +563,10 @@ def parse_json(data: dict | str) -> Polynomial:
         coeff = int(t["coeff"])
         pairs: list[tuple[Variable, int]] = []
         for v in t["vars"]:
-            kind = v["kind"]
-            if kind in ("c", "d"):
-                var = (c if kind == "c" else d)(v["i"], v["j"])
-            elif kind in ("g", "h"):
-                var = (g if kind == "g" else h)(v["i"], v["j"])
-            elif kind == "x":
-                var = x(v["i"])
-            elif kind == "y":
-                var = y(v["i"])
-            elif kind == "q":
-                var = q(v["i"], v.get("degree", 2))
-            else:
-                raise ValueError(f"unknown variable kind {kind!r}")
-            pairs.append((var, v["exp"]))
+            make = _VARIABLE.get(v["kind"])
+            if make is None:
+                raise ValueError(f"unknown variable kind {v['kind']!r}")
+            pairs.append((make(v["i"], *(v[key] for key in ("j", "degree") if key in v)), v["exp"]))
         m = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
         acc[m] = acc.get(m, 0) + coeff
     return Polynomial(acc)

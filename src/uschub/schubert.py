@@ -30,34 +30,22 @@ terminates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import prod
 
 from .permutations import Permutation
 from .polyring import (
     ONE,
     Polynomial,
+    clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
     divide_by_difference,
     dpoly,
+    memo,
     signed_sum,
     x,
     y,
 )
-
-_classical_single_cache: dict[tuple[int, ...], Polynomial] = {}
-_universal_single_cache: dict[tuple[tuple[int, ...], int], "MElement"] = {}
-_universal_cy_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
-_universal_double_cache: dict[tuple[tuple[int, ...], int], Polynomial] = {}
-
-
-def clear_caches() -> None:
-    for cache in (
-        _classical_single_cache,
-        _universal_single_cache,
-        _universal_cy_cache,
-        _universal_double_cache,
-    ):
-        cache.clear()
 
 
 # -- divided differences ---------------------------------------------------
@@ -72,26 +60,19 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
 
 # -- classical polynomials -------------------------------------------------
 
+@memo
 def classical_single(w: Permutation) -> Polynomial:
     """Schubert polynomial of w in the x variables."""
-    key = w.word
-    hit = _classical_single_cache.get(key)
-    if hit is not None:
-        return hit
     if w.is_identity():
+        return ONE
+    m = w.size
+    if w == Permutation.longest(m):
         result = ONE
-    else:
-        m = w.size
-        top = Permutation.longest(m)
-        if w == top:
-            result = ONE
-            for i in range(1, m):
-                result = result * (Polynomial.var(x(i)) ** (m - i))
-        else:
-            k = next(k for k in range(1, m) if w(k) < w(k + 1))
-            result = divided_difference(classical_single(w * Permutation.s(k)), k)
-    _classical_single_cache[key] = result
-    return result
+        for i in range(1, m):
+            result = result * (Polynomial.var(x(i)) ** (m - i))
+        return result
+    k = next(k for k in range(1, m) if w(k) < w(k + 1))
+    return divided_difference(classical_single(w * Permutation.s(k)), k)
 
 
 # -- code combinations -------------------------------------------------------
@@ -101,7 +82,8 @@ class MElement:
 
     A code (i_1, ..., i_n) with 0 <= i_k <= k stands for the product
     c_{i_1}(1) c_{i_2}(2) ... c_{i_n}(n), with c_0(k) read as 1.  The
-    class is purely additive; products belong to the polynomial side.
+    class holds no arithmetic; sums and products belong to the polynomial
+    side.
     """
 
     __slots__ = ("codes", "n")
@@ -119,37 +101,11 @@ class MElement:
         self.codes = clean
         self.n = n
 
-    @classmethod
-    def single_code(cls, code: tuple[int, ...]) -> "MElement":
-        return cls({code: 1}, len(code))
-
     def pad(self, n: int) -> "MElement":
         if n < self.n:
             raise ValueError("cannot shrink a code combination")
         ext = (0,) * (n - self.n)
         return MElement({code + ext: v for code, v in self.codes.items()}, n)
-
-    def __add__(self, other: "MElement") -> "MElement":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        acc = dict(self.codes)
-        for code, v in other.codes.items():
-            acc[code] = acc.get(code, 0) + v
-        return MElement(acc, self.n)
-
-    def __sub__(self, other: "MElement") -> "MElement":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        acc = dict(self.codes)
-        for code, v in other.codes.items():
-            acc[code] = acc.get(code, 0) - v
-        return MElement(acc, self.n)
-
-    def __rmul__(self, scalar: int) -> "MElement":
-        return MElement({code: scalar * v for code, v in self.codes.items()}, self.n)
-
-    def __neg__(self) -> "MElement":
-        return MElement({code: -v for code, v in self.codes.items()}, self.n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,6 +195,7 @@ class MElement:
 
 # -- universal single form ---------------------------------------------------
 
+@memo
 def universal_single(w: Permutation, n: int | None = None) -> MElement:
     """The code combination of w, built by the ladder operator from the top code.
 
@@ -247,20 +204,12 @@ def universal_single(w: Permutation, n: int | None = None) -> MElement:
     """
     if n is None:
         n = max(w.size - 1, 1)
-    key = (w.word, n)
-    hit = _universal_single_cache.get(key)
-    if hit is not None:
-        return hit
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
-    top = Permutation.longest(n + 1)
-    if w == top:
-        result = MElement.single_code(tuple(range(1, n + 1)))
-    else:
-        k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
-        result = universal_single(w * Permutation.s(k), n).partial(k)
-    _universal_single_cache[key] = result
-    return result
+    if w == Permutation.longest(n + 1):
+        return MElement({tuple(range(1, n + 1)): 1}, n)
+    k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
+    return universal_single(w * Permutation.s(k), n).partial(k)
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -270,6 +219,7 @@ universal_single_inductive = universal_single
 
 # -- universal double forms ---------------------------------------------------
 
+@memo
 def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
     """The mixed form in c and y, from the dominant product by y-ladders.
 
@@ -280,35 +230,25 @@ def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
     """
     if n is None:
         n = max(w.size - 1, 1)
-    key = (w.word, n)
-    hit = _universal_cy_cache.get(key)
-    if hit is not None:
-        return hit
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
-    top = Permutation.longest(n + 1)
-    if w == top:
+    if w == Permutation.longest(n + 1):
         result = ONE
         for i in range(1, n + 1):
             yv = Polynomial.var(y(n + 1 - i))
             result = result * Polynomial.sum(cpoly(i - j, i) * ((-1) ** j) * (yv ** j) for j in range(0, i + 1))
-    else:
-        inv = w.inverse()
-        k = next(k for k in range(1, n + 1) if inv(k) < inv(k + 1))
-        result = -divided_difference(universal_cy(Permutation.s(k) * w, n), k, kind="y")
-    _universal_cy_cache[key] = result
-    return result
+        return result
+    inv = w.inverse()
+    k = next(k for k in range(1, n + 1) if inv(k) < inv(k + 1))
+    return -divided_difference(universal_cy(Permutation.s(k) * w, n), k, kind="y")
 
 
+@memo
 def universal_double(w: Permutation, n: int | None = None) -> Polynomial:
     """The mixed form in c and d: sum of (-1)^{l(v)} S_u(c) S_v(d) over
     factorizations u(i) = v(w(i)) with l(u) = l(w) - l(v)."""
     if n is None:
         n = max(w.size - 1, 1)
-    key = (w.word, n)
-    hit = _universal_double_cache.get(key)
-    if hit is not None:
-        return hit
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
     lw = w.length()
@@ -327,39 +267,54 @@ def universal_double(w: Permutation, n: int | None = None) -> Polynomial:
             * universal_single(v, n).to_polynomial("d")
         )
         parts.append((-1) ** lv * term)
-    result = Polynomial.sum(parts)
-    _universal_double_cache[key] = result
-    return result
+    return Polynomial.sum(parts)
 
 
 # -- Schubert-basis expansion -------------------------------------------------
 
+def peel(
+    coeffs: dict,
+    lead: Callable[[tuple], tuple[Permutation, dict]],
+    key: Callable[[tuple], tuple],
+) -> dict[Permutation, int]:
+    """Expand an integer combination in a unitriangular basis.
+
+    ``lead(t)`` names the basis element led by the term t, as w and its
+    coefficients: t carries 1 there and every other term is smaller under
+    ``key``.  Peeling the largest term each time strictly lowers the lead,
+    so the walk ends.
+    """
+    rest = dict(coeffs)
+    out: dict[Permutation, int] = {}
+    while rest:
+        top = max(rest, key=key)
+        coeff = rest.pop(top)
+        w, element = lead(top)
+        out[w] = coeff
+        assert element.get(top) == 1, "leading term is not unital"
+        for term, cf in element.items():
+            if term == top:
+                continue
+            assert key(term) < key(top), "expansion produced a larger term"
+            v = rest.get(term, 0) - coeff * cf
+            if v:
+                rest[term] = v
+            else:
+                rest.pop(term, None)
+    return out
+
+
 def schubert_expand_M(el: MElement) -> dict[Permutation, int]:
     """Expand a code combination in the basis of single universal forms.
 
-    Peels the lexicographically largest code; that code belongs to a
-    unique permutation and carries coefficient 1 in that permutation's
-    combination, so each step strictly lowers the leading code.
+    The lexicographically largest code of w's combination is its own code
+    tail, with coefficient 1.
     """
-    rest = dict(el.codes)
-    out: dict[Permutation, int] = {}
-    while rest:
-        code = max(rest)
-        coeff = rest.pop(code)
+    def lead(code: tuple[int, ...]) -> tuple[Permutation, dict]:
         w = Permutation.from_code_tail(code)
-        out[w] = coeff
-        s = universal_single(w, el.n)
-        assert s.codes.get(code) == 1, "leading code is not unital"
-        for cd, cf in s.codes.items():
-            if cd == code:
-                continue
-            assert cd < code, "expansion produced a larger code"
-            v = rest.get(cd, 0) - coeff * cf
-            if v:
-                rest[cd] = v
-            elif cd in rest:
-                del rest[cd]
-    return out
+        return w, universal_single(w, el.n).codes
+
+    return peel(el.codes, lead, key=tuple)
 
 
 def schubert_expand_polynomial(p: Polynomial, n: int, kind: str = "c") -> dict[Permutation, int]:

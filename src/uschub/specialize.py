@@ -29,21 +29,17 @@ from .polyring import (
     ZERO,
     Polynomial,
     Variable,
+    clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
     elementary_sym,
     g,
+    memo,
     q,
     sum_by_key,
     x,
     y,
 )
 from .schubert import universal_single
-
-_c_from_g_cache: dict[tuple[int, int], Polynomial] = {}
-
-
-def clear_caches() -> None:
-    _c_from_g_cache.clear()
 
 
 @dataclass(frozen=True)
@@ -108,21 +104,20 @@ class FlagProfile:
 
 # -- the c -> g expansion ------------------------------------------------------
 
+@memo
 def c_from_g(i: int, k: int) -> Polynomial:
-    """c_i(k) as a polynomial in the g variables."""
+    """c_i(k) as a polynomial in the g variables.
+
+    The recursion in k is unrolled down to c_i(i-1) = 0, so each recursive
+    call has a smaller i and the depth stays at most i, however large k is.
+    """
     if i == 0:
         return ONE
     if i < 0 or i > k:
         return ZERO
-    key = (i, k)
-    hit = _c_from_g_cache.get(key)
-    if hit is not None:
-        return hit
-    result = Polynomial.sum([c_from_g(i, k - 1)] + [
-        Polynomial.var(g(k - j, j)) * c_from_g(i - j - 1, k - j - 1) for j in range(0, min(i, k))
-    ])
-    _c_from_g_cache[key] = result
-    return result
+    return Polynomial.sum(
+        Polynomial.var(g(m - j, j)) * c_from_g(i - j - 1, m - j - 1) for m in range(i, k + 1) for j in range(i)
+    )
 
 
 def c_from_g_det(i: int, k: int) -> Polynomial:

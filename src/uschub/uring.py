@@ -45,26 +45,21 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
+    clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
     elementary_sym,
     g,
+    memo,
     sum_by_key,
     x,
 )
-from .schubert import classical_single, universal_double, universal_single
+from .schubert import classical_single, peel, universal_double, universal_single
 from .specialize import c_from_g
 
-_ring_cache: dict[int, "UniversalRing"] = {}
 
-
-def clear_caches() -> None:
-    _ring_cache.clear()
-
-
+@memo
 def universal_ring(n: int) -> "UniversalRing":
-    if n not in _ring_cache:
-        _ring_cache[n] = UniversalRing(n)
-    return _ring_cache[n]
+    return UniversalRing(n)
 
 
 def _x_monomial(exps: tuple[int, ...]) -> Polynomial:
@@ -119,9 +114,6 @@ class RingElement:
             raise ValueError("mixed ambient n")
         return RingElement(self.n, sum_by_key([*self.coeffs.items(), *other.coeffs.items()]))
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + other.scale(Polynomial.const(-1))
-
     def scale(self, poly: Polynomial | int) -> "RingElement":
         if isinstance(poly, int):
             poly = Polynomial.const(poly)
@@ -173,7 +165,6 @@ class UniversalRing:
         self._top_degree = n * (n + 1) // 2
         self._top_exps = _top_staircase(n)[:-1]
         self._tops: dict[tuple[int, ...], Polynomial] = {}
-        self._schubert: dict[tuple[int, ...], RingElement] = {}
 
     # -- presentation -------------------------------------------------------
 
@@ -291,10 +282,8 @@ class UniversalRing:
 
     # -- Schubert basis --------------------------------------------------------
 
+    @memo
     def schubert(self, w: Permutation) -> RingElement:
-        key = w.word
-        if key in self._schubert:
-            return self._schubert[key]
         if w.size > self.n + 1:
             raise ValueError(f"{w.word} does not lie in S_{self.n + 1}")
         from .specialize import to_g_form
@@ -302,35 +291,26 @@ class UniversalRing:
         poly = self._to_xg(to_g_form(universal_single(w, self.n).to_polynomial()))
         # Staircase support is automatic: x_k enters only through the
         # squarefree ladders at levels k..n, one power each.
-        element = RingElement(self.n, {e + (0,): c for e, c in self._by_x_exponent(poly).items()})
-        self._schubert[key] = element
-        return element
+        return RingElement(self.n, {e + (0,): c for e, c in self._by_x_exponent(poly).items()})
 
     def _expand_classical(self, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
         """Integer combination of classical Schubert polynomials with these coefficients.
 
-        Peels the lex-largest exponent: x^{lehmer(w)} leads classical_single(w)
-        with coefficient 1, so each step names the next permutation.
+        x^{lehmer(w)} leads classical_single(w) with coefficient 1 in the
+        order that compares exponents from the last variable (Macdonald),
+        so peeling the largest exponent in that order names w.
         """
-        rest = dict(slice_coeffs)
-        out: dict[Permutation, int] = {}
-        while rest:
-            lead = max(rest)
-            coeff = rest.pop(lead)
-            w = Permutation.from_lehmer(lead)
-            out[w] = coeff
+        def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict]:
+            w = Permutation.from_lehmer(exps)
+            element = {}
             for mono, c in classical_single(w).terms().items():
-                exps = [0] * (self.n + 1)
+                key = [0] * (self.n + 1)
                 for v, e in mono:
-                    exps[v.i - 1] = e
-                exps = tuple(exps)
-                if exps != lead:
-                    value = rest.get(exps, 0) - coeff * c
-                    if value:
-                        rest[exps] = value
-                    else:
-                        rest.pop(exps, None)
-        return out
+                    key[v.i - 1] = e
+                element[tuple(key)] = c
+            return w, element
+
+        return peel(slice_coeffs, lead, key=lambda exps: exps[::-1])
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+]."""

@@ -7,10 +7,10 @@ import pytest
 
 from frozen import NF_DIGESTS, NF_X1_CUBED_N2
 from oracles import inner_product_full
-from uschub import uring
+from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
-from uschub.specialize import g_classical
+from uschub.specialize import c_from_g, g_classical
 from uschub.uring import (
     RingElement,
     UniversalRing,
@@ -134,7 +134,7 @@ def test_rank_report_rejects_a_rule_outside_the_ideal(monkeypatch):
     flipped = dict(ring._rules[2])
     flipped[(1, 1)] = -flipped[(1, 1)]
     monkeypatch.setitem(ring._rules, 2, flipped)
-    monkeypatch.setitem(uring._ring_cache, 2, ring)
+    monkeypatch.setattr(uring, "universal_ring", lambda n: ring)
     assert ring.rules_are_triangular()
     assert staircase_rank_report(2)["full_rank"] is False
 
@@ -145,6 +145,24 @@ def test_basis_expansion_inverts_the_basis():
     ring = universal_ring(2)
     for w in all_perms(3):
         assert schubert_basis_expand(ring.schubert(w)) == {w: ONE}
+
+
+def test_classical_peel_names_the_permutation_of_the_lead():
+    # x1 + x2 is S_132: x2 leads once exponents are compared from the last variable
+    ring = universal_ring(2)
+    assert ring._expand_classical({(1, 0, 0): 1, (0, 1, 0): 1}) == {S2: 1}
+
+
+def test_clear_caches_empties_every_memo():
+    universal_ring(2).schubert(S1)
+    schubert.universal_single(S1, 2)
+    schubert.universal_double(S1, 2)
+    c_from_g(2, 3)
+    ring = universal_ring(2)
+    assert any(memo.cache_info().currsize for memo in polyring.MEMOS)
+    schubert.clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in polyring.MEMOS)
+    assert universal_ring(2) is not ring
 
 
 def test_quantum_flavored_products():
