@@ -12,9 +12,10 @@ The conventions c_0(j) = 1 and c_i(j) = 0 for i < 0 or i > j are applied
 by the expression-level constructors :func:`cpoly` and friends; a raw
 :class:`Variable` always has indices inside the legal range.
 
-A monomial is a sorted tuple of (variable, exponent) pairs and a
-polynomial is a dict from monomials to nonzero ints.  Polynomials are
-treated as immutable values.
+Variables are interned, one object per (kind, i, j, degree), so they are
+compared and hashed by identity.  A monomial is a sorted tuple of
+(variable, exponent) pairs and a polynomial is a dict from monomials to
+nonzero ints.  Polynomials are treated as immutable values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import functools
 import json
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 KINDS = "cdghxyq"
@@ -48,24 +48,41 @@ def clear_caches() -> None:
         cached.cache_clear()
 
 
+# One Variable per (kind, i, j, degree); never emptied, as live polynomials rely on identity.
+_INTERNED: dict[tuple, "Variable"] = {}
+
+
 class ExactDivisionError(ArithmeticError):
     """Raised when a supposedly exact polynomial division leaves a remainder."""
 
 
-@dataclass(frozen=True)
 class Variable:
-    """One tagged symbol.  Ordering is kind rank, then indices, then degree."""
+    """One interned tagged symbol.  Ordering is kind rank, then indices, then degree."""
 
-    kind: str
-    i: int
-    j: int | None
-    degree: int
+    __slots__ = ("kind", "i", "j", "degree", "key")
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (_KIND_RANK[self.kind], self.i, -1 if self.j is None else self.j, self.degree)
+    def __new__(cls, kind: str, i: int, j: int | None, degree: int) -> "Variable":
+        ident = (kind, i, j, degree)
+        v = _INTERNED.get(ident)
+        if v is None:
+            v = object.__new__(cls)
+            key = (_KIND_RANK[kind], i, -1 if j is None else j, degree)
+            for name, value in zip(cls.__slots__, (*ident, key)):
+                object.__setattr__(v, name, value)
+            # publish only a finished object, and keep the first if two threads race
+            v = _INTERNED.setdefault(ident, v)
+        return v
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Variable is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Variable, (self.kind, self.i, self.j, self.degree)
 
     def __lt__(self, other: "Variable") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.key < other.key
 
     def _name(self, left: str, right: str) -> str:
         """Kind, first index between ``left`` and ``right``, then (j) or [j] if paired."""
@@ -138,7 +155,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     acc: dict[Variable, int] = dict(a)
     for v, e in b:
         acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items(), key=lambda p: p[0].sort_key()))
+    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -146,7 +163,7 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial):
-    return (_mono_degree(m), tuple((v.sort_key(), e) for v, e in m))
+    return (_mono_degree(m), tuple((v.key, e) for v, e in m))
 
 
 class Polynomial:
@@ -158,10 +175,6 @@ class Polynomial:
         self._terms = {m: c for m, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -194,8 +207,9 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
 
-    def variables(self) -> set[Variable]:
-        return {v for m in self._terms for v, _ in m}
+    def variables(self) -> list[Variable]:
+        """The distinct variables, in package order (smallest first)."""
+        return sorted({v for m in self._terms for v, _ in m}, key=lambda v: v.key)
 
     def degree(self) -> int:
         """Graded degree; the zero polynomial reports -1."""
@@ -382,7 +396,7 @@ class Polynomial:
         return self.text()
 
 
-ZERO = Polynomial.zero()
+ZERO = Polynomial()
 ONE = Polynomial.one()
 
 
@@ -555,19 +569,22 @@ def parse_text(s: str) -> Polynomial:
 
 
 def parse_json(data: dict | str) -> Polynomial:
-    """Inverse of :meth:`Polynomial.to_json`."""
+    """Inverse of :meth:`Polynomial.to_json`; repeated variables merge, zero exponents drop."""
     if isinstance(data, str):
         data = json.loads(data)
     acc: dict[Monomial, int] = {}
     for t in data["terms"]:
         coeff = int(t["coeff"])
-        pairs: list[tuple[Variable, int]] = []
+        exps: dict[Variable, int] = {}
         for v in t["vars"]:
             make = _VARIABLE.get(v["kind"])
             if make is None:
                 raise ValueError(f"unknown variable kind {v['kind']!r}")
-            pairs.append((make(v["i"], *(v[key] for key in ("j", "degree") if key in v)), v["exp"]))
-        m = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
+            if type(v["exp"]) is not int or v["exp"] < 0:
+                raise ValueError(f"exponent must be a non-negative int, got {v['exp']!r}")
+            var = make(v["i"], *(v[key] for key in ("j", "degree") if key in v))
+            exps[var] = exps.get(var, 0) + v["exp"]
+        m = tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda p: p[0].key))
         acc[m] = acc.get(m, 0) + coeff
     return Polynomial(acc)
 

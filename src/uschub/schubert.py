@@ -101,12 +101,6 @@ class MElement:
         self.codes = clean
         self.n = n
 
-    def pad(self, n: int) -> "MElement":
-        if n < self.n:
-            raise ValueError("cannot shrink a code combination")
-        ext = (0,) * (n - self.n)
-        return MElement({code + ext: v for code, v in self.codes.items()}, n)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MElement)

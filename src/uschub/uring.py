@@ -119,9 +119,6 @@ class RingElement:
             poly = Polynomial.const(poly)
         return RingElement(self.n, {e: poly * p for e, p in self.coeffs.items()})
 
-    def coefficient(self, exps: tuple[int, ...]) -> Polynomial:
-        return self.coeffs.get(exps, ZERO)
-
     def to_polynomial(self) -> Polynomial:
         return Polynomial.sum(poly * _x_monomial(exps[:-1]) for exps, poly in self.coeffs.items())
 
@@ -327,7 +324,7 @@ class UniversalRing:
                     slices.setdefault(gmono, {})[exps] = coeff
             min_deg = min(sum(v.degree * e_ for v, e_ in m) for m in slices)
             parts = list(remainder.items())
-            for gmono in sorted(slices, key=lambda m: (tuple(sorted((v.sort_key(), e_) for v, e_ in m)))):
+            for gmono in sorted(slices, key=lambda m: tuple((v.key, e_) for v, e_ in m)):
                 if sum(v.degree * e_ for v, e_ in gmono) != min_deg:
                     continue
                 gscalar = Polynomial({gmono: 1})

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product as _itproduct
 
 from uschub.permutations import Permutation
-from uschub.polyring import ONE, Monomial, Polynomial, _mono_degree, elementary_sym, x, y
+from uschub.polyring import ONE, ZERO, Monomial, Polynomial, _mono_degree, elementary_sym, x, y
 from uschub.schubert import MElement, divided_difference
 from uschub.uring import RingElement, UniversalRing, _top_staircase
 
@@ -67,7 +67,7 @@ def d_to_y(p: Polynomial) -> Polynomial:
 
 
 def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> Polynomial:
-    return ring.multiply(a, b).coefficient(_top_staircase(ring.n))
+    return ring.multiply(a, b).coeffs.get(_top_staircase(ring.n), ZERO)
 
 
 def homogeneous_parts(p: Polynomial) -> dict[int, Polynomial]:

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import uschub
 from frozen import QUANTUM_231
 from uschub.cli import main
 from uschub.formulas import det19_census
@@ -205,3 +209,20 @@ def test_missing_argument_is_a_usage_error():
     code, _, err = run("product-rule", "--i", "1")
     assert code == 1
     assert "usage" in err
+
+
+def test_errors_name_the_smallest_variable_under_any_hash_seed():
+    # Each input holds several bad variables; the message names the first in
+    # package order, whatever the string hashes or the object addresses are.
+    cases = (
+        (("expand", "x1 + y2 + d1(1) + h1[0]"), "error: expand works on c/g polynomials, found d1(1)\n"),
+        (("ring", "omega", "x7 + x9 + x5", "--n", "2"), "error: x5 is outside x_1..x_3\n"),
+        (("expand", "c1(5) + c1(7)", "--n", "3"), "error: c-point 5 exceeds the stated bound 3\n"),
+    )
+    src = str(pathlib.Path(uschub.__file__).parent.parent)
+    for args, expected in cases:
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-m", "uschub.cli", *args],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", expected), (args, seed)

@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic: ring laws, substitution, printing, division."""
 
 import ast
+import copy
 import pathlib
+import pickle
 from datetime import timedelta
 
 import pytest
@@ -12,14 +14,17 @@ from uschub.polyring import (
     ExactDivisionError,
     Polynomial,
     ONE,
+    Variable,
     ZERO,
     c,
+    clear_caches,
     cpoly,
     complete_sym,
     d,
     divide_by_difference,
     elementary_sym,
     g,
+    h,
     parse_json,
     parse_text,
     q,
@@ -196,6 +201,55 @@ def test_constants_hash_like_the_ints_they_equal():
     assert len({Polynomial.const(3), 3}) == 1
     assert hash(ZERO) == hash(0)
     assert hash(Polynomial.const(-7)) == hash(-7)
+    assert hash(Polynomial.var(x(1)) ** 0 * 5) == hash(5)
+
+
+def test_variables_are_interned():
+    assert x(1) is x(1)
+    assert Variable("c", 1, 2, 1) is c(1, 2)
+    assert q(1) is not q(1, 3)
+    for v in (c(1, 2), g(2, 0), x(4), q(1, 3)):
+        assert pickle.loads(pickle.dumps(v)) is v
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+    p = parse_text("c1(2)*x1^2 - 3*q1")
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert hash(parse_text("x1*y2")) == hash(Polynomial.var(y(2)) * Polynomial.var(x(1)))
+    # the memos may be emptied, but live polynomials keep their variables
+    v = c(1, 5)
+    clear_caches()
+    assert c(1, 5) is v
+
+
+def test_variables_are_immutable_and_hash_by_identity():
+    v = x(1)
+    with pytest.raises(AttributeError):
+        v.i = 2
+    with pytest.raises(AttributeError):
+        del v.kind
+    assert (v.kind, v.i, v.j, v.degree) == ("x", 1, None, 1)
+    # equality and hashing stay the C-level identity slots
+    assert Variable.__hash__ is object.__hash__
+    assert Variable.__eq__ is object.__eq__
+
+
+def test_variables_come_in_package_order():
+    p = parse_text("x1 + y2 + d1(1) + h1[0] + c2(3) + c1(7)*x1")
+    assert p.variables() == [c(1, 7), c(2, 3), d(1, 1), h(1, 0), x(1), y(2)]
+    assert ZERO.variables() == []
+
+
+def test_parse_json_builds_canonical_monomials():
+    def term(*pairs):
+        return {"terms": [{"coeff": "3", "vars": [{"kind": "x", "i": i, "exp": e} for i, e in pairs]}]}
+
+    assert parse_json(term((1, 1), (1, 1))) == parse_text("3*x1^2")
+    assert parse_json(term((1, 0))) == 3
+    assert parse_json(term((1, 0))).text() == "3"
+    assert parse_json(term((2, 1), (1, 0), (2, 2))) == parse_text("3*x2^3")
+    for bad in (-2, 1.5, "2", True, None):
+        with pytest.raises(ValueError):
+            parse_json(term((1, bad)))
 
 
 def test_no_module_imports_fractions():
