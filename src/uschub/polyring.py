@@ -35,9 +35,11 @@ _PAIRED = frozenset("cdgh")
 MEMOS: list = []
 
 
-def memo(fn):
-    """``functools.cache`` whose cache :func:`clear_caches` empties."""
-    cached = functools.cache(fn)
+def memo(fn=None, *, maxsize: int | None = None):
+    """``functools.lru_cache``, unbounded unless ``maxsize`` is given, that :func:`clear_caches` empties."""
+    if fn is None:
+        return functools.partial(memo, maxsize=maxsize)
+    cached = functools.lru_cache(maxsize=maxsize)(fn)
     MEMOS.append(cached)
     return cached
 
@@ -147,11 +149,9 @@ def q(i: int, degree: int = 2) -> Variable:
 Monomial = tuple[tuple[Variable, int], ...]
 
 
+# Products repeat: reducing x_2^40 in R_3 makes 4.4 M of them over 13 k distinct pairs.
+@memo(maxsize=1 << 11)
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
     acc: dict[Variable, int] = dict(a)
     for v, e in b:
         acc[v] = acc.get(v, 0) + e
@@ -267,13 +267,8 @@ class Polynomial:
             return Polynomial({m: co * other for m, co in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Polynomial()
         acc: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
+        add_product(acc, self, other)
         return Polynomial(acc)
 
     __rmul__ = __mul__
@@ -311,30 +306,48 @@ class Polynomial:
         """Ring homomorphism sending each variable v to ``image(v)``; None keeps v.
 
         ``image`` is called once per distinct variable; when it maps none,
-        the polynomial itself is returned.
+        the polynomial itself is returned.  A one-term image (a signed
+        relabel, a constant, zero) rewrites the monomial in place; powers of
+        longer images are computed once per call.
         """
-        imgs: dict[Variable, Polynomial] = {}
+        scaled: dict[Variable, tuple[Monomial, int]] = {}
+        longer: dict[Variable, Polynomial] = {}
         for v in self.variables():
             img = image(v)
-            if img is not None:
-                imgs[v] = img if isinstance(img, Polynomial) else Polynomial.const(img)
-        if not imgs:
+            if img is None:
+                continue
+            img = img if isinstance(img, Polynomial) else Polynomial.const(img)
+            if len(img) > 1:
+                longer[v] = img
+            else:
+                scaled[v] = next(iter(img._terms.items()), ((), 0))
+        if not scaled and not longer:
             return self
-        parts = []
+        powers: dict[tuple[Variable, int], Polynomial] = {}
+        acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
-            kept: list[tuple[Variable, int]] = []
-            factor = Polynomial.const(co)
+            exps: dict[Variable, int] = {}
+            factor = None
             for v, e in m:
-                img = imgs.get(v)
-                if img is None:
-                    kept.append((v, e))
+                if v in longer:
+                    if (v, e) not in powers:
+                        powers[v, e] = longer[v] ** e
+                    factor = powers[v, e] if factor is None else factor * powers[v, e]
+                    continue
+                # a kept variable is its own one-term image
+                mono, k = scaled.get(v, (((v, 1),), 1))
+                co *= k ** e
+                if not co:
+                    break
+                for w, f in mono:
+                    exps[w] = exps.get(w, 0) + f * e
+            else:
+                kept = tuple(sorted(exps.items(), key=lambda p: p[0].key))
+                if factor is None:
+                    acc[kept] = acc.get(kept, 0) + co
                 else:
-                    factor = factor * (img ** e)
-                    if not factor:
-                        break
-            if factor:
-                parts.append(Polynomial({tuple(kept): 1}) * factor)
-        return Polynomial.sum(parts)
+                    add_product(acc, Polynomial({kept: co}), factor)
+        return Polynomial(acc)
 
     def _relabel(self, trade: dict[str, str]) -> "Polynomial":
         """Move every variable of a paired family to the family ``trade`` names for it."""
@@ -411,6 +424,19 @@ def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
         else:
             chunks.append("-" + piece if co < 0 else piece)
     return "".join(chunks) or "0"
+
+
+def add_product(acc: dict[Monomial, int], a: Polynomial, b: Polynomial, scale: int = 1) -> None:
+    """acc += scale * a * b, term by term: the one multiply-accumulate kernel.
+
+    Coefficients that cancel stay in ``acc`` as zeros; ``Polynomial(acc)``
+    drops them.
+    """
+    for m1, c1 in a._terms.items():
+        c1 *= scale
+        for m2, c2 in b._terms.items():
+            m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+            acc[m] = acc.get(m, 0) + c1 * c2
 
 
 def sum_by_key(pairs: Iterable[tuple[object, Polynomial]]) -> dict:

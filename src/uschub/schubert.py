@@ -31,16 +31,15 @@ terminates.
 from __future__ import annotations
 
 from collections.abc import Callable
-from math import prod
 
 from .permutations import Permutation
 from .polyring import (
     ONE,
     Polynomial,
+    Variable,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
     divide_by_difference,
-    dpoly,
     memo,
     signed_sum,
     x,
@@ -156,11 +155,14 @@ class MElement:
         return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
-        make = cpoly if kind == "c" else dpoly
-        return Polynomial.sum(
-            prod((make(i, alpha) for alpha, i in enumerate(code, start=1) if i), start=Polynomial.const(coeff))
+        kind = "c" if kind == "c" else "d"
+        # c_0 reads as 1 and c_i(point) with i > point as 0; distinct codes give distinct monomials
+        pairs = {code: sorted((i, point) for point, i in enumerate(code, start=1) if i) for code in self.codes}
+        return Polynomial({
+            tuple((Variable(kind, i, point, i), 1) for i, point in pairs[code]): coeff
             for code, coeff in self.codes.items()
-        )
+            if all(i <= point for i, point in pairs[code])
+        })
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, n: int, kind: str = "c") -> "MElement":

@@ -45,6 +45,7 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
+    add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
     elementary_sym,
@@ -62,12 +63,8 @@ def universal_ring(n: int) -> "UniversalRing":
     return UniversalRing(n)
 
 
-def _x_monomial(exps: tuple[int, ...]) -> Polynomial:
-    p = ONE
-    for i, e in enumerate(exps, start=1):
-        if e:
-            p = p * Polynomial.var(x(i)) ** e
-    return p
+# The most g-terms one normal-form or top walk may store before it gives up.
+WALK_BUDGET = 650_000
 
 
 class RingElement:
@@ -120,13 +117,24 @@ class RingElement:
         return RingElement(self.n, {e: poly * p for e, p in self.coeffs.items()})
 
     def to_polynomial(self) -> Polynomial:
-        return Polynomial.sum(poly * _x_monomial(exps[:-1]) for exps, poly in self.coeffs.items())
+        # g sorts before x, so a g-monomial followed by an x-monomial is sorted
+        return Polynomial({
+            gmono + xmono: co
+            for exps, poly in self.coeffs.items()
+            for xmono in [tuple((x(i), e) for i, e in enumerate(exps[:-1], start=1) if e)]
+            for gmono, co in poly.terms().items()
+        })
 
     def text(self) -> str:
         return self.to_polynomial().text()
 
     def __repr__(self) -> str:
         return f"RingElement(n={self.n}, {self.text()})"
+
+
+def _check_budget(stored: int, exps: tuple[int, ...]) -> None:
+    if stored > WALK_BUDGET:
+        raise ArithmeticError(f"reducing the x-exponents {exps} needs more than {WALK_BUDGET:,} stored g-terms")
 
 
 def _top_staircase(n: int) -> tuple[int, ...]:
@@ -147,7 +155,7 @@ class UniversalRing:
         # x_{n+1} -> -(x_1 + ... + x_n): the linear generator, g-free.
         self._drop = -elementary_sym(1, n)
         # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
-        tails = {i: self._to_xg(c_from_g(i, n + 1) - elementary_sym(i, n + 1)) for i in range(2, n + 2)}
+        tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(self._xg_image) for i in range(2, n + 2)}
         inv = [ONE]
         for r in range(1, n + 2):
             inv.append(Polynomial.sum(tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)))
@@ -156,23 +164,20 @@ class UniversalRing:
         for k in range(1, n + 1):
             m = n + 2 - k
             right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
-            relation = complete_sym(m, k, kind="x") - self._to_xg(right) * (-1) ** m
+            relation = complete_sym(m, k, kind="x") - right.substitute(self._xg_image) * (-1) ** m
             self._rules[k] = self._by_x_exponent(relation)
-        self._nf: dict[tuple[int, ...], RingElement] = {}
+        self._nf: dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]] = {}
         self._top_degree = n * (n + 1) // 2
         self._top_exps = _top_staircase(n)[:-1]
         self._tops: dict[tuple[int, ...], Polynomial] = {}
 
     # -- presentation -------------------------------------------------------
 
-    def _to_xg(self, p: Polynomial) -> Polynomial:
+    def _xg_image(self, v: Variable) -> Polynomial | None:
         """g_k[0] -> x_k, with x_{n+1} eliminated."""
-        def image(v: Variable) -> Polynomial | None:
-            if v.i == self.n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
-                return self._drop
-            return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
-
-        return p.substitute(image)
+        if v.i == self.n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
+            return self._drop
+        return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
 
     def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
         """Split a polynomial in x_1..x_n with g+ coefficients by x-exponent tuple."""
@@ -209,7 +214,7 @@ class UniversalRing:
     # -- normal form ----------------------------------------------------------
 
     def _rewrite(self, exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], Polynomial]] | None:
-        """One rewrite step: x^exps = sum of coeff * x^key, or None on the staircase."""
+        """One rewrite step: x^exps = -(sum of coeff * x^key), or None on the staircase."""
         k = next((k for k in range(self.n, 0, -1) if exps[k - 1] > self.n + 1 - k), None)
         if k is None:
             return None
@@ -217,14 +222,16 @@ class UniversalRing:
         lead = self._lead(k)
         base = tuple(a - b for a, b in zip(exps, lead))
         return [
-            (tuple(a + b for a, b in zip(base, shift)), -coeff)
+            (tuple(a + b for a, b in zip(base, shift)), coeff)
             for shift, coeff in self._rules[k].items()
             if shift != lead
         ]
 
-    def _nf_monomial(self, exps: tuple[int, ...]) -> RingElement:
+    def _nf_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], Polynomial]:
+        """The normal form of x^exps as {staircase exponents: coefficient in Z[g+]}."""
         # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
         pending = [exps]
+        stored = 0
         while pending:
             top = pending[-1]
             if top in self._nf:
@@ -232,15 +239,19 @@ class UniversalRing:
                 continue
             step = self._rewrite(top)
             if step is None:
-                self._nf[top] = RingElement(self.n, {top + (0,): ONE})
-                continue
-            missing = [key for key, _ in step if key not in self._nf]
-            if missing:
-                pending.extend(missing)
-                continue
-            self._nf[top] = RingElement(self.n, sum_by_key(
-                (stair, coeff * poly) for key, coeff in step for stair, poly in self._nf[key].coeffs.items()
-            ))
+                self._nf[top] = {top + (0,): ONE}
+            else:
+                missing = [key for key, _ in step if key not in self._nf]
+                if missing:
+                    pending.extend(missing)
+                    continue
+                acc: dict[tuple[int, ...], dict] = {}
+                for key, coeff in step:
+                    for stair, poly in self._nf[key].items():
+                        add_product(acc.setdefault(stair, {}), coeff, poly, -1)
+                self._nf[top] = {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
+            stored += sum(map(len, self._nf[top].values()))
+            _check_budget(stored, exps)
         return self._nf[exps]
 
     def top(self, exps: tuple[int, ...]) -> Polynomial:
@@ -249,6 +260,7 @@ class UniversalRing:
             return ZERO
         # An explicit stack, as in _nf_monomial; keys below the top degree add nothing.
         pending = [exps]
+        stored = 0
         while pending:
             cur = pending[-1]
             if cur in self._tops:
@@ -257,25 +269,30 @@ class UniversalRing:
             step = self._rewrite(cur)
             if step is None:
                 self._tops[cur] = ONE if cur == self._top_exps else ZERO
-                continue
-            step = [(key, coeff) for key, coeff in step if sum(key) >= self._top_degree]
-            missing = [key for key, _ in step if key not in self._tops]
-            if missing:
-                pending.extend(missing)
-                continue
-            self._tops[cur] = Polynomial.sum(coeff * self._tops[key] for key, coeff in step)
+            else:
+                step = [(key, coeff) for key, coeff in step if sum(key) >= self._top_degree]
+                missing = [key for key, _ in step if key not in self._tops]
+                if missing:
+                    pending.extend(missing)
+                    continue
+                acc: dict[Monomial, int] = {}
+                for key, coeff in step:
+                    add_product(acc, coeff, self._tops[key], -1)
+                self._tops[cur] = Polynomial(acc)
+            stored += len(self._tops[cur])
+            _check_budget(stored, exps)
         return self._tops[exps]
 
     def _reduce(self, p: Polynomial) -> RingElement:
         """Reduce a polynomial in x_1..x_n with g+ coefficients."""
-        return RingElement(self.n, sum_by_key(
-            (stair, scalar * poly)
-            for exps, scalar in self._by_x_exponent(p).items()
-            for stair, poly in self._nf_monomial(exps).coeffs.items()
-        ))
+        acc: dict[tuple[int, ...], dict] = {}
+        for exps, scalar in self._by_x_exponent(p).items():
+            for stair, poly in self._nf_monomial(exps).items():
+                add_product(acc.setdefault(stair, {}), scalar, poly)
+        return RingElement(self.n, {stair: Polynomial(terms) for stair, terms in acc.items()})
 
     def normal_form(self, p: Polynomial) -> RingElement:
-        return self._reduce(self._to_xg(p))
+        return self._reduce(p.substitute(self._xg_image))
 
     # -- Schubert basis --------------------------------------------------------
 
@@ -285,7 +302,7 @@ class UniversalRing:
             raise ValueError(f"{w.word} does not lie in S_{self.n + 1}")
         from .specialize import to_g_form
 
-        poly = self._to_xg(to_g_form(universal_single(w, self.n).to_polynomial()))
+        poly = to_g_form(universal_single(w, self.n).to_polynomial()).substitute(self._xg_image)
         # Staircase support is automatic: x_k enters only through the
         # squarefree ladders at levels k..n, one power each.
         return RingElement(self.n, {e + (0,): c for e, c in self._by_x_exponent(poly).items()})
@@ -346,12 +363,14 @@ class UniversalRing:
 
     def inner_product(self, a: RingElement, b: RingElement) -> Polynomial:
         """The top staircase coefficient of a*b, without building the product."""
-        return Polynomial.sum(
-            self.top(tuple(i + j for i, j in zip(alpha[:-1], beta[:-1]))) * pa * pb
-            for alpha, pa in a.coeffs.items()
-            for beta, pb in b.coeffs.items()
-            if sum(alpha) + sum(beta) >= self._top_degree
-        )
+        acc: dict[Monomial, int] = {}
+        for alpha, pa in a.coeffs.items():
+            inner: dict[Monomial, int] = {}
+            for beta, pb in b.coeffs.items():
+                if sum(alpha) + sum(beta) >= self._top_degree:
+                    add_product(inner, pb, self.top(tuple(i + j for i, j in zip(alpha[:-1], beta[:-1]))))
+            add_product(acc, pa, Polynomial(inner))
+        return Polynomial(acc)
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
         expansion = self.schubert_basis_expand(self.multiply(a, b))

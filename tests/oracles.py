@@ -17,20 +17,40 @@ inversion) and independent of the ladder operator that
 ``inner_product_full`` pairs two elements of R_n by building and reducing
 the whole product, then reading its top staircase coefficient; the
 library reads that coefficient through a memoized functional instead.
+
+``substitute_reference``, ``normal_form_reference`` and ``code_products``
+build every intermediate product as its own ``Polynomial`` and sum the
+results: term-by-term substitution, reduction in R_n regrouped by
+``sum_by_key``, and code combinations as products of ``cpoly``/``dpoly``.
+The library does the same work in one dict accumulator per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _itproduct
+from math import prod
 
 from uschub.permutations import Permutation
-from uschub.polyring import ONE, ZERO, Monomial, Polynomial, _mono_degree, elementary_sym, x, y
+from uschub.polyring import (
+    ONE,
+    ZERO,
+    Monomial,
+    Polynomial,
+    _mono_degree,
+    cpoly,
+    dpoly,
+    elementary_sym,
+    sum_by_key,
+    x,
+    y,
+)
 from uschub.schubert import MElement, divided_difference
-from uschub.uring import RingElement, UniversalRing, _top_staircase
+from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _e_basis_cache: dict[tuple[int, int], tuple] = {}
+_reference_nf: dict[int, dict[tuple[int, ...], RingElement]] = {}
 
 
 def classical_double(w: Permutation) -> Polynomial:
@@ -68,6 +88,73 @@ def d_to_y(p: Polynomial) -> Polynomial:
 
 def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> Polynomial:
     return ring.multiply(a, b).coeffs.get(_top_staircase(ring.n), ZERO)
+
+
+def substitute_reference(p: Polynomial, image) -> Polynomial:
+    """``Polynomial.substitute`` one product per term: coefficient times each image power."""
+    imgs: dict = {}
+    for v in p.variables():
+        img = image(v)
+        if img is not None:
+            imgs[v] = img if isinstance(img, Polynomial) else Polynomial.const(img)
+    if not imgs:
+        return p
+    parts = []
+    for m, co in p.terms().items():
+        kept = []
+        factor = Polynomial.const(co)
+        for v, e in m:
+            img = imgs.get(v)
+            if img is None:
+                kept.append((v, e))
+            else:
+                factor = factor * (img ** e)
+                if not factor:
+                    break
+        if factor:
+            parts.append(Polynomial({tuple(kept): 1}) * factor)
+    return Polynomial.sum(parts)
+
+
+def _nf_monomial_reference(ring: UniversalRing, exps: tuple[int, ...]) -> RingElement:
+    nf = _reference_nf.setdefault(ring.n, {})
+    pending = [exps]
+    while pending:
+        top = pending[-1]
+        if top in nf:
+            pending.pop()
+            continue
+        step = ring._rewrite(top)
+        if step is None:
+            nf[top] = RingElement(ring.n, {top + (0,): ONE})
+            continue
+        missing = [key for key, _ in step if key not in nf]
+        if missing:
+            pending.extend(missing)
+            continue
+        nf[top] = RingElement(ring.n, sum_by_key(
+            (stair, -coeff * poly) for key, coeff in step for stair, poly in nf[key].coeffs.items()
+        ))
+    return nf[exps]
+
+
+def normal_form_reference(p: Polynomial, n: int) -> RingElement:
+    """The normal form in R_n with one Polynomial per product, regrouped by ``sum_by_key``."""
+    ring = universal_ring(n)
+    return RingElement(n, sum_by_key(
+        (stair, scalar * poly)
+        for exps, scalar in ring._by_x_exponent(substitute_reference(p, ring._xg_image)).items()
+        for stair, poly in _nf_monomial_reference(ring, exps).coeffs.items()
+    ))
+
+
+def code_products(el: MElement, kind: str = "c") -> Polynomial:
+    """``MElement.to_polynomial`` as a sum of products of ``cpoly``/``dpoly`` factors."""
+    make = cpoly if kind == "c" else dpoly
+    return Polynomial.sum(
+        prod((make(i, alpha) for alpha, i in enumerate(code, start=1) if i), start=Polynomial.const(coeff))
+        for code, coeff in el.codes.items()
+    )
 
 
 def homogeneous_parts(p: Polynomial) -> dict[int, Polynomial]:

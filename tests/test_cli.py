@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import uschub
 from frozen import QUANTUM_231
@@ -197,6 +198,27 @@ def test_malformed_expression_exits_1(time_limit):
         code, out, err = run("expand", "x1^")
     assert (code, out) == (1, "")
     assert err.startswith("error:")
+
+
+def test_high_powers_in_the_ring_answer_or_exit_1_in_bounded_time():
+    # Both ran without bound before each reduction walk had a budget.  Child
+    # processes keep the walks' memos out of the test process, and run side by side.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(uschub.__file__).parent.parent)}
+    deadline = time.monotonic() + 10
+    children = {
+        args: subprocess.Popen([sys.executable, "-m", "uschub.cli", *args], env=env, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for args in (("ring", "normal-form", "x2^301", "--n", "2"), ("ring", "inner", "x1", "x2^40", "--n", "3"))
+    }
+    try:
+        for args, child in children.items():
+            out, err = child.communicate(timeout=max(deadline - time.monotonic(), 0))
+            assert child.returncode in (0, 1), args
+            if child.returncode:
+                assert out == "" and err.startswith("error:"), args
+    finally:
+        for child in children.values():
+            child.kill()
 
 
 def test_usage_error_prints_help():

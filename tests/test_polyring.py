@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uschub
+from oracles import substitute_reference
 from uschub.polyring import (
     ExactDivisionError,
     Polynomial,
@@ -37,11 +38,11 @@ VARS = (x(1), x(2), x(3), y(1), c(1, 1), c(1, 2), c(2, 2), d(1, 1), g(1, 1), g(2
 
 
 @st.composite
-def polys(draw):
+def polys(draw, variables=VARS):
     total = ZERO
     for _ in range(draw(st.integers(0, 4))):
         term = Polynomial.const(draw(st.integers(-4, 4)))
-        for v in draw(st.lists(st.sampled_from(VARS), max_size=3)):
+        for v in draw(st.lists(st.sampled_from(variables), max_size=3)):
             term = term * Polynomial.var(v)
         total = total + term
     return total
@@ -71,6 +72,37 @@ def test_substitution_is_a_homomorphism(p, r):
     assert (p + r).substitute(image) == p.substitute(image) + r.substitute(image)
     assert (p * r).substitute(image) == p.substitute(image) * r.substitute(image)
     assert p.substitute(lambda v: None) == p
+
+
+# Images of every shape substitute sorts apart: kept, zero, constants, signed
+# and scaled one-term images, relabels that may land on a kept variable
+# (x3), longer images that hold the variable itself, and q of degree 3.
+SUBSTITUTION_VARS = (x(1), x(2), x(3), q(1, 3), g(1, 1))
+IMAGES = (
+    None,
+    0,
+    3,
+    -1,
+    Polynomial.var(x(2)) * -2,
+    Polynomial.var(x(3)),
+    -Polynomial.var(q(1, 3)),
+    Polynomial.var(x(1)) + Polynomial.var(x(2)),
+    Polynomial.var(q(2, 3)) - Polynomial.var(g(1, 1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(SUBSTITUTION_VARS), st.lists(st.sampled_from(IMAGES), min_size=5, max_size=5))
+def test_substitute_matches_the_reference(p, images):
+    image = dict(zip(SUBSTITUTION_VARS, images)).get
+    assert p.substitute(image) == substitute_reference(p, image)
+
+
+def test_substitute_merges_relabels_into_kept_variables():
+    p = parse_text("x1^2*x3 + 5*x1*q1 - x2^3")
+    image = {x(1): Polynomial.var(x(3)), x(2): Polynomial.var(x(2)) * -2, q(1): 0}.get
+    assert p.substitute(image) == parse_text("x3^3 + 8*x2^3")
+    assert p.substitute(image) == substitute_reference(p, image)
 
 
 @settings(max_examples=60, deadline=None)

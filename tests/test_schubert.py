@@ -3,7 +3,7 @@
 import pytest
 
 from frozen import CLASSICAL_TABLE, S3_TABLE
-from oracles import classical_double, d_to_y, e_expand
+from oracles import classical_double, code_products, d_to_y, e_expand
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ZERO, Polynomial, cpoly, parse_text, x, y
 from uschub.schubert import (
@@ -119,6 +119,13 @@ def test_melement_round_trip():
         el = universal_single(w, 3)
         back = MElement.from_polynomial(el.to_polynomial("c"), 3, "c")
         assert back.codes == el.codes
+
+
+def test_code_polynomials_match_the_product_route():
+    for w in all_perms(4):
+        el = universal_single(w, 3)
+        for kind in ("c", "d"):
+            assert el.to_polynomial(kind) == code_products(el, kind), (w, kind)
 
 
 def test_melement_validates_codes():
