@@ -439,17 +439,6 @@ def add_product(acc: dict[Monomial, int], a: Polynomial, b: Polynomial, scale: i
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
-def sum_by_key(pairs: Iterable[tuple[object, Polynomial]]) -> dict:
-    """Sum the polynomials that share a key, one :meth:`Polynomial.sum` per key.
-
-    Keys whose sum is zero are left out.
-    """
-    groups: dict = {}
-    for key, poly in pairs:
-        groups.setdefault(key, []).append(poly)
-    return {key: total for key, group in groups.items() if (total := Polynomial.sum(group))}
-
-
 # -- convention-aware expression constructors ----------------------------
 
 def cpoly(i: int, j: int) -> Polynomial:

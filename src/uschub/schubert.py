@@ -76,6 +76,9 @@ def classical_single(w: Permutation) -> Polynomial:
 
 # -- code combinations -------------------------------------------------------
 
+# The most codes one ladder level may hold: s_{m-1} in S_m peaks at 2^(m-2).
+LADDER_BUDGET = 1 << 17
+
 class MElement:
     """Integer combination of bounded codes of a fixed length n.
 
@@ -152,6 +155,8 @@ class MElement:
                         continue
                     nc = (q_,) + code[1:]
                 out[nc] = out.get(nc, 0) + s_ * coeff
+            if len(out) > LADDER_BUDGET:
+                raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} codes at one level")
         return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
@@ -311,8 +316,3 @@ def schubert_expand_M(el: MElement) -> dict[Permutation, int]:
         return w, universal_single(w, el.n).codes
 
     return peel(el.codes, lead, key=tuple)
-
-
-def schubert_expand_polynomial(p: Polynomial, n: int, kind: str = "c") -> dict[Permutation, int]:
-    """Expand a polynomial in plain code products into the Schubert basis."""
-    return schubert_expand_M(MElement.from_polynomial(p, n, kind))

@@ -29,13 +29,13 @@ from .polyring import (
     ZERO,
     Polynomial,
     Variable,
+    add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
     elementary_sym,
     g,
     memo,
     q,
-    sum_by_key,
     x,
     y,
 )
@@ -148,15 +148,17 @@ def c_from_g_det(i: int, k: int) -> Polynomial:
         if not rows:
             return {0: ONE}
         r = rows[0]
-        terms = []
+        acc: dict[int, dict] = {}
         for pos, s in enumerate(cols):
             cell = entries.get((r, s))
             if not cell:
                 continue
             sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
             sign = -1 if pos % 2 else 1
-            terms.extend((t1 + t2, p1 * p2 * sign) for t1, p1 in cell.items() for t2, p2 in sub.items())
-        return sum_by_key(terms)
+            for t1, p1 in cell.items():
+                for t2, p2 in sub.items():
+                    add_product(acc.setdefault(t1 + t2, {}), p1, p2, sign)
+        return {t: poly for t, terms in acc.items() if (poly := Polynomial(terms))}
 
     full = minor_det(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
     return full.get(k - i, ZERO)

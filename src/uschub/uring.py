@@ -26,16 +26,19 @@ staircase; the result is memoized per exponent tuple.
 The inner product of two elements is the coefficient of the top
 staircase monomial x_1^n ... x_n in the normal form of their product.
 It is read without building the product: ``top(exps)``, the top
-coefficient of the normal form of x^exps, is memoized, and <a, b> is the
-sum of a_alpha b_beta top(alpha + beta).  A rewrite step never raises
-x-degree, so top vanishes below x-degree n(n+1)/2, and those pairs are
-skipped.  An equivalent route reads the coefficient of the longest
-permutation in the Schubert-basis expansion of the product, and the
-routes are compared in tests.
+coefficient of the normal form of x^exps, and <a, b> is the sum of
+a_alpha b_beta top(alpha + beta).  ``top`` is the same rewrite walk with
+a degree floor of n(n+1)/2: a rewrite step never raises x-degree, and
+x_1^n ... x_n is the only staircase monomial of that degree, so the walk
+may drop every key below the floor, and pairs below it are skipped.  An
+equivalent route reads the coefficient of the longest permutation in the
+Schubert-basis expansion of the product, and the routes are compared in
+tests.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import comb
 
 from .permutations import Permutation, all_perms
@@ -45,17 +48,18 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
+    _mono_key,
+    _mono_mul,
     add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
     elementary_sym,
     g,
     memo,
-    sum_by_key,
     x,
 )
-from .schubert import classical_single, peel, universal_double, universal_single
-from .specialize import c_from_g
+from .schubert import peel, universal_double, universal_single
+from .specialize import c_from_g, to_g_form
 
 
 @memo
@@ -109,7 +113,8 @@ class RingElement:
     def __add__(self, other: "RingElement") -> "RingElement":
         if self.n != other.n:
             raise ValueError("mixed ambient n")
-        return RingElement(self.n, sum_by_key([*self.coeffs.items(), *other.coeffs.items()]))
+        keys = {**self.coeffs, **other.coeffs}
+        return RingElement(self.n, {e: self.coeffs.get(e, ZERO) + other.coeffs.get(e, ZERO) for e in keys})
 
     def scale(self, poly: Polynomial | int) -> "RingElement":
         if isinstance(poly, int):
@@ -130,11 +135,6 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement(n={self.n}, {self.text()})"
-
-
-def _check_budget(stored: int, exps: tuple[int, ...]) -> None:
-    if stored > WALK_BUDGET:
-        raise ArithmeticError(f"reducing the x-exponents {exps} needs more than {WALK_BUDGET:,} stored g-terms")
 
 
 def _top_staircase(n: int) -> tuple[int, ...]:
@@ -166,10 +166,10 @@ class UniversalRing:
             right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
             relation = complete_sym(m, k, kind="x") - right.substitute(self._xg_image) * (-1) ** m
             self._rules[k] = self._by_x_exponent(relation)
-        self._nf: dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]] = {}
+        # One normal-form table per degree floor: {x-exponents: {staircase: coefficient}}.
+        self._nf: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]]] = {}
         self._top_degree = n * (n + 1) // 2
-        self._top_exps = _top_staircase(n)[:-1]
-        self._tops: dict[tuple[int, ...], Polynomial] = {}
+        self._top_stair = _top_staircase(n)
 
     # -- presentation -------------------------------------------------------
 
@@ -227,69 +227,52 @@ class UniversalRing:
             if shift != lead
         ]
 
-    def _nf_monomial(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], Polynomial]:
-        """The normal form of x^exps as {staircase exponents: coefficient in Z[g+]}."""
+    def _combine(self, parts, scale: int = 1) -> dict[tuple[int, ...], Polynomial]:
+        """scale * sum of scalar * form over (scalar, {staircase: coefficient}) pairs."""
+        acc: dict[tuple[int, ...], dict] = {}
+        for scalar, form in parts:
+            for stair, poly in form.items():
+                add_product(acc.setdefault(stair, {}), scalar, poly, scale)
+        return {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
+
+    def _nf_monomial(self, exps: tuple[int, ...], floor: int = 0) -> dict[tuple[int, ...], Polynomial]:
+        """The normal form of x^exps as {staircase exponents: coefficient in Z[g+]}.
+
+        Rewrite keys of x-degree below ``floor`` are dropped; no step raises
+        x-degree, so only staircase terms below the floor are lost.
+        """
+        nf = self._nf.setdefault(floor, {})
         # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
         pending = [exps]
         stored = 0
         while pending:
-            top = pending[-1]
-            if top in self._nf:
-                pending.pop()
-                continue
-            step = self._rewrite(top)
-            if step is None:
-                self._nf[top] = {top + (0,): ONE}
-            else:
-                missing = [key for key, _ in step if key not in self._nf]
-                if missing:
-                    pending.extend(missing)
-                    continue
-                acc: dict[tuple[int, ...], dict] = {}
-                for key, coeff in step:
-                    for stair, poly in self._nf[key].items():
-                        add_product(acc.setdefault(stair, {}), coeff, poly, -1)
-                self._nf[top] = {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
-            stored += sum(map(len, self._nf[top].values()))
-            _check_budget(stored, exps)
-        return self._nf[exps]
-
-    def top(self, exps: tuple[int, ...]) -> Polynomial:
-        """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
-        if sum(exps) < self._top_degree:
-            return ZERO
-        # An explicit stack, as in _nf_monomial; keys below the top degree add nothing.
-        pending = [exps]
-        stored = 0
-        while pending:
             cur = pending[-1]
-            if cur in self._tops:
+            if cur in nf:
                 pending.pop()
                 continue
             step = self._rewrite(cur)
             if step is None:
-                self._tops[cur] = ONE if cur == self._top_exps else ZERO
+                nf[cur] = {cur + (0,): ONE}
             else:
-                step = [(key, coeff) for key, coeff in step if sum(key) >= self._top_degree]
-                missing = [key for key, _ in step if key not in self._tops]
+                step = [(key, coeff) for key, coeff in step if sum(key) >= floor]
+                missing = [key for key, _ in step if key not in nf]
                 if missing:
                     pending.extend(missing)
                     continue
-                acc: dict[Monomial, int] = {}
-                for key, coeff in step:
-                    add_product(acc, coeff, self._tops[key], -1)
-                self._tops[cur] = Polynomial(acc)
-            stored += len(self._tops[cur])
-            _check_budget(stored, exps)
-        return self._tops[exps]
+                nf[cur] = self._combine(((coeff, nf[key]) for key, coeff in step), -1)
+            stored += sum(map(len, nf[cur].values()))
+            if stored > WALK_BUDGET:
+                raise ArithmeticError(f"reducing the x-exponents {exps} needs more than {WALK_BUDGET:,} stored g-terms")
+        return nf[exps]
+
+    def top(self, exps: tuple[int, ...]) -> Polynomial:
+        """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
+        return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
     def _reduce(self, p: Polynomial) -> RingElement:
         """Reduce a polynomial in x_1..x_n with g+ coefficients."""
-        acc: dict[tuple[int, ...], dict] = {}
-        for exps, scalar in self._by_x_exponent(p).items():
-            for stair, poly in self._nf_monomial(exps).items():
-                add_product(acc.setdefault(stair, {}), scalar, poly)
-        return RingElement(self.n, {stair: Polynomial(terms) for stair, terms in acc.items()})
+        parts = ((scalar, self._nf_monomial(exps)) for exps, scalar in self._by_x_exponent(p).items())
+        return RingElement(self.n, self._combine(parts))
 
     def normal_form(self, p: Polynomial) -> RingElement:
         return self._reduce(p.substitute(self._xg_image))
@@ -300,8 +283,6 @@ class UniversalRing:
     def schubert(self, w: Permutation) -> RingElement:
         if w.size > self.n + 1:
             raise ValueError(f"{w.word} does not lie in S_{self.n + 1}")
-        from .specialize import to_g_form
-
         poly = to_g_form(universal_single(w, self.n).to_polynomial()).substitute(self._xg_image)
         # Staircase support is automatic: x_k enters only through the
         # squarefree ladders at levels k..n, one power each.
@@ -310,47 +291,49 @@ class UniversalRing:
     def _expand_classical(self, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
         """Integer combination of classical Schubert polynomials with these coefficients.
 
-        x^{lehmer(w)} leads classical_single(w) with coefficient 1 in the
-        order that compares exponents from the last variable (Macdonald),
-        so peeling the largest exponent in that order names w.
+        The g-free part of the Schubert element of w is the classical
+        Schubert polynomial of w.  x^{lehmer(w)} leads it with coefficient 1
+        in the order that compares exponents from the last variable
+        (Macdonald), so peeling the largest exponent in that order names w.
         """
         def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict]:
             w = Permutation.from_lehmer(exps)
-            element = {}
-            for mono, c in classical_single(w).terms().items():
-                key = [0] * (self.n + 1)
-                for v, e in mono:
-                    key[v.i - 1] = e
-                element[tuple(key)] = c
-            return w, element
+            return w, {e: c for e, poly in self.schubert(w).coeffs.items() if (c := poly.terms().get(()))}
 
         return peel(slice_coeffs, lead, key=lambda exps: exps[::-1])
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
-        """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+]."""
-        remainder = dict(e.coeffs)
-        out: list[tuple[Permutation, Polynomial]] = []
+        """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+].
+
+        e is held as slices {g-monomial: {exponents: int}}.  A least slice
+        is a classical combination; peeling it subtracts the g-free parts
+        of the Schubert elements, and the rest of each gmono*sigma_w lands
+        in slices of higher g-degree, so every slice is peeled once.
+        """
+        slices: dict[Monomial, dict[tuple[int, ...], int]] = {}
+        for exps, poly in e.coeffs.items():
+            for gmono, coeff in poly.terms().items():
+                slices.setdefault(gmono, {})[exps] = coeff
+        queue = sorted((_mono_key(gmono), gmono) for gmono in slices)  # a sorted list is a heap
+        out: dict[Permutation, dict[Monomial, int]] = {}
         guard = 0
-        while remainder:
+        while queue:
             guard += 1
-            if guard > 10_000:
+            if guard > 1_000_000:
                 raise ArithmeticError("Schubert expansion failed to terminate")
-            slices: dict[Monomial, dict[tuple[int, ...], int]] = {}
-            for exps, poly in remainder.items():
-                for gmono, coeff in poly.terms().items():
-                    slices.setdefault(gmono, {})[exps] = coeff
-            min_deg = min(sum(v.degree * e_ for v, e_ in m) for m in slices)
-            parts = list(remainder.items())
-            for gmono in sorted(slices, key=lambda m: tuple((v.key, e_) for v, e_ in m)):
-                if sum(v.degree * e_ for v, e_ in gmono) != min_deg:
-                    continue
-                gscalar = Polynomial({gmono: 1})
-                for w, coeff in self._expand_classical(slices[gmono]).items():
-                    out.append((w, gscalar * Polynomial.const(coeff)))
-                    parts += [(exps, gscalar * poly * Polynomial.const(-coeff))
-                              for exps, poly in self.schubert(w).coeffs.items()]
-            remainder = sum_by_key(parts)
-        return sum_by_key(out)
+            gmono = heappop(queue)[1]
+            part = {exps: coeff for exps, coeff in slices.pop(gmono).items() if coeff}
+            for w, coeff in self._expand_classical(part).items():
+                out.setdefault(w, {})[gmono] = coeff
+                for exps, poly in self.schubert(w).coeffs.items():
+                    for gm, co in poly.terms().items():
+                        if gm:
+                            key = _mono_mul(gmono, gm)
+                            if key not in slices:
+                                slices[key] = {}
+                                heappush(queue, (_mono_key(key), key))
+                            slices[key][exps] = slices[key].get(exps, 0) - coeff * co
+        return {w: Polynomial(terms) for w, terms in out.items()}
 
     # -- products and the pairing ----------------------------------------------
 

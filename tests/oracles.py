@@ -18,11 +18,15 @@ inversion) and independent of the ladder operator that
 the whole product, then reading its top staircase coefficient; the
 library reads that coefficient through a memoized functional instead.
 
-``substitute_reference``, ``normal_form_reference`` and ``code_products``
-build every intermediate product as its own ``Polynomial`` and sum the
-results: term-by-term substitution, reduction in R_n regrouped by
-``sum_by_key``, and code combinations as products of ``cpoly``/``dpoly``.
-The library does the same work in one dict accumulator per call.
+``substitute_reference``, ``normal_form_reference``,
+``schubert_basis_expand_reference`` and ``code_products`` build every
+intermediate product as its own ``Polynomial`` and sum the results:
+term-by-term substitution, reduction in R_n and the Schubert-basis
+expansion in R_n regrouped by ``sum_by_key``, and code combinations as
+products of ``cpoly``/``dpoly``.  The library does the same work in one
+dict accumulator per call, and peels against the g-free parts of its own
+Schubert elements where the reference expansion peels against
+``classical_single``.
 """
 
 from __future__ import annotations
@@ -41,11 +45,10 @@ from uschub.polyring import (
     cpoly,
     dpoly,
     elementary_sym,
-    sum_by_key,
     x,
     y,
 )
-from uschub.schubert import MElement, divided_difference
+from uschub.schubert import MElement, classical_single, divided_difference, peel
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -74,6 +77,17 @@ def classical_double(w: Permutation) -> Polynomial:
             result = divided_difference(classical_double(w * Permutation.s(k)), k)
     _classical_double_cache[key] = result
     return result
+
+
+def sum_by_key(pairs) -> dict:
+    """Sum the polynomials that share a key, one :meth:`Polynomial.sum` per key.
+
+    Keys whose sum is zero are left out.
+    """
+    groups: dict = {}
+    for key, poly in pairs:
+        groups.setdefault(key, []).append(poly)
+    return {key: total for key, group in groups.items() if (total := Polynomial.sum(group))}
 
 
 def d_to_y(p: Polynomial) -> Polynomial:
@@ -146,6 +160,48 @@ def normal_form_reference(p: Polynomial, n: int) -> RingElement:
         for exps, scalar in ring._by_x_exponent(substitute_reference(p, ring._xg_image)).items()
         for stair, poly in _nf_monomial_reference(ring, exps).coeffs.items()
     ))
+
+
+def _expand_classical_reference(ring: UniversalRing, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
+    """Peel a combination of classical Schubert polynomials against ``classical_single``."""
+    def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict]:
+        w = Permutation.from_lehmer(exps)
+        element = {}
+        for mono, c in classical_single(w).terms().items():
+            key = [0] * (ring.n + 1)
+            for v, e in mono:
+                key[v.i - 1] = e
+            element[tuple(key)] = c
+        return w, element
+
+    return peel(slice_coeffs, lead, key=lambda exps: exps[::-1])
+
+
+def schubert_basis_expand_reference(ring: UniversalRing, e: RingElement) -> dict[Permutation, Polynomial]:
+    """The Schubert-basis expansion in R_n, one round per least g-degree, regrouped by ``sum_by_key``."""
+    remainder = dict(e.coeffs)
+    out: list[tuple[Permutation, Polynomial]] = []
+    guard = 0
+    while remainder:
+        guard += 1
+        if guard > 10_000:
+            raise ArithmeticError("Schubert expansion failed to terminate")
+        slices: dict[Monomial, dict[tuple[int, ...], int]] = {}
+        for exps, poly in remainder.items():
+            for gmono, coeff in poly.terms().items():
+                slices.setdefault(gmono, {})[exps] = coeff
+        min_deg = min(sum(v.degree * e_ for v, e_ in m) for m in slices)
+        parts = list(remainder.items())
+        for gmono in sorted(slices, key=lambda m: tuple((v.key, e_) for v, e_ in m)):
+            if sum(v.degree * e_ for v, e_ in gmono) != min_deg:
+                continue
+            gscalar = Polynomial({gmono: 1})
+            for w, coeff in _expand_classical_reference(ring, slices[gmono]).items():
+                out.append((w, gscalar * Polynomial.const(coeff)))
+                parts += [(exps, gscalar * poly * Polynomial.const(-coeff))
+                          for exps, poly in ring.schubert(w).coeffs.items()]
+        remainder = sum_by_key(parts)
+    return sum_by_key(out)
 
 
 def code_products(el: MElement, kind: str = "c") -> Polynomial:

@@ -156,6 +156,15 @@ def test_ring_actions():
     assert code == 0
 
 
+def test_ring_multiply_prints_no_zero_coefficients(time_limit):
+    # a slice of the expansion that cancels to zeros must not be peeled into a "w: 0" row
+    with time_limit(10):
+        code, out, err = run("ring", "multiply", "1,2,4,5,3", "5,4,2,1,3", "--n", "4")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows and not [row for row in rows if row.endswith(": 0")]
+
+
 # -- failure modes -----------------------------------------------------------------------
 
 def test_domain_error_exits_1():
@@ -191,6 +200,18 @@ def test_ladder_answers_long_and_padded_words(time_limit):
     with time_limit(10):
         assert run("single", "1,2,3,4,5,6,7,8,9,10,12,11") == (0, "c1(11)\n", "")
         assert run("single", "4,3,2,1", "--n", "6") == (0, "c1(1)*c2(2)*c3(3)\n", "")
+
+
+def test_long_ladders_exit_1_at_the_budget():
+    # s_30 in S_31 ran without bound: its ladder levels grow to 2^29 codes.  A
+    # child process keeps the ladder memo (about 150 MB at the budget) out of
+    # the test process.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(uschub.__file__).parent.parent)}
+    word = ",".join(map(str, [*range(1, 30), 31, 30]))
+    done = subprocess.run([sys.executable, "-m", "uschub.cli", "single", word], env=env, text=True,
+                          capture_output=True, timeout=10)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error:") and "codes at one level" in done.stderr
 
 
 def test_malformed_expression_exits_1(time_limit):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uschub
-from oracles import substitute_reference
+from oracles import substitute_reference, sum_by_key
 from uschub.polyring import (
     ExactDivisionError,
     Polynomial,
@@ -29,7 +29,6 @@ from uschub.polyring import (
     parse_json,
     parse_text,
     q,
-    sum_by_key,
     x,
     y,
 )
@@ -299,3 +298,22 @@ def test_no_module_imports_fractions():
             if any(name.split(".")[0] == "fractions" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_every_import_in_the_package_is_used():
+    # An imported name that the module never reads is a leftover of a
+    # refactor; a re-export says so with "# noqa: F401" on its line.
+    unused = []
+    for path in sorted(pathlib.Path(uschub.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused

@@ -4,6 +4,7 @@ import pytest
 
 from frozen import CLASSICAL_TABLE, S3_TABLE
 from oracles import classical_double, code_products, d_to_y, e_expand
+from uschub import schubert
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ZERO, Polynomial, cpoly, parse_text, x, y
 from uschub.schubert import (
@@ -11,7 +12,6 @@ from uschub.schubert import (
     classical_single,
     divided_difference,
     schubert_expand_M,
-    schubert_expand_polynomial,
     universal_cy,
     universal_double,
     universal_single,
@@ -128,6 +128,14 @@ def test_code_polynomials_match_the_product_route():
             assert el.to_polynomial(kind) == code_products(el, kind), (w, kind)
 
 
+def test_ladder_levels_stop_at_the_budget(monkeypatch):
+    monkeypatch.setattr(schubert, "LADDER_BUDGET", 1)
+    top = MElement({(1, 2, 3): 1}, 3)
+    assert top.partial(1).codes == {(0, 2, 3): 1}
+    with pytest.raises(ArithmeticError, match="more than 1 codes at one level"):
+        top.partial(2)
+
+
 def test_melement_validates_codes():
     with pytest.raises(ValueError):
         MElement({(2, 0): 1}, 2)
@@ -143,12 +151,12 @@ def test_expand_inverts_the_basis():
 def test_expand_is_linear():
     u, v = Permutation((2, 3, 1)), Permutation((3, 1, 2))
     combo = universal_single(u, 3).to_polynomial("c") * 5 - universal_single(v, 3).to_polynomial("c") * 2
-    assert schubert_expand_polynomial(combo, 3) == {u: 5, v: -2}
+    assert schubert_expand_M(MElement.from_polynomial(combo, 3)) == {u: 5, v: -2}
 
 
 def test_expand_transition_products():
     # c1(1) c1(2) carries the two length-two members above the simple ones
-    got = schubert_expand_polynomial(cpoly(1, 1) * cpoly(1, 2), 2)
+    got = schubert_expand_M(MElement.from_polynomial(cpoly(1, 1) * cpoly(1, 2), 2))
     assert got == {Permutation((2, 3, 1)): 1, Permutation((3, 1, 2)): 1}
 
 

@@ -1,12 +1,12 @@
 """The finite quotient ring: normal forms, duality pairing, the twist."""
 
 from hashlib import sha256
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from frozen import NF_DIGESTS, NF_X1_CUBED_N2
-from oracles import inner_product_full, normal_form_reference
+from oracles import inner_product_full, normal_form_reference, schubert_basis_expand_reference
 from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
@@ -92,6 +92,17 @@ def test_normal_form_matches_the_reference():
             assert normal_form(e.to_polynomial(), n) == e, (n, p)
 
 
+def test_top_is_the_walk_with_a_degree_floor():
+    # every exponent tuple up to two degrees above the top, at n = 1..3
+    for n in (1, 2, 3):
+        ring = UniversalRing(n)
+        stair = (*range(n, 0, -1), 0)
+        bound = n * (n + 1) // 2 + 2
+        for exps in product(range(bound + 1), repeat=n):
+            if sum(exps) <= bound:
+                assert ring.top(exps) == ring._nf_monomial(exps).get(stair, ZERO), (n, exps)
+
+
 def test_walks_stop_at_the_budget(monkeypatch):
     monkeypatch.setattr(uring, "WALK_BUDGET", 50)
     ring = UniversalRing(2)
@@ -170,6 +181,19 @@ def test_basis_expansion_inverts_the_basis():
     ring = universal_ring(2)
     for w in all_perms(3):
         assert schubert_basis_expand(ring.schubert(w)) == {w: ONE}
+
+
+def test_basis_expansion_matches_the_reference():
+    # every product over S_3 (n = 2) and S_4 (n = 3), every omega-dual, and samples
+    for n in (2, 3):
+        ring = universal_ring(n)
+        perms = list(all_perms(n + 1))
+        elements = [ring.multiply(ring.schubert(u), ring.schubert(v)) for u in perms for v in perms]
+        elements += [_dual(ring, v) for v in perms]
+        elements += [normal_form(p, n) for p in (_xp(1) ** (n + 2), (_xp(1) + _xp(n + 1)) ** 3,
+                                                 parse_text("g1[1]*x1 + g1[0]^2*x2 - 3"))]
+        for e in elements:
+            assert ring.schubert_basis_expand(e) == schubert_basis_expand_reference(ring, e), (n, e)
 
 
 def test_classical_peel_names_the_permutation_of_the_lead():
