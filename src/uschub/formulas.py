@@ -29,10 +29,12 @@ from .polyring import (
     Monomial,
     Polynomial,
     Variable,
+    add_product,
     complete_sym,
     cpoly,
     dpoly,
     g,
+    memo,
     x,
 )
 from .schubert import MElement, universal_double, universal_single
@@ -202,19 +204,16 @@ def product_family(i: int, j: int, k: int) -> list[tuple[Permutation, int, int]]
     return out
 
 
-def member_two_term(a: int, b: int, k: int) -> Polynomial:
-    """Two-term form of the polynomial of the product_family member with data (a, b)."""
-    return cpoly(k - a, k - 1) * cpoly(k + 1 - b, k) - cpoly(k - b, k - 1) * cpoly(k + 1 - a, k)
-
-
-def member_two_term_shifted(a: int, b: int, k: int, p: int) -> Polynomial:
-    """Two-term form after interchanging the values k-p and k."""
+def member_two_term(a: int, b: int, k: int, p: int = 0) -> Polynomial:
+    """Two-term form of the polynomial of the product_family member with data (a, b),
+    after interchanging the values k-p and k when p > 0."""
     return (
         cpoly(k - a - p, k - 1 - p) * cpoly(k + 1 - b, k)
         - cpoly(k - b - p, k - 1 - p) * cpoly(k + 1 - a, k)
     )
 
 
+@memo
 def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     """Right side of the rule for c_i(k) c_j(k), in the proof's explicit form.
 
@@ -229,7 +228,7 @@ def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     parts += [gk1 * member_two_term(a, b, k) for (_, a, b) in family]
     for p in range(1, k):
         gp = Polynomial.var(g(k - p, p + 1))
-        parts += [gp * member_two_term_shifted(a, b, k, p) for (w, a, b) in family if w(k - p) > w(k)]
+        parts += [gp * member_two_term(a, b, k, p) for (w, a, b) in family if w(k - p) > w(k)]
     return Polynomial.sum(parts)
 
 
@@ -262,61 +261,55 @@ def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:
 
 # -- square elimination -----------------------------------------------------------
 
-def rewrite_no_squares(p: Polynomial, n: int | None = None, budget: int = 10**6) -> Polynomial:
+# The most term rewrites one square elimination may make.
+SQUARE_BUDGET = 10**6
+
+
+def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
     """Eliminate all same-point products c_i(k) c_j(k) with i, j >= 1.
 
-    Repeatedly replaces the offending pair with the largest (k, i, j)
-    by the explicit right side of the product rule; the result lives in
-    c and g variables, with every monomial's c-part square-free across
-    evaluation points.  The step budget guards the termination argument.
+    Takes the terms one at a time from a worklist: a term is rewritten at
+    its own largest pair (k, i, j) by the explicit right side of the
+    product rule, and the products go back on the worklist.  The rewrite
+    is linear, so the order does not change the result, which lives in c
+    and g variables with every monomial's c-part square-free across
+    evaluation points.  ``SQUARE_BUDGET`` guards the termination argument.
     """
     for v in p.variables():
         if v.kind not in ("c", "g"):
             raise ValueError("rewrite_no_squares expects a polynomial in c (and g)")
         if n is not None and v.kind == "c" and v.j > n:
             raise ValueError(f"c-point {v.j} exceeds the stated bound {n}")
-    work = p
-    steps = 0
-    while True:
-        best = None
-        for mono, _ in work.terms().items():
-            by_point: dict[int, list[int]] = {}
-            for v, e in mono:
-                if v.kind == "c":
-                    by_point.setdefault(v.j, []).extend([v.i] * e)
-            for point, tops in by_point.items():
-                if len(tops) >= 2:
-                    tops.sort(reverse=True)
-                    cand = (point, tops[0], tops[1])
-                    if best is None or cand > best:
-                        best = cand
-        if best is None:
-            return work
+    pending, steps = p.terms(), 0
+    done: dict[Monomial, int] = {}
+    while pending:
+        mono, coeff = pending.popitem()
+        tops: dict[int, list[int]] = {}
+        for v, e in mono:
+            if v.kind == "c":
+                tops.setdefault(v.j, []).extend([v.i] * e)
+        pairs = [(k, *sorted(found, reverse=True)[:2]) for k, found in tops.items() if len(found) > 1]
+        if not pairs or not coeff:
+            done[mono] = done.get(mono, 0) + coeff
+            continue
         steps += 1
-        if steps > budget:
-            raise RuntimeError("square elimination exceeded its step budget")
-        k, i, j = best
-        replacement = _rule_rhs(i, j, k)
-        ci, cj = Variable("c", i, k, i), Variable("c", j, k, j)
-        parts = []
-        for mono, coeff in work.terms().items():
-            counts = dict(mono)
-            if counts.get(ci, 0) >= 1 and counts.get(cj, 0) >= (2 if i == j else 1):
-                counts[ci] -= 1
-                counts[cj] -= 1
-                # dropping exponents keeps the monomial's variable order
-                rest = tuple((v, e) for v, e in counts.items() if e)
-                parts.append(Polynomial({rest: coeff}) * replacement)
-            else:
-                parts.append(Polynomial({mono: coeff}))
-        work = Polynomial.sum(parts)
+        if steps > SQUARE_BUDGET:
+            raise RuntimeError(f"square elimination needs more than {SQUARE_BUDGET:,} term rewrites")
+        k, i, j = max(pairs)
+        exps = dict(mono)
+        exps[Variable("c", i, k, i)] -= 1
+        exps[Variable("c", j, k, j)] -= 1
+        # dropping exponents keeps the monomial's variable order
+        rest = tuple((v, e) for v, e in exps.items() if e)
+        add_product(pending, Polynomial({rest: coeff}), _rule_rhs(i, j, k))
+    return Polynomial(done)
 
 
 def split_by_g(p: Polynomial, n: int) -> dict[Monomial, MElement]:
     """View a square-free c/g polynomial as g-monomial -> code combination."""
     out: dict[Monomial, MElement] = {}
     for gpart, cof in p.coefficients_by("g").items():
-        out[gpart] = MElement.from_polynomial(cof, n, "c")
+        out[gpart] = MElement.from_polynomial(cof, n)
     return out
 
 

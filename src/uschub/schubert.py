@@ -35,6 +35,7 @@ from collections.abc import Callable
 from .permutations import Permutation
 from .polyring import (
     ONE,
+    Monomial,
     Polynomial,
     Variable,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
@@ -66,10 +67,7 @@ def classical_single(w: Permutation) -> Polynomial:
         return ONE
     m = w.size
     if w == Permutation.longest(m):
-        result = ONE
-        for i in range(1, m):
-            result = result * (Polynomial.var(x(i)) ** (m - i))
-        return result
+        return Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1})
     k = next(k for k in range(1, m) if w(k) < w(k + 1))
     return divided_difference(classical_single(w * Permutation.s(k)), k)
 
@@ -78,6 +76,15 @@ def classical_single(w: Permutation) -> Polynomial:
 
 # The most codes one ladder level may hold: s_{m-1} in S_m peaks at 2^(m-2).
 LADDER_BUDGET = 1 << 17
+
+
+# Codes repeat: the 720 doubles of S_6 convert 1,440 distinct codes 763 k times.
+@memo(maxsize=1 << 12)
+def _code_monomial(code: tuple[int, ...], kind: str) -> Monomial:
+    """The sorted monomial kind_{i_1}(1) ... kind_{i_n}(n), reading a zero entry as 1."""
+    pairs = sorted((i, point) for point, i in enumerate(code, start=1) if i)
+    return tuple((Variable(kind, i, point, i), 1) for i, point in pairs)
+
 
 class MElement:
     """Integer combination of bounded codes of a fixed length n.
@@ -119,65 +126,41 @@ class MElement:
     def partial(self, k: int) -> "MElement":
         """The ladder operator indexed k, acting on code entries k-1 and k.
 
-        With (a, b) the entries at positions k-1 and k (a = 0 when
-        k = 1), the image of [a, b] is
+        With (a, b) the entries at positions k-1 and k (a = 0 when k = 1)
+        and lo <= hi the numbers a and b-1 in order, the image of [a, b] is
 
-            sum_{i>=0} [a+i, b-1-i] - sum_{i>=1} [b-1-i, a+i]   if a >= b-1,
-            sum_{i>=0} [b-1+i, a-i] - sum_{i>=1} [a-i, b-1+i]   if a <= b-2,
+            sum_{i=0}^{lo} [hi+i, lo-i] - sum_{i=1}^{lo} [lo-i, hi+i],
 
-        where a pair leaves the grid (entry at k-1 outside 0..k-1 or at
-        k outside 0..k) it is dropped.
+        where a pair that leaves the grid (entry at k-1 above k-1 or at k
+        above k) is dropped.
         """
         if not 1 <= k <= self.n:
             raise ValueError(f"operator index {k} outside 1..{self.n}")
         out: dict[tuple[int, ...], int] = {}
         for code, coeff in self.codes.items():
-            a = code[k - 2] if k >= 2 else 0
-            b = code[k - 1]
-            pairs: list[tuple[int, int, int]] = []
-            if a >= b - 1:
-                for i in range(0, b):
-                    pairs.append((a + i, b - 1 - i, 1))
-                for i in range(1, b):
-                    pairs.append((b - 1 - i, a + i, -1))
-            else:
-                for i in range(0, a + 1):
-                    pairs.append((b - 1 + i, a - i, 1))
-                for i in range(1, a + 1):
-                    pairs.append((a - i, b - 1 + i, -1))
-            for p_, q_, s_ in pairs:
-                if p_ < 0 or q_ < 0 or p_ > k - 1 or q_ > k:
-                    continue
-                if k >= 2:
-                    nc = code[: k - 2] + (p_, q_) + code[k:]
-                else:
-                    if p_ != 0:
-                        continue
-                    nc = (q_,) + code[1:]
-                out[nc] = out.get(nc, 0) + s_ * coeff
+            a, b = (code[k - 2] if k > 1 else 0), code[k - 1]
+            lo, hi = (a, b - 1) if a < b - 1 else (b - 1, a)
+            for i in range(lo + 1):
+                for p_, q_, s_ in ((hi + i, lo - i, 1), (lo - i, hi + i, -1)) if i else ((hi, lo, 1),):
+                    if p_ <= k - 1 and q_ <= k:
+                        # at k = 1 the entry at k-1 is a fixed 0 outside the code
+                        nc = code[: k - 2] + (p_, q_) + code[k:] if k > 1 else (q_,) + code[1:]
+                        out[nc] = out.get(nc, 0) + s_ * coeff
             if len(out) > LADDER_BUDGET:
                 raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} codes at one level")
         return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
         kind = "c" if kind == "c" else "d"
-        # c_0 reads as 1 and c_i(point) with i > point as 0; distinct codes give distinct monomials
-        pairs = {code: sorted((i, point) for point, i in enumerate(code, start=1) if i) for code in self.codes}
-        return Polynomial({
-            tuple((Variable(kind, i, point, i), 1) for i, point in pairs[code]): coeff
-            for code, coeff in self.codes.items()
-            if all(i <= point for i, point in pairs[code])
-        })
+        return Polynomial({_code_monomial(code, kind): coeff for code, coeff in self.codes.items()})
 
     @classmethod
-    def from_polynomial(cls, p: Polynomial, n: int, kind: str = "c") -> "MElement":
+    def from_polynomial(cls, p: Polynomial, n: int) -> "MElement":
         codes: dict[tuple[int, ...], int] = {}
         for mono, coeff in p.terms().items():
             code = [0] * n
             for v, e in mono:
-                if v.kind != kind or e != 1:
-                    raise ValueError(f"monomial {mono} is not a plain code product")
-                if v.j > n or code[v.j - 1]:
+                if v.kind != "c" or e != 1 or v.j > n or code[v.j - 1]:
                     raise ValueError(f"monomial {mono} is not a plain code product")
                 code[v.j - 1] = v.i
             key = tuple(code)
@@ -197,20 +180,22 @@ class MElement:
 # -- universal single form ---------------------------------------------------
 
 @memo
-def universal_single(w: Permutation, n: int | None = None) -> MElement:
+def universal_single(w: Permutation, n: int) -> MElement:
     """The code combination of w, built by the ladder operator from the top code.
 
     The longest element of S_{n+1} has the single code (1, 2, ..., n); each
     step down applies ``partial(k)`` at an ascent k of w.
     """
-    if n is None:
-        n = max(w.size - 1, 1)
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
     if w == Permutation.longest(n + 1):
         return MElement({tuple(range(1, n + 1)): 1}, n)
     k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
-    return universal_single(w * Permutation.s(k), n).partial(k)
+    try:
+        return universal_single(w * Permutation.s(k), n).partial(k)
+    except ArithmeticError:  # past LADDER_BUDGET; an lru_cache cannot drop just this walk's levels
+        universal_single.cache_clear()
+        raise
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -221,7 +206,7 @@ universal_single_inductive = universal_single
 # -- universal double forms ---------------------------------------------------
 
 @memo
-def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
+def universal_cy(w: Permutation, n: int) -> Polynomial:
     """The mixed form in c and y, from the dominant product by y-ladders.
 
     The top element of S_{n+1} gets
@@ -229,8 +214,6 @@ def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
     step down multiplies by -1 and applies the y divided difference at
     a position k whose value k sits left of k+1.
     """
-    if n is None:
-        n = max(w.size - 1, 1)
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
     if w == Permutation.longest(n + 1):
@@ -245,30 +228,34 @@ def universal_cy(w: Permutation, n: int | None = None) -> Polynomial:
 
 
 @memo
-def universal_double(w: Permutation, n: int | None = None) -> Polynomial:
+def universal_double(w: Permutation, n: int) -> Polynomial:
     """The mixed form in c and d: sum of (-1)^{l(v)} S_u(c) S_v(d) over
-    factorizations u(i) = v(w(i)) with l(u) = l(w) - l(v)."""
-    if n is None:
-        n = max(w.size - 1, 1)
+    factorizations u(i) = v(w(i)) with l(u) = l(w) - l(v).
+
+    The factorizations are walked level by level from (v, u) = (e, w); a
+    step takes both to s_k v and s_k u for each descent k of u^{-1} that is
+    not one of v^{-1}, so l(u) drops by one as l(v) grows by one.
+    """
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
-    lw = w.length()
-    from .permutations import all_perms
-
-    parts = []
-    for v in all_perms(n + 1):
-        lv = v.length()
-        if lv > lw:
-            continue
-        u = v * w
-        if u.length() != lw - lv:
-            continue
-        term = (
-            universal_single(u, n).to_polynomial("c")
-            * universal_single(v, n).to_polynomial("d")
-        )
-        parts.append((-1) ** lv * term)
-    return Polynomial.sum(parts)
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    level, sign = {(Permutation.identity(), w)}, 1
+    while level:
+        for v, u in level:
+            dcodes = universal_single(v, n).codes.items()
+            for ccode, cc in universal_single(u, n).codes.items():
+                for dcode, dc in dcodes:
+                    acc[ccode, dcode] = acc.get((ccode, dcode), 0) + sign * cc * dc
+        level = {
+            (Permutation.s(k) * v, Permutation.s(k) * u)
+            for v, u in level
+            for k in set(u.inverse().descents()) - set(v.inverse().descents())
+        }
+        sign = -sign
+    # c sorts before d, so a c-monomial followed by a d-monomial is sorted
+    return Polynomial({
+        _code_monomial(ccode, "c") + _code_monomial(dcode, "d"): coeff for (ccode, dcode), coeff in acc.items()
+    })
 
 
 # -- Schubert-basis expansion -------------------------------------------------

@@ -27,6 +27,13 @@ products of ``cpoly``/``dpoly``.  The library does the same work in one
 dict accumulator per call, and peels against the g-free parts of its own
 Schubert elements where the reference expansion peels against
 ``classical_single``.
+
+``universal_double_reference`` tests every v in S_{n+1} for a
+factorization of w and builds one product per factorization found;
+``rewrite_no_squares_reference`` rescans all terms for the largest
+same-point pair and rebuilds the whole polynomial at every step.  The
+library walks only the real factorizations, and rewrites one term at a
+time at its own largest pair.
 """
 
 from __future__ import annotations
@@ -35,12 +42,14 @@ from fractions import Fraction
 from itertools import product as _itproduct
 from math import prod
 
-from uschub.permutations import Permutation
+from uschub.formulas import _rule_rhs
+from uschub.permutations import Permutation, all_perms
 from uschub.polyring import (
     ONE,
     ZERO,
     Monomial,
     Polynomial,
+    Variable,
     _mono_degree,
     cpoly,
     dpoly,
@@ -48,7 +57,7 @@ from uschub.polyring import (
     x,
     y,
 )
-from uschub.schubert import MElement, classical_single, divided_difference, peel
+from uschub.schubert import MElement, classical_single, divided_difference, peel, universal_single
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -202,6 +211,78 @@ def schubert_basis_expand_reference(ring: UniversalRing, e: RingElement) -> dict
                           for exps, poly in ring.schubert(w).coeffs.items()]
         remainder = sum_by_key(parts)
     return sum_by_key(out)
+
+
+def universal_double_reference(w: Permutation, n: int) -> Polynomial:
+    """The mixed form in c and d: sum of (-1)^{l(v)} S_u(c) S_v(d) over
+    factorizations u(i) = v(w(i)) with l(u) = l(w) - l(v)."""
+    if w.size > n + 1:
+        raise ValueError(f"{w} does not fit in S_{n + 1}")
+    lw = w.length()
+    parts = []
+    for v in all_perms(n + 1):
+        lv = v.length()
+        if lv > lw:
+            continue
+        u = v * w
+        if u.length() != lw - lv:
+            continue
+        term = (
+            universal_single(u, n).to_polynomial("c")
+            * universal_single(v, n).to_polynomial("d")
+        )
+        parts.append((-1) ** lv * term)
+    return Polynomial.sum(parts)
+
+
+def rewrite_no_squares_reference(p: Polynomial, n: int | None = None, budget: int = 10**6) -> Polynomial:
+    """Eliminate all same-point products c_i(k) c_j(k) with i, j >= 1.
+
+    Repeatedly replaces the offending pair with the largest (k, i, j)
+    by the explicit right side of the product rule; the result lives in
+    c and g variables, with every monomial's c-part square-free across
+    evaluation points.  The step budget guards the termination argument.
+    """
+    for v in p.variables():
+        if v.kind not in ("c", "g"):
+            raise ValueError("rewrite_no_squares expects a polynomial in c (and g)")
+        if n is not None and v.kind == "c" and v.j > n:
+            raise ValueError(f"c-point {v.j} exceeds the stated bound {n}")
+    work = p
+    steps = 0
+    while True:
+        best = None
+        for mono, _ in work.terms().items():
+            by_point: dict[int, list[int]] = {}
+            for v, e in mono:
+                if v.kind == "c":
+                    by_point.setdefault(v.j, []).extend([v.i] * e)
+            for point, tops in by_point.items():
+                if len(tops) >= 2:
+                    tops.sort(reverse=True)
+                    cand = (point, tops[0], tops[1])
+                    if best is None or cand > best:
+                        best = cand
+        if best is None:
+            return work
+        steps += 1
+        if steps > budget:
+            raise RuntimeError("square elimination exceeded its step budget")
+        k, i, j = best
+        replacement = _rule_rhs(i, j, k)
+        ci, cj = Variable("c", i, k, i), Variable("c", j, k, j)
+        parts = []
+        for mono, coeff in work.terms().items():
+            counts = dict(mono)
+            if counts.get(ci, 0) >= 1 and counts.get(cj, 0) >= (2 if i == j else 1):
+                counts[ci] -= 1
+                counts[cj] -= 1
+                # dropping exponents keeps the monomial's variable order
+                rest = tuple((v, e) for v, e in counts.items() if e)
+                parts.append(Polynomial({rest: coeff}) * replacement)
+            else:
+                parts.append(Polynomial({mono: coeff}))
+        work = Polynomial.sum(parts)
 
 
 def code_products(el: MElement, kind: str = "c") -> Polynomial:

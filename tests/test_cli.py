@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from hashlib import sha256
 
 import uschub
 from frozen import QUANTUM_231
@@ -78,6 +79,15 @@ def test_expand_square():
 
 def test_expand_product():
     assert run("expand", "c1(1)*c1(2)")[1] == "S(2,3,1)\nS(3,1,2)\n"
+
+
+def test_expand_of_high_same_point_powers_is_pinned(time_limit):
+    # Ran for about 10 s while square elimination rescanned and rebuilt the
+    # whole polynomial at every step.
+    with time_limit(5):
+        code, out, err = run("expand", "c1(4)^4*c2(4)^2")
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == "2c6475578f6337c87a572f17bb3ac31a5b9efb8b142bd30ef4267ff877690a0e"
 
 
 def test_search_hit_and_miss():

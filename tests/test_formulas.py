@@ -1,5 +1,6 @@
 """Determinantal formulas, the expression census, rewriting, loci, pushforwards."""
 
+import random
 from hashlib import sha256
 
 import pytest
@@ -12,6 +13,9 @@ from frozen import (
     RENDER_DIGESTS,
     VEXILLARY_S5,
 )
+from oracles import rewrite_no_squares_reference
+from uschub import formulas
+from uschub.cli import main
 from uschub.formulas import (
     DetSpec,
     RankProfile,
@@ -33,7 +37,7 @@ from uschub.formulas import (
     split_by_g,
 )
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ONE, Polynomial, ZERO, cpoly, parse_text, x, y
+from uschub.polyring import ONE, Polynomial, ZERO, cpoly, g, parse_text, x, y
 from uschub.schubert import schubert_expand_M, universal_cy, universal_double, universal_single
 from uschub.specialize import FlagProfile, classical_specialize, to_g_form
 
@@ -248,6 +252,35 @@ def test_rewrite_squares_away():
         assert _no_same_point_squares(flat)
         assert to_g_form(flat) == to_g_form(p)
         assert rewrite_no_squares(flat) == flat
+
+
+def test_rewrite_matches_the_reference():
+    rng = random.Random(11)
+    # points up to 4 by hand; the reference takes seconds on random ones there
+    catalog = [cpoly(1, 4) ** 2 * cpoly(2, 4), cpoly(3, 4) * cpoly(2, 4) * cpoly(1, 1),
+               cpoly(2, 3) ** 2 * cpoly(1, 3) * cpoly(3, 3)]
+    for _ in range(60):
+        p = ZERO
+        for _ in range(rng.randint(1, 3)):
+            term = Polynomial.const(rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 5)):
+                k = rng.randint(1, 3)
+                term = term * cpoly(rng.randint(1, k), k)
+            if rng.random() < 0.3:
+                term = term * Polynomial.var(g(rng.randint(1, 3), rng.randint(0, 2)))
+            p = p + term
+        catalog.append(p)
+    for p in catalog:
+        assert rewrite_no_squares(p) == rewrite_no_squares_reference(p), p
+
+
+def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
+    monkeypatch.setattr(formulas, "SQUARE_BUDGET", 3)
+    with pytest.raises(RuntimeError, match="more than 3 term rewrites"):
+        rewrite_no_squares(cpoly(1, 2) ** 4)
+    assert main(["expand", "c1(2)^4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_rewrite_rejects_other_kinds():

@@ -3,7 +3,7 @@
 import pytest
 
 from frozen import CLASSICAL_TABLE, S3_TABLE
-from oracles import classical_double, code_products, d_to_y, e_expand
+from oracles import classical_double, code_products, d_to_y, e_expand, universal_double_reference
 from uschub import schubert
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ZERO, Polynomial, cpoly, parse_text, x, y
@@ -103,6 +103,13 @@ def test_duality_swaps_kinds_with_a_sign():
         assert flipped == expected
 
 
+def test_double_matches_the_reference():
+    for m in range(1, 6):
+        for n in (m - 1, m):
+            for w in all_perms(m):
+                assert universal_double(w, n) == universal_double_reference(w, n), (w, n)
+
+
 def test_double_polynomials_are_stable():
     for w in all_perms(3):
         assert universal_double(w, 2) == universal_double(w, 3)
@@ -117,7 +124,7 @@ def test_single_codes_are_stable_under_padding():
 def test_melement_round_trip():
     for w in all_perms(4):
         el = universal_single(w, 3)
-        back = MElement.from_polynomial(el.to_polynomial("c"), 3, "c")
+        back = MElement.from_polynomial(el.to_polynomial("c"), 3)
         assert back.codes == el.codes
 
 
@@ -134,6 +141,16 @@ def test_ladder_levels_stop_at_the_budget(monkeypatch):
     assert top.partial(1).codes == {(0, 2, 3): 1}
     with pytest.raises(ArithmeticError, match="more than 1 codes at one level"):
         top.partial(2)
+
+
+def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch):
+    # At 2 codes a level, the walk from the top of S_5 down to 1243 finishes
+    # six levels before it stops; none of them may stay in the memo.
+    monkeypatch.setattr(schubert, "LADDER_BUDGET", 2)
+    schubert.clear_caches()
+    with pytest.raises(ArithmeticError, match="codes at one level"):
+        universal_single(Permutation((1, 2, 4, 3)), 4)
+    assert universal_single.cache_info().currsize == 0
 
 
 def test_melement_validates_codes():
