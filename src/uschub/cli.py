@@ -253,12 +253,6 @@ def _cmd_table(args) -> int:
 
 # -- the quotient ring -------------------------------------------------------------
 
-def _ring_n(args) -> int:
-    if args.n is None:
-        raise ValueError("ring actions need an explicit --n")
-    return args.n
-
-
 def _take(exprs: list[str], count: int, action: str) -> list[str]:
     if len(exprs) != count:
         raise ValueError(f"ring {action} takes {count} expression(s), got {len(exprs)}")
@@ -274,7 +268,9 @@ def _cmd_ring(args) -> int:
         n = args.n if args.n is not None else max(ru, rv) - 1
         _print_expansion(uring.multiply_expand(u, v, n), n, args.format)
         return 0
-    n = _ring_n(args)
+    if args.n is None:
+        raise ValueError("ring actions need an explicit --n")
+    n = args.n
     if action == "normal-form":
         el = uring.normal_form(parse_text(_take(args.exprs, 1, action)[0]), n)
         print(_poly_out(el.to_polynomial(), args.format))
@@ -351,6 +347,8 @@ def _suite_leading(n: int) -> list[Check]:
 
 
 def _suite_duality(n: int) -> list[Check]:
+    if n < 1:
+        raise ValueError("verify duality compares S_n with S_{n+1} and needs --n >= 1")
     def dual(w: Permutation) -> bool:
         flipped = universal_double(w, n).swap_kinds("c", "d")
         expected = universal_double(w.inverse(), n)
@@ -552,19 +550,34 @@ def _add_format(sub, choices=("text", "latex", "json")) -> None:
     sub.add_argument("--format", choices=choices, default="text")
 
 
+def _size(text: str) -> int:
+    """The type of every --n: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _add_n(sub, default: int | None = None) -> None:
+    sub.add_argument("--n", type=_size, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uschub", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
     sub = verbs.add_parser("single", help="single universal polynomial of a permutation")
     sub.add_argument("word", help="one-line permutation, comma-separated or digits")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_single)
 
     sub = verbs.add_parser("double", help="double universal polynomial of a permutation")
     sub.add_argument("word")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_double)
 
@@ -572,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("word")
     sub.add_argument("--rule", required=True,
                      choices=("classical", "classical-double", "gform", "quantum", "flag"))
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     sub.add_argument("--profile", default=None, help="cut points for --rule flag, e.g. 2,4")
     sub.add_argument("--route", choices=("A", "B"), default="A")
     _add_format(sub)
@@ -589,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("expand", help="expand a c/g polynomial in the Schubert basis")
     sub.add_argument("expr")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     _add_format(sub, choices=("text", "json"))
     sub.set_defaults(handler=_cmd_expand)
 
@@ -602,13 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("search-det19", help="determinantal expression search for one permutation")
     sub.add_argument("word")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     sub.add_argument("--exhaustive", action="store_true")
     _add_format(sub, choices=("text", "json"))
     sub.set_defaults(handler=_cmd_search_det19)
 
     sub = verbs.add_parser("census", help="determinantal expression search over a full S_{n+1}")
-    sub.add_argument("--n", type=int, default=4)
+    _add_n(sub, default=4)
     _add_format(sub, choices=("text", "json"))
     sub.set_defaults(handler=_cmd_census)
 
@@ -616,18 +629,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("action", choices=(
         "normal-form", "expand", "multiply", "inner", "omega", "rank", "verify-25", "verify-26"))
     sub.add_argument("exprs", nargs="*")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_ring)
 
     sub = verbs.add_parser("table", help="table of double polynomials for S_{n+1}")
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_table)
 
     sub = verbs.add_parser("verify", help="run a verification sweep")
     sub.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    sub.add_argument("--n", type=int, default=None)
+    _add_n(sub)
     sub.set_defaults(handler=_cmd_verify)
 
     return parser

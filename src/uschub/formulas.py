@@ -32,6 +32,7 @@ from .polyring import (
     add_product,
     complete_sym,
     cpoly,
+    determinant,
     dpoly,
     g,
     memo,
@@ -54,19 +55,6 @@ def f_poly(m: int, k: int, a: int, b: int) -> Polynomial:
     )
 
 
-def _det(mat: list[list[Polynomial]]) -> Polynomial:
-    n = len(mat)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return mat[0][0]
-    return Polynomial.sum(
-        mat[0][col] * _det([row[:col] + row[col + 1:] for row in mat[1:]]) * (-1) ** col
-        for col in range(n)
-        if mat[0][col]
-    )
-
-
 def det_D(k: int, a: int, b: int) -> Polynomial:
     """The k x k determinant with (i, j) entry f_{a+j-i}(k, a+k-i, b)."""
     if k < 1:
@@ -75,7 +63,7 @@ def det_D(k: int, a: int, b: int) -> Polynomial:
         [f_poly(a + j - i, k, a + k - i, b) for j in range(1, k + 1)]
         for i in range(1, k + 1)
     ]
-    return _det(mat)
+    return determinant(mat)
 
 
 def lemma42_reduced(k: int, a: int, b: int, nonzero: set[tuple[int, int]]) -> Polynomial:
@@ -94,7 +82,7 @@ def lemma42_reduced(k: int, a: int, b: int, nonzero: set[tuple[int, int]]) -> Po
         [f_poly(a + j - i, k, a, b) for j in range(1, k + 1)]
         for i in range(1, k + 1)
     ]
-    return _det(mat)
+    return determinant(mat)
 
 
 def dominant_formula(profile: FlagProfile) -> Polynomial:
@@ -116,7 +104,7 @@ def grassmannian_det(w: Permutation) -> Polynomial:
         [f_poly(mu[i - 1] + j - i, phi[i - 1], r + j - 1, 0) for j in range(1, len(mu) + 1)]
         for i in range(1, len(mu) + 1)
     ]
-    return _det(mat)
+    return determinant(mat)
 
 
 # -- one-determinant search ----------------------------------------------------
@@ -130,16 +118,13 @@ class DetSpec:
 
     def matrix(self) -> list[list[Polynomial]]:
         n = len(self.a)
-        mat: list[list[Polynomial]] = []
-        for i in range(1, n + 1):
-            if self.a[i - 1] == 0:
-                mat.append([ONE if j == i else ZERO for j in range(1, n + 1)])
-            else:
-                mat.append([cpoly(self.a[i - 1] + j - i, self.b[i - 1]) for j in range(1, n + 1)])
-        return mat
+        return [
+            [cpoly(a + j - i, b) if a else ONE if j == i else ZERO for j in range(1, n + 1)]
+            for i, (a, b) in enumerate(zip(self.a, self.b), start=1)
+        ]
 
     def determinant(self) -> Polynomial:
-        return _det(self.matrix())
+        return determinant(self.matrix())
 
     def label(self) -> str:
         return (
@@ -374,13 +359,8 @@ def locus_formula(w: Permutation, profile: RankProfile, mode: str = "strict") ->
 
 
 def _snap(k: int, ranks: tuple[int, ...]) -> int | None:
-    if k < ranks[0]:
-        return None
-    best = ranks[0]
-    for r in ranks:
-        if r <= k:
-            best = r
-    return best
+    """Largest rank <= k, or None below the first."""
+    return max((r for r in ranks if r <= k), default=None)
 
 
 def render_locus(p: Polynomial, profile: RankProfile) -> str:

@@ -54,10 +54,6 @@ def clear_caches() -> None:
 _INTERNED: dict[tuple, "Variable"] = {}
 
 
-class ExactDivisionError(ArithmeticError):
-    """Raised when a supposedly exact polynomial division leaves a remainder."""
-
-
 class Variable:
     """One interned tagged symbol.  Ordering is kind rank, then indices, then degree."""
 
@@ -439,6 +435,20 @@ def add_product(acc: dict[Monomial, int], a: Polynomial, b: Polynomial, scale: i
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
+def determinant(mat: list[list[Polynomial]]) -> Polynomial:
+    """The determinant of a square polynomial matrix, by Laplace expansion along the first row."""
+    n = len(mat)
+    if n == 0:
+        return ONE
+    if n == 1:
+        return mat[0][0]
+    return Polynomial.sum(
+        mat[0][col] * determinant([row[:col] + row[col + 1:] for row in mat[1:]]) * (-1) ** col
+        for col in range(n)
+        if mat[0][col]
+    )
+
+
 # -- convention-aware expression constructors ----------------------------
 
 def cpoly(i: int, j: int) -> Polynomial:
@@ -602,27 +612,3 @@ def parse_json(data: dict | str) -> Polynomial:
         m = tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda p: p[0].key))
         acc[m] = acc.get(m, 0) + coeff
     return Polynomial(acc)
-
-
-# -- exact division by a variable difference -------------------------------
-
-def divide_by_difference(p: Polynomial, a: Variable, b: Variable) -> Polynomial:
-    """Exact quotient p / (a - b); raises if the division leaves a remainder.
-
-    Works by synthetic division in ``a``: the coefficients of the
-    quotient are built by a Horner sweep, and the final carry must
-    vanish.
-    """
-    by_exp: dict[int, dict[Monomial, int]] = {}
-    for m, co in p.terms().items():
-        by_exp.setdefault(dict(m).get(a, 0), {})[tuple((v, e) for v, e in m if v != a)] = co
-    apoly, bpoly = Polynomial.var(a), Polynomial.var(b)
-    parts = []
-    carry = ZERO
-    for e in range(max(by_exp, default=0), 0, -1):
-        qe = Polynomial(by_exp.get(e)) + carry
-        parts.append(qe * (apoly ** (e - 1)))
-        carry = bpoly * qe
-    if Polynomial(by_exp.get(0)) + carry:
-        raise ExactDivisionError("division by variable difference left a remainder")
-    return Polynomial.sum(parts)

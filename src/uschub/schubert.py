@@ -15,7 +15,8 @@ The universal single form is built by the code-level ladder operator
 ascent.  Everything stays in integer code combinations.  The classical
 polynomials come from the divided-difference ladder that starts at the
 dominant staircase monomial; classical_single is the oracle the
-universal form must specialize to.  The tests hold further oracles in
+universal form must specialize to.  Divided differences, in x there
+and in y for universal_cy, map each monomial straight to its quotient.  The tests hold further oracles in
 tests/oracles.py: the double Schubert polynomial classical_double, the
 substitution d_to_y, and e_expand, the basis change from classical_single
 to code combinations.
@@ -40,7 +41,6 @@ from .polyring import (
     Variable,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
-    divide_by_difference,
     memo,
     signed_sum,
     x,
@@ -51,11 +51,29 @@ from .polyring import (
 # -- divided differences ---------------------------------------------------
 
 def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
-    """(p - s_k p) / (v_k - v_{k+1}) in the chosen degree-1 family."""
+    """(p - s_k p) / (a - b) with a, b = v_k, v_{k+1} in the chosen degree-1 family.
+
+    Term by term from the closed form, for i > j,
+    (a^i b^j - a^j b^i) / (a - b) = sum_{t < i-j} a^{i-1-t} b^{j+t}.
+    """
     mk = x if kind == "x" else y
     a, b = mk(k), mk(k + 1)
-    swapped = p.substitute(lambda v: Polynomial.var(b if v == a else a) if v in (a, b) else None)
-    return divide_by_difference(p - swapped, a, b)
+    acc: dict[Monomial, int] = {}
+    for m, co in p.terms().items():
+        exps = dict(m)
+        i, j = exps.pop(a, 0), exps.pop(b, 0)
+        if i == j:
+            continue
+        if i < j:
+            i, j, co = j, i, -co
+        # a and b are adjacent in package order, so they go right after the smaller variables
+        before = tuple((v, e) for v, e in exps.items() if v.key < a.key)
+        after = tuple((v, e) for v, e in exps.items() if v.key > a.key)
+        for t in range(i - j):
+            ea, eb = i - 1 - t, j + t
+            mono = before + (((a, ea),) if ea else ()) + (((b, eb),) if eb else ()) + after
+            acc[mono] = acc.get(mono, 0) + co
+    return Polynomial(acc)
 
 
 # -- classical polynomials -------------------------------------------------

@@ -12,32 +12,33 @@ and -1 just below it, and the sum over families of disjoint intervals
 covering exactly i of the vertices 1..k, where an interval of t+1
 vertices starting at s contributes the factor g_s[t].
 
-Downstream substitutions then read off the classical ring
-(g_i[0] -> x_i, the rest to zero), the quantum ring (g_i[1] -> q_i
-kept), or the partial-flag quantum ring for a profile N, where one
-surviving g per adjacent block pair becomes a signed q of degree
-n_{i+1} - n_{i-1}.
+One substitution then reads off the g-form: the flag map of a profile
+N sends g_i[0] -> x_i and keeps one g per adjacent block pair as a
+signed q of degree n_{i+1} - n_{i-1}, every other g going to zero.  Its
+one-block case N = (1) is the classical ring (g_classical), and its
+full-flag case N = (1, 2, ..., m) is the quantum ring, g_i[1] -> q_i
+(quantum_specialize).  classical_specialize reads c and d directly as
+elementary symmetric polynomials instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutations import Permutation
+from .permutations import Permutation, all_perms
 from .polyring import (
     ONE,
     ZERO,
     Polynomial,
     Variable,
-    add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
+    determinant,
     elementary_sym,
     g,
     memo,
     q,
     x,
-    y,
 )
 from .schubert import universal_single
 
@@ -83,23 +84,15 @@ class FlagProfile:
 
     def block_of(self, j: int) -> int:
         """Largest cut point n_k <= j; errors below n_1."""
-        best = None
-        for nk in self.N:
-            if nk <= j:
-                best = nk
-        if best is None:
+        if j < self.N[0]:
             raise ValueError(f"rank {j} lies below the first cut point {self.N[0]}")
-        return best
+        return max(nk for nk in self.N if nk <= j)
 
     def longest_member(self) -> Permutation:
         return Permutation.longest_with_descents_in(self.N)
 
     def members(self):
-        from .permutations import all_perms
-
-        for w in all_perms(self.top):
-            if self.is_member(w):
-                yield w
+        return (w for w in all_perms(self.top) if self.is_member(w))
 
 
 # -- the c -> g expansion ------------------------------------------------------
@@ -124,44 +117,20 @@ def c_from_g_det(i: int, k: int) -> Polynomial:
     """Oracle: coefficient of T^{k-i} in det(A + IT).
 
     A is k x k with entry g_r[s-r] at (r, s) for r <= s, -1 at
-    (r+1, r), zero elsewhere.  The determinant is expanded exactly with
-    T carried as an extra formal variable via per-power bookkeeping.
+    (r+1, r), zero elsewhere.  T is carried as x_1, which no entry holds.
     """
     if i == 0:
         return ONE
     if i < 0 or i > k:
         return ZERO
-    entries: dict[tuple[int, int], dict[int, Polynomial]] = {}
-    for r in range(1, k + 1):
-        for s in range(1, k + 1):
-            by_t: dict[int, Polynomial] = {}
-            if r <= s:
-                by_t[0] = Polynomial.var(g(r, s - r))
-            elif r == s + 1:
-                by_t[0] = Polynomial.const(-1)
-            if r == s:
-                by_t[1] = ONE
-            if by_t:
-                entries[(r, s)] = by_t
-
-    def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, Polynomial]:
-        if not rows:
-            return {0: ONE}
-        r = rows[0]
-        acc: dict[int, dict] = {}
-        for pos, s in enumerate(cols):
-            cell = entries.get((r, s))
-            if not cell:
-                continue
-            sub = minor_det(rows[1:], cols[:pos] + cols[pos + 1:])
-            sign = -1 if pos % 2 else 1
-            for t1, p1 in cell.items():
-                for t2, p2 in sub.items():
-                    add_product(acc.setdefault(t1 + t2, {}), p1, p2, sign)
-        return {t: poly for t, terms in acc.items() if (poly := Polynomial(terms))}
-
-    full = minor_det(tuple(range(1, k + 1)), tuple(range(1, k + 1)))
-    return full.get(k - i, ZERO)
+    mat = [
+        [Polynomial.var(g(r, s - r)) if r <= s else -ONE if r == s + 1 else ZERO for s in range(1, k + 1)]
+        for r in range(1, k + 1)
+    ]
+    for r in range(k):
+        mat[r][r] += Polynomial.var(x(1))
+    power = ((x(1), k - i),) if k > i else ()
+    return determinant(mat).coefficients_by("x").get(power, ZERO)
 
 
 def c_from_g_paths(i: int, k: int) -> Polynomial:
@@ -206,13 +175,8 @@ def classical_specialize(p: Polynomial) -> Polynomial:
 
 
 def g_classical(p: Polynomial) -> Polynomial:
-    """g_i[0] -> x_i, h_i[0] -> y_i, everything of bracket degree > 0 to zero."""
-    def image(v: Variable) -> Polynomial | None:
-        if v.kind not in "gh":
-            return None
-        return Polynomial.var((x if v.kind == "g" else y)(v.i)) if v.j == 0 else ZERO
-
-    return p.substitute(image)
+    """g_i[0] -> x_i and every g_i[j], j >= 1, to zero: the flag map of the one-block profile (1)."""
+    return _apply_flag_map(p, FlagProfile((1,)))
 
 
 def zero_y(p: Polynomial) -> Polynomial:
@@ -222,20 +186,19 @@ def zero_y(p: Polynomial) -> Polynomial:
 def quantum_specialize(p: Polynomial) -> Polynomial:
     """g_i[0] -> x_i, g_i[1] -> q_i, g_i[j] -> 0 for j >= 2.
 
-    A polynomial still in c variables is converted through the g-form
-    first; d or h variables have no quantum reading here and raise.
+    This is the flag map of the full flag (1, 2, ..., m), with m the
+    largest c-point or g-index sum i + j of the input, so every g_i[1]
+    the g-form can hold has i < m.  A polynomial still in c variables is
+    converted through the g-form first; d or h variables have no quantum
+    reading here and raise.
     """
-    if any(v.kind in ("d", "h") for v in p.variables()):
-        raise ValueError("quantum specialization is defined for single polynomials only")
-
-    def image(v: Variable) -> Polynomial | None:
-        if v.kind != "g":
-            return None
-        if v.j == 0:
-            return Polynomial.var(x(v.i))
-        return Polynomial.var(q(v.i)) if v.j == 1 else ZERO
-
-    return to_g_form(p).substitute(image)
+    m = 1
+    for v in p.variables():
+        if v.kind in "dh":
+            raise ValueError("quantum specialization is defined for single polynomials only")
+        if v.kind in "cg":
+            m = max(m, v.j if v.kind == "c" else v.i + v.j)
+    return _apply_flag_map(to_g_form(p), FlagProfile(tuple(range(1, m + 1))))
 
 
 def _apply_flag_map(p: Polynomial, profile: FlagProfile) -> Polynomial:

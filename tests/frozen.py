@@ -33,6 +33,12 @@ CLASSICAL_TABLE = {
 QUANTUM_231 = "x1*x2 + q1"
 QUANTUM_312 = "x1^2 - q1"
 
+# sha256 of the newline-joined lines "<w as 5 comma-separated values>: <quantum
+# form>" over S_5, quantum_specialize(universal_single(w, 4).to_polynomial("c"))
+# in text form (25,738 bytes).  Pinned from the quantum-only substitution,
+# before the quantum ring became the full-flag case of the flag map.
+QUANTUM_DIGEST = "4b22c4d5a5fd6780e65744d1a4c158f3d40c39410b6e3e925fa79eca7fed1e7d"
+
 # Expansions of c_i(k) in the g alphabet for the smallest cases.
 C_FROM_G = {
     (1, 1): "g1[0]",

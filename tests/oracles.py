@@ -34,6 +34,11 @@ factorization of w and builds one product per factorization found;
 same-point pair and rebuilds the whole polynomial at every step.  The
 library walks only the real factorizations, and rewrites one term at a
 time at its own largest pair.
+
+``divided_difference_reference`` swaps v_k and v_{k+1} by substitution
+and divides p - s_k p by v_k - v_{k+1} with a Horner sweep
+(``divide_by_difference``); the library maps each monomial straight to
+its quotient terms.
 """
 
 from __future__ import annotations
@@ -211,6 +216,36 @@ def schubert_basis_expand_reference(ring: UniversalRing, e: RingElement) -> dict
                           for exps, poly in ring.schubert(w).coeffs.items()]
         remainder = sum_by_key(parts)
     return sum_by_key(out)
+
+
+def divide_by_difference(p: Polynomial, a: Variable, b: Variable) -> Polynomial:
+    """Exact quotient p / (a - b); raises if the division leaves a remainder.
+
+    Works by synthetic division in ``a``: the coefficients of the
+    quotient are built by a Horner sweep, and the final carry must
+    vanish.
+    """
+    by_exp: dict[int, dict[Monomial, int]] = {}
+    for m, co in p.terms().items():
+        by_exp.setdefault(dict(m).get(a, 0), {})[tuple((v, e) for v, e in m if v != a)] = co
+    apoly, bpoly = Polynomial.var(a), Polynomial.var(b)
+    parts = []
+    carry = ZERO
+    for e in range(max(by_exp, default=0), 0, -1):
+        qe = Polynomial(by_exp.get(e)) + carry
+        parts.append(qe * (apoly ** (e - 1)))
+        carry = bpoly * qe
+    if Polynomial(by_exp.get(0)) + carry:
+        raise ArithmeticError("division by variable difference left a remainder")
+    return Polynomial.sum(parts)
+
+
+def divided_difference_reference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
+    """(p - s_k p) / (v_k - v_{k+1}) in the chosen degree-1 family."""
+    mk = x if kind == "x" else y
+    a, b = mk(k), mk(k + 1)
+    swapped = p.substitute(lambda v: Polynomial.var(b if v == a else a) if v in (a, b) else None)
+    return divide_by_difference(p - swapped, a, b)
 
 
 def universal_double_reference(w: Permutation, n: int) -> Polynomial:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command surface: output bytes, exit codes, JSON."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,9 +11,11 @@ import sys
 import time
 from hashlib import sha256
 
+import pytest
+
 import uschub
 from frozen import QUANTUM_231
-from uschub.cli import main
+from uschub.cli import build_parser, main
 from uschub.formulas import det19_census
 from uschub.permutations import Permutation
 from uschub.polyring import parse_json
@@ -250,6 +253,40 @@ def test_high_powers_in_the_ring_answer_or_exit_1_in_bounded_time():
     finally:
         for child in children.values():
             child.kill()
+
+
+# The rest of a valid command line for each verb that takes --n.
+N_ARGS = {
+    "census": (),
+    "double": ("1",),
+    "expand": ("c1(1)",),
+    "ring": ("rank",),
+    "search-det19": ("1",),
+    "single": ("1",),
+    "specialize": ("1", "--rule", "quantum"),
+    "table": (),
+    "verify": ("quantum",),
+}
+
+
+def _verbs_with_n() -> list[str]:
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, sub in verbs.choices.items() if "--n" in sub._option_string_actions)
+
+
+@pytest.mark.parametrize("verb", _verbs_with_n())
+def test_negative_n_is_a_usage_error(verb):
+    # Each of these reached the constructions unchecked; verify printed
+    # "all checks passed" over no cases and exited 0.
+    code, out, err = run(verb, *N_ARGS[verb], "--n", "-1")
+    assert (code, out) == (1, "")
+    assert "argument --n: must be at least 0, got -1" in err
+
+
+def test_verify_duality_at_n_0_names_the_bound():
+    # It compares S_n with S_{n+1} and asked for the polynomials at n - 1 = -1.
+    assert run("verify", "duality", "--n", "0") == (
+        1, "", "error: verify duality compares S_n with S_{n+1} and needs --n >= 1\n")
 
 
 def test_usage_error_prints_help():

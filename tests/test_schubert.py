@@ -1,12 +1,20 @@
 """Universal polynomials: the table, construction routes, codes, duality."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frozen import CLASSICAL_TABLE, S3_TABLE
-from oracles import classical_double, code_products, d_to_y, e_expand, universal_double_reference
+from oracles import (
+    classical_double,
+    code_products,
+    d_to_y,
+    divided_difference_reference,
+    e_expand,
+    universal_double_reference,
+)
 from uschub import schubert
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ZERO, Polynomial, cpoly, parse_text, x, y
+from uschub.polyring import ZERO, Polynomial, c, cpoly, g, parse_text, q, x, y
 from uschub.schubert import (
     MElement,
     classical_single,
@@ -57,6 +65,27 @@ def test_divided_difference_braid_relation():
     lhs = divided_difference(divided_difference(divided_difference(p, 1), 2), 1)
     rhs = divided_difference(divided_difference(divided_difference(p, 2), 1), 2)
     assert lhs == rhs
+
+
+# Both degree-1 families around the swapped pairs, and bystanders of other kinds
+# that sort before, between and after them.
+DD_VARS = (c(1, 2), g(1, 1), *(x(i) for i in range(1, 5)), *(y(i) for i in range(1, 5)), q(1))
+
+
+@st.composite
+def dd_polys(draw):
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.dictionaries(st.sampled_from(DD_VARS), st.integers(1, 5), max_size=4))
+        mono = tuple(sorted(exps.items(), key=lambda p: p[0].key))
+        terms[mono] = terms.get(mono, 0) + draw(st.integers(-5, 5))
+    return Polynomial(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dd_polys(), st.integers(1, 3), st.sampled_from("xy"))
+def test_divided_difference_matches_the_reference(p, k, kind):
+    assert divided_difference(p, k, kind) == divided_difference_reference(p, k, kind)
 
 
 def test_divided_difference_kills_symmetric_input():

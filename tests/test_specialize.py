@@ -1,8 +1,10 @@
 """Specializations: the g alphabet, quantum and classical limits, flags."""
 
+from hashlib import sha256
+
 import pytest
 
-from frozen import C_FROM_G, QUANTUM_231, QUANTUM_312
+from frozen import C_FROM_G, QUANTUM_231, QUANTUM_312, QUANTUM_DIGEST
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, g, parse_text
 from uschub.schubert import classical_single, universal_double, universal_single
@@ -28,11 +30,12 @@ def test_c_from_g_small_values():
 
 
 def test_c_from_g_routes_agree():
-    for k in range(1, 5):
-        for i in range(1, k + 1):
+    for k in range(0, 8):
+        for i in range(0, k + 1):
             base = c_from_g(i, k)
-            assert base == c_from_g_det(i, k)
-            assert base == c_from_g_paths(i, k)
+            assert base == c_from_g_det(i, k), (i, k)
+            assert base == c_from_g_paths(i, k), (i, k)
+    assert c_from_g_det(5, 3) == c_from_g_paths(5, 3) == ZERO
 
 
 def test_c_from_g_recursion_step():
@@ -55,6 +58,14 @@ def test_quantum_values():
     assert got == parse_text(QUANTUM_231)
     got = quantum_specialize(universal_single(Permutation((3, 1, 2)), 2).to_polynomial("c"))
     assert got == parse_text(QUANTUM_312)
+
+
+def test_quantum_forms_of_s5_are_pinned():
+    lines = [
+        f"{','.join(map(str, w.as_tuple(5)))}: {quantum_specialize(universal_single(w, 4).to_polynomial('c')).text()}"
+        for w in all_perms(5)
+    ]
+    assert sha256("\n".join(lines).encode()).hexdigest() == QUANTUM_DIGEST
 
 
 def test_quantum_refuses_double_inputs():
