@@ -260,17 +260,17 @@ def _take(exprs: list[str], count: int, action: str) -> list[str]:
 
 
 def _cmd_ring(args) -> int:
-    action = args.action
+    action, n = args.action, args.n
     if action == "multiply":
-        words = _take(args.exprs, 2, action)
-        u, ru = _parse_perm(words[0])
-        v, rv = _parse_perm(words[1])
-        n = args.n if args.n is not None else max(ru, rv) - 1
+        (u, ru), (v, rv) = map(_parse_perm, _take(args.exprs, 2, action))
+        n = n if n is not None else max(ru, rv) - 1
+    elif n is None:
+        raise ValueError("ring actions need an explicit --n")
+    if n < 1:
+        raise ValueError(f"ring {action} needs --n >= 1, got {n}")
+    if action == "multiply":
         _print_expansion(uring.multiply_expand(u, v, n), n, args.format)
         return 0
-    if args.n is None:
-        raise ValueError("ring actions need an explicit --n")
-    n = args.n
     if action == "normal-form":
         el = uring.normal_form(parse_text(_take(args.exprs, 1, action)[0]), n)
         print(_poly_out(el.to_polynomial(), args.format))
@@ -347,8 +347,6 @@ def _suite_leading(n: int) -> list[Check]:
 
 
 def _suite_duality(n: int) -> list[Check]:
-    if n < 1:
-        raise ValueError("verify duality compares S_n with S_{n+1} and needs --n >= 1")
     def dual(w: Permutation) -> bool:
         flipped = universal_double(w, n).swap_kinds("c", "d")
         expected = universal_double(w.inverse(), n)
@@ -523,13 +521,19 @@ _SUITES = {
 }
 
 
+# The least --n where it is above 0: below it a suite checks nothing, or S_0 (duality).
+_LEAST_N = {"duality": 1, "quantum": 1, "flags": 1, "ring": 1}
+
+
 def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    sizes = {name: args.n if args.n is not None else _SUITES[name][1] for name in names}
+    for name, n in sizes.items():
+        if n < _LEAST_N.get(name, 0):
+            raise ValueError(f"verify {name} needs --n >= {_LEAST_N[name]}, got {n}")
     failures = 0
-    for name in names:
-        fn, default_n = _SUITES[name]
-        n = args.n if args.n is not None else default_n
-        for label, ok, detail in fn(n):
+    for name, n in sizes.items():
+        for label, ok, detail in _SUITES[name][0](n):
             print(f"{'ok' if ok else 'FAIL'} {name}: {label} ({detail})")
             failures += 0 if ok else 1
     print("all checks passed" if not failures else f"{failures} check(s) failed")

@@ -271,8 +271,8 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
         mono, coeff = pending.popitem()
         tops: dict[int, list[int]] = {}
         for v, e in mono:
-            if v.kind == "c":
-                tops.setdefault(v.j, []).extend([v.i] * e)
+            if v.kind == "c":  # two copies of an index are enough to find the top pair
+                tops.setdefault(v.j, []).extend([v.i] * min(e, 2))
         pairs = [(k, *sorted(found, reverse=True)[:2]) for k, found in tops.items() if len(found) > 1]
         if not pairs or not coeff:
             done[mono] = done.get(mono, 0) + coeff

@@ -221,42 +221,25 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Polynomial | None":
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, int):
-            return Polynomial.const(other)
-        return None
-
     def __add__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (Polynomial, int)):
             return NotImplemented
-        acc = dict(self._terms)
-        for m, co in o._terms.items():
-            acc[m] = acc.get(m, 0) + co
-        return Polynomial(acc)
+        return Polynomial.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -co for m, co in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (Polynomial, int)):
             return NotImplemented
-        acc = dict(self._terms)
-        for m, co in o._terms.items():
-            acc[m] = acc.get(m, 0) - co
-        return Polynomial(acc)
+        return Polynomial.sum((self, -other))
 
     def __rsub__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (Polynomial, int)):
             return NotImplemented
-        return o - self
+        return Polynomial.sum((other, -self))
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -283,10 +266,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            other = Polynomial.const(other)
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == o._terms
+        return self._terms == other._terms
 
     def __hash__(self):
         # a constant hashes like the int it equals, as __eq__ requires

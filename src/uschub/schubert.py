@@ -25,13 +25,16 @@ Codes are converted to and from permutations via the count
 code_tail(w)_k = #{j <= k : w(j) > w(k+1)}, which is also the key to
 expanding an arbitrary code combination in the Schubert basis: the code
 of w is the lexicographically largest code in the expansion of w's
-polynomial and carries coefficient 1, so leading-term peeling
-terminates.
+polynomial and carries coefficient 1.  ``peel`` expands in any such
+unitriangular basis, popping the least term under a key from a heap;
+here the key puts the largest code first, and uschub.uring peels its
+Schubert elements with the same function.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from heapq import heapify, heappop, heappush
 
 from .permutations import Permutation
 from .polyring import (
@@ -169,7 +172,8 @@ class MElement:
         return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
-        kind = "c" if kind == "c" else "d"
+        if kind not in ("c", "d"):
+            raise ValueError(f"a code combination reads in the c or d family, not {kind!r}")
         return Polynomial({_code_monomial(code, kind): coeff for code, coeff in self.codes.items()})
 
     @classmethod
@@ -278,35 +282,34 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
 
 # -- Schubert-basis expansion -------------------------------------------------
 
-def peel(
-    coeffs: dict,
-    lead: Callable[[tuple], tuple[Permutation, dict]],
-    key: Callable[[tuple], tuple],
-) -> dict[Permutation, int]:
+def peel(coeffs: dict, lead: Callable[[tuple], tuple[object, dict]], key: Callable[[tuple], tuple]) -> dict:
     """Expand an integer combination in a unitriangular basis.
 
-    ``lead(t)`` names the basis element led by the term t, as w and its
-    coefficients: t carries 1 there and every other term is smaller under
-    ``key``.  Peeling the largest term each time strictly lowers the lead,
-    so the walk ends.
+    ``lead(t)`` names the basis element led by the term t, as a hashable
+    label and its coefficients: t carries 1 there and every other term
+    sorts after it under ``key``.  The least term is peeled from a heap,
+    and a peel only adds terms that sort after it, so the walk ends.
     """
     rest = dict(coeffs)
-    out: dict[Permutation, int] = {}
-    while rest:
-        top = max(rest, key=key)
+    heap = [(key(t), t) for t in rest]
+    heapify(heap)
+    out: dict = {}
+    while heap:
+        order, top = heappop(heap)
         coeff = rest.pop(top)
-        w, element = lead(top)
-        out[w] = coeff
+        if not coeff:
+            continue
+        label, element = lead(top)
+        out[label] = coeff
         assert element.get(top) == 1, "leading term is not unital"
         for term, cf in element.items():
             if term == top:
                 continue
-            assert key(term) < key(top), "expansion produced a larger term"
-            v = rest.get(term, 0) - coeff * cf
-            if v:
-                rest[term] = v
-            else:
-                rest.pop(term, None)
+            if term not in rest:  # a pending term is on the heap, so it sorts after top
+                assert key(term) > order, "expansion produced an earlier term"
+                rest[term] = 0
+                heappush(heap, (key(term), term))
+            rest[term] -= coeff * cf
     return out
 
 
@@ -314,10 +317,10 @@ def schubert_expand_M(el: MElement) -> dict[Permutation, int]:
     """Expand a code combination in the basis of single universal forms.
 
     The lexicographically largest code of w's combination is its own code
-    tail, with coefficient 1.
+    tail, with coefficient 1, so the peel takes the largest code first.
     """
     def lead(code: tuple[int, ...]) -> tuple[Permutation, dict]:
         w = Permutation.from_code_tail(code)
         return w, universal_single(w, el.n).codes
 
-    return peel(el.codes, lead, key=tuple)
+    return peel(el.codes, lead, key=lambda code: tuple(-i for i in code))

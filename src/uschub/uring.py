@@ -21,7 +21,13 @@ in R_n.  This rule rewrites x_k^m: the other monomials of h_m are
 lex-smaller with higher indices ranking higher, and every term on the
 right has lower x-degree, since each T_i carries a g+ factor.  So
 repeated rewriting of any exponent a_k >= n+2-k terminates on the
-staircase; the result is memoized per exponent tuple.
+staircase; the result is memoized per exponent tuple.  Schubert
+elements and products are normal forms of polynomials like any other.
+
+The Schubert-basis expansion is the peel of uschub.schubert over the
+terms (g-monomial, exponents): the g-free part of the Schubert element of
+w is the classical Schubert polynomial, led by x^{lehmer(w)}, and every
+other term carries more g.
 
 The inner product of two elements is the coefficient of the top
 staircase monomial x_1^n ... x_n in the normal form of their product.
@@ -38,7 +44,6 @@ tests.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from math import comb
 
 from .permutations import Permutation, all_perms
@@ -269,13 +274,9 @@ class UniversalRing:
         """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
         return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
-    def _reduce(self, p: Polynomial) -> RingElement:
-        """Reduce a polynomial in x_1..x_n with g+ coefficients."""
-        parts = ((scalar, self._nf_monomial(exps)) for exps, scalar in self._by_x_exponent(p).items())
-        return RingElement(self.n, self._combine(parts))
-
     def normal_form(self, p: Polynomial) -> RingElement:
-        return self._reduce(p.substitute(self._xg_image))
+        split = self._by_x_exponent(p.substitute(self._xg_image))
+        return RingElement(self.n, self._combine((scalar, self._nf_monomial(exps)) for exps, scalar in split.items()))
 
     # -- Schubert basis --------------------------------------------------------
 
@@ -283,62 +284,37 @@ class UniversalRing:
     def schubert(self, w: Permutation) -> RingElement:
         if w.size > self.n + 1:
             raise ValueError(f"{w.word} does not lie in S_{self.n + 1}")
-        poly = to_g_form(universal_single(w, self.n).to_polynomial()).substitute(self._xg_image)
-        # Staircase support is automatic: x_k enters only through the
-        # squarefree ladders at levels k..n, one power each.
-        return RingElement(self.n, {e + (0,): c for e, c in self._by_x_exponent(poly).items()})
-
-    def _expand_classical(self, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
-        """Integer combination of classical Schubert polynomials with these coefficients.
-
-        The g-free part of the Schubert element of w is the classical
-        Schubert polynomial of w.  x^{lehmer(w)} leads it with coefficient 1
-        in the order that compares exponents from the last variable
-        (Macdonald), so peeling the largest exponent in that order names w.
-        """
-        def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict]:
-            w = Permutation.from_lehmer(exps)
-            return w, {e: c for e, poly in self.schubert(w).coeffs.items() if (c := poly.terms().get(()))}
-
-        return peel(slice_coeffs, lead, key=lambda exps: exps[::-1])
+        return self.normal_form(to_g_form(universal_single(w, self.n).to_polynomial()))
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+].
 
-        e is held as slices {g-monomial: {exponents: int}}.  A least slice
-        is a classical combination; peeling it subtracts the g-free parts
-        of the Schubert elements, and the rest of each gmono*sigma_w lands
-        in slices of higher g-degree, so every slice is peeled once.
+        The term (g, x^a) leads g * sigma_w for w = from_lehmer(a), so
+        ``peel`` takes the least g-monomial first and, within it, the
+        largest exponents compared from the last variable (Macdonald).
         """
-        slices: dict[Monomial, dict[tuple[int, ...], int]] = {}
-        for exps, poly in e.coeffs.items():
-            for gmono, coeff in poly.terms().items():
-                slices.setdefault(gmono, {})[exps] = coeff
-        queue = sorted((_mono_key(gmono), gmono) for gmono in slices)  # a sorted list is a heap
+        def lead(term: tuple[Monomial, tuple[int, ...]]) -> tuple[tuple, dict]:
+            gmono, exps = term
+            w = Permutation.from_lehmer(exps)
+            return (w, gmono), {
+                (_mono_mul(gmono, gm) if gmono and gm else gmono or gm, stair): co
+                for stair, poly in self.schubert(w).coeffs.items()
+                for gm, co in poly.terms().items()
+            }
+
+        def key(term: tuple[Monomial, tuple[int, ...]]) -> tuple:
+            return _mono_key(term[0]), tuple(-a for a in reversed(term[1]))
+
+        flat = {(gmono, exps): co for exps, poly in e.coeffs.items() for gmono, co in poly.terms().items()}
         out: dict[Permutation, dict[Monomial, int]] = {}
-        guard = 0
-        while queue:
-            guard += 1
-            if guard > 1_000_000:
-                raise ArithmeticError("Schubert expansion failed to terminate")
-            gmono = heappop(queue)[1]
-            part = {exps: coeff for exps, coeff in slices.pop(gmono).items() if coeff}
-            for w, coeff in self._expand_classical(part).items():
-                out.setdefault(w, {})[gmono] = coeff
-                for exps, poly in self.schubert(w).coeffs.items():
-                    for gm, co in poly.terms().items():
-                        if gm:
-                            key = _mono_mul(gmono, gm)
-                            if key not in slices:
-                                slices[key] = {}
-                                heappush(queue, (_mono_key(key), key))
-                            slices[key][exps] = slices[key].get(exps, 0) - coeff * co
+        for (w, gmono), coeff in peel(flat, lead, key).items():
+            out.setdefault(w, {})[gmono] = coeff
         return {w: Polynomial(terms) for w, terms in out.items()}
 
     # -- products and the pairing ----------------------------------------------
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
-        return self._reduce(a.to_polynomial() * b.to_polynomial())
+        return self.normal_form(a.to_polynomial() * b.to_polynomial())
 
     def multiply_expand(self, u: Permutation, v: Permutation) -> dict:
         product = self.multiply(self.schubert(u), self.schubert(v))

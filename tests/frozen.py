@@ -91,6 +91,13 @@ NF_DIGESTS = {
     3: "8966433680e6b92769a34727a71b3dffb850bf185b2486871af7d09b38023a7c",
 }
 
+# sha256 of the newline-joined lines "<u> * <v> -> <w>: <coefficient>", text
+# form, over u, v in all_perms(4) order and w by (length, word), each word as
+# 4 comma-separated values, from multiply_expand(u, v, 3): 4,905 lines and
+# 240,164 bytes.  Pinned from the slice-by-slice expansion before both
+# Schubert-basis expansions became one heap peel.
+MULTIPLY_DIGEST = "10c46bb0998a278aeda22ae15984ffd54ca0cf8cb4f6cd0b61e01ad00053fec0"
+
 # sha256 of the newline-joined lines "<object>: <printed form>", pinned
 # from the four hand-written renderers before they were folded into one
 # formatter:

@@ -26,7 +26,9 @@ expansion in R_n regrouped by ``sum_by_key``, and code combinations as
 products of ``cpoly``/``dpoly``.  The library does the same work in one
 dict accumulator per call, and peels against the g-free parts of its own
 Schubert elements where the reference expansion peels against
-``classical_single``.
+``classical_single``.  The reference peel, ``peel_max_first``, rescans
+the remaining terms for the largest each round; the library's ``peel``
+pops the least term from a heap.
 
 ``universal_double_reference`` tests every v in S_{n+1} for a
 factorization of w and builds one product per factorization found;
@@ -62,7 +64,7 @@ from uschub.polyring import (
     x,
     y,
 )
-from uschub.schubert import MElement, classical_single, divided_difference, peel, universal_single
+from uschub.schubert import MElement, classical_single, divided_difference, universal_single
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -176,6 +178,33 @@ def normal_form_reference(p: Polynomial, n: int) -> RingElement:
     ))
 
 
+def peel_max_first(coeffs: dict, lead, key) -> dict:
+    """Expand an integer combination in a unitriangular basis by a full rescan.
+
+    ``lead(t)`` names the basis element led by the term t, as a label and
+    its coefficients: t carries 1 there and every other term is smaller
+    under ``key``.  Each round scans all remaining terms for the largest.
+    """
+    rest = dict(coeffs)
+    out: dict = {}
+    while rest:
+        top = max(rest, key=key)
+        coeff = rest.pop(top)
+        label, element = lead(top)
+        out[label] = coeff
+        assert element.get(top) == 1, "leading term is not unital"
+        for term, cf in element.items():
+            if term == top:
+                continue
+            assert key(term) < key(top), "expansion produced a larger term"
+            v = rest.get(term, 0) - coeff * cf
+            if v:
+                rest[term] = v
+            else:
+                rest.pop(term, None)
+    return out
+
+
 def _expand_classical_reference(ring: UniversalRing, slice_coeffs: dict[tuple[int, ...], int]) -> dict[Permutation, int]:
     """Peel a combination of classical Schubert polynomials against ``classical_single``."""
     def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict]:
@@ -188,7 +217,7 @@ def _expand_classical_reference(ring: UniversalRing, slice_coeffs: dict[tuple[in
             element[tuple(key)] = c
         return w, element
 
-    return peel(slice_coeffs, lead, key=lambda exps: exps[::-1])
+    return peel_max_first(slice_coeffs, lead, key=lambda exps: exps[::-1])
 
 
 def schubert_basis_expand_reference(ring: UniversalRing, e: RingElement) -> dict[Permutation, Polynomial]:

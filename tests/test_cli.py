@@ -283,10 +283,22 @@ def test_negative_n_is_a_usage_error(verb):
     assert "argument --n: must be at least 0, got -1" in err
 
 
-def test_verify_duality_at_n_0_names_the_bound():
-    # It compares S_n with S_{n+1} and asked for the polynomials at n - 1 = -1.
-    assert run("verify", "duality", "--n", "0") == (
-        1, "", "error: verify duality compares S_n with S_{n+1} and needs --n >= 1\n")
+BELOW_THE_LEAST_N = [
+    # verify quantum and flags checked nothing at --n 0, printed (0/0) and exited 0;
+    # verify duality asked for the polynomials at n - 1 = -1
+    *(("verify", suite) for suite in ("quantum", "flags", "duality", "ring")),
+    ("verify", "all"),
+    *(("ring", action, *exprs) for action, exprs in (
+        ("normal-form", ("x1",)), ("expand", ("x1",)), ("multiply", ("2,1", "2,1")), ("inner", ("1", "x1")),
+        ("omega", ("x1",)), ("rank", ()), ("verify-25", ()), ("verify-26", ()))),
+]
+
+
+@pytest.mark.parametrize("args", BELOW_THE_LEAST_N, ids=lambda args: "-".join(args[:2]))
+def test_n_below_the_least_exits_1_naming_it(args):
+    verb, name = args[:2]
+    first = "duality" if name == "all" else name  # the first suite of the sweep that needs n >= 1
+    assert run(*args, "--n", "0") == (1, "", f"error: {verb} {first} needs --n >= 1, got 0\n")
 
 
 def test_usage_error_prints_help():

@@ -283,6 +283,13 @@ def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
+def test_a_huge_exponent_reaches_the_budget_without_a_list_of_its_size(monkeypatch):
+    # the pair at each point was picked from a list with one entry per unit of exponent
+    monkeypatch.setattr(formulas, "SQUARE_BUDGET", 100)
+    with pytest.raises(RuntimeError, match="more than 100 term rewrites"):
+        rewrite_no_squares(parse_text("c1(1)^99999999999"))
+
+
 def test_rewrite_rejects_other_kinds():
     with pytest.raises(ValueError):
         rewrite_no_squares(parse_text("d1(1)"))

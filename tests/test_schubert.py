@@ -182,6 +182,11 @@ def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch)
     assert universal_single.cache_info().currsize == 0
 
 
+def test_melement_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="'x'"):
+        universal_single(Permutation((2, 1)), 2).to_polynomial("x")
+
+
 def test_melement_validates_codes():
     with pytest.raises(ValueError):
         MElement({(2, 0): 1}, 2)
@@ -198,6 +203,16 @@ def test_expand_is_linear():
     u, v = Permutation((2, 3, 1)), Permutation((3, 1, 2))
     combo = universal_single(u, 3).to_polynomial("c") * 5 - universal_single(v, 3).to_polynomial("c") * 2
     assert schubert_expand_M(MElement.from_polynomial(combo, 3)) == {u: 5, v: -2}
+
+
+S4 = sorted(all_perms(4), key=lambda w: w.word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(S4), st.integers(-9, 9).filter(bool), max_size=len(S4)))
+def test_expand_recovers_any_combination(combo):
+    total = Polynomial.sum(universal_single(w, 3).to_polynomial("c") * co for w, co in combo.items())
+    assert schubert_expand_M(MElement.from_polynomial(total, 3)) == combo
 
 
 def test_expand_transition_products():

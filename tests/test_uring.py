@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from frozen import NF_DIGESTS, NF_X1_CUBED_N2
+from frozen import MULTIPLY_DIGEST, NF_DIGESTS, NF_X1_CUBED_N2
 from oracles import inner_product_full, normal_form_reference, schubert_basis_expand_reference
 from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
@@ -184,7 +184,7 @@ def test_basis_expansion_inverts_the_basis():
 
 
 def test_basis_expansion_matches_the_reference():
-    # every product over S_3 (n = 2) and S_4 (n = 3), every omega-dual, and samples
+    # every product over S_3 (n = 2) and S_4 (n = 3), every omega-dual, samples, and three at n = 4
     for n in (2, 3):
         ring = universal_ring(n)
         perms = list(all_perms(n + 1))
@@ -194,12 +194,29 @@ def test_basis_expansion_matches_the_reference():
                                                  parse_text("g1[1]*x1 + g1[0]^2*x2 - 3"))]
         for e in elements:
             assert ring.schubert_basis_expand(e) == schubert_basis_expand_reference(ring, e), (n, e)
+    ring = universal_ring(4)
+    for u, v in (((1, 2, 4, 5, 3), (5, 4, 2, 1, 3)), ((2, 1, 3, 5, 4), (3, 1, 4, 2, 5)),
+                 ((1, 3, 2, 5, 4), (2, 4, 1, 3, 5))):
+        e = ring.multiply(ring.schubert(Permutation(u)), ring.schubert(Permutation(v)))
+        assert ring.schubert_basis_expand(e) == schubert_basis_expand_reference(ring, e), (u, v)
+
+
+def test_products_match_the_frozen_digest():
+    def word(w: Permutation) -> str:
+        return ",".join(map(str, w.as_tuple(4)))
+
+    lines = []
+    for u in all_perms(4):
+        for v in all_perms(4):
+            expansion = multiply_expand(u, v, 3)
+            for w in sorted(expansion, key=lambda w: (w.length(), w.word)):
+                lines.append(f"{word(u)} * {word(v)} -> {word(w)}: {expansion[w].text()}")
+    assert sha256("\n".join(lines).encode()).hexdigest() == MULTIPLY_DIGEST
 
 
 def test_classical_peel_names_the_permutation_of_the_lead():
     # x1 + x2 is S_132: x2 leads once exponents are compared from the last variable
-    ring = universal_ring(2)
-    assert ring._expand_classical({(1, 0, 0): 1, (0, 1, 0): 1}) == {S2: 1}
+    assert schubert_basis_expand(RingElement(2, {(1, 0, 0): ONE, (0, 1, 0): ONE})) == {S2: ONE}
 
 
 def test_clear_caches_empties_every_memo():
