@@ -306,9 +306,10 @@ def peel(coeffs: dict, lead: Callable[[tuple], tuple[object, dict]], key: Callab
             if term == top:
                 continue
             if term not in rest:  # a pending term is on the heap, so it sorts after top
-                assert key(term) > order, "expansion produced an earlier term"
+                later = key(term)
+                assert later > order, "expansion produced an earlier term"
                 rest[term] = 0
-                heappush(heap, (key(term), term))
+                heappush(heap, (later, term))
             rest[term] -= coeff * cf
     return out
 
