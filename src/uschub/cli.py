@@ -14,48 +14,14 @@ produce the same bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 
-from . import uring
-from .formulas import (
-    DetSpec,
-    RankProfile,
-    det19_census,
-    det19_record,
-    det19_search,
-    dominant_formula,
-    grassmannian_det,
-    gysin_check,
-    locus_formula,
-    product_rule,
-    remark47_first_sum,
-    render_locus,
-    rewrite_no_squares,
-    split_by_g,
-)
 from .permutations import Permutation, all_perms, parse_oneline
 from .polyring import Polynomial, parse_text, q, x
-from .schubert import (
-    classical_single,
-    schubert_expand_M,
-    universal_cy,
-    universal_double,
-    universal_single,
-)
-from .specialize import (
-    FlagProfile,
-    c_from_g,
-    c_from_g_det,
-    c_from_g_paths,
-    classical_specialize,
-    g_classical,
-    partial_flag_specialize,
-    quantum_specialize,
-    to_g_form,
-    zero_y,
-)
+
+# Every handler and suite imports the modules it runs after its arguments are
+# checked, so a fresh process loads (and compiles) only what its verb needs.
 
 # -- small helpers --------------------------------------------------------------
 
@@ -75,6 +41,8 @@ def _word(w: Permutation, n: int) -> str:
 
 
 def _json_dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -110,6 +78,8 @@ def _default_n(args, raw: int) -> int:
 def _cmd_single(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
+    from .schubert import universal_single
+
     print(_poly_out(universal_single(w, n).to_polynomial("c"), args.format))
     return 0
 
@@ -117,6 +87,8 @@ def _cmd_single(args) -> int:
 def _cmd_double(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
+    from .schubert import universal_double
+
     print(_poly_out(universal_double(w, n), args.format))
     return 0
 
@@ -124,6 +96,17 @@ def _cmd_double(args) -> int:
 def _cmd_specialize(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
+    if args.rule == "flag" and args.profile is None:
+        raise ValueError("rule 'flag' needs --profile")
+    from .schubert import universal_double, universal_single
+    from .specialize import (
+        FlagProfile,
+        classical_specialize,
+        partial_flag_specialize,
+        quantum_specialize,
+        to_g_form,
+    )
+
     if args.rule == "classical":
         out = classical_specialize(universal_single(w, n).to_polynomial("c"))
     elif args.rule == "classical-double":
@@ -133,16 +116,15 @@ def _cmd_specialize(args) -> int:
     elif args.rule == "quantum":
         out = quantum_specialize(universal_single(w, n).to_polynomial("c"))
     else:
-        if args.profile is None:
-            raise ValueError("rule 'flag' needs --profile")
-        profile = FlagProfile.parse(args.profile)
-        out = partial_flag_specialize(w, profile, route=args.route)
+        out = partial_flag_specialize(w, FlagProfile.parse(args.profile), route=args.route)
     print(_poly_out(out, args.format))
     return 0
 
 
 def _cmd_locus(args) -> int:
     w, _ = _parse_perm(args.word)
+    from .formulas import RankProfile, locus_formula, render_locus
+
     profile = RankProfile(_ints(args.ranks_e), _ints(args.ranks_f))
     mode = "interval" if args.interval else "strict"
     p = locus_formula(w, profile, mode=mode)
@@ -160,6 +142,9 @@ def _cmd_expand(args) -> int:
     bad = [v for v in p.variables() if v.kind not in ("c", "g")]
     if bad:
         raise ValueError(f"expand works on c/g polynomials, found {bad[0].text()}")
+    from .formulas import rewrite_no_squares, split_by_g
+    from .schubert import schubert_expand_M
+
     flat = rewrite_no_squares(p, args.n)
     points = [v.j for v in flat.variables() if v.kind == "c"]
     n = max(points + [args.n if args.n is not None else 1])
@@ -186,6 +171,8 @@ def _cmd_expand(args) -> int:
 # -- searches and reports ----------------------------------------------------------
 
 def _cmd_product_rule(args) -> int:
+    from .formulas import product_rule
+
     report = product_rule(args.i, args.j, args.k)
     if args.format == "json":
         print(_json_dumps({
@@ -206,6 +193,8 @@ def _cmd_product_rule(args) -> int:
 def _cmd_search_det19(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
+    from .formulas import det19_record, det19_search
+
     if args.exhaustive:
         hits = det19_search(w, n, exhaustive=True)
         if args.format == "json":
@@ -227,6 +216,8 @@ def _cmd_search_det19(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .formulas import DetSpec, det19_census
+
     records = det19_census(args.n)
     if args.format == "json":
         print(_json_dumps(records))
@@ -246,6 +237,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_table(args) -> int:
     n = 2 if args.n is None else args.n
+    from .schubert import universal_double
+
     words = sorted(all_perms(n + 1), key=lambda u: (-u.length(), u.as_tuple(n + 1)))
     _print_rows([(w, universal_double(w, n)) for w in words], n, args.format, "polynomial")
     return 0
@@ -268,6 +261,8 @@ def _cmd_ring(args) -> int:
         raise ValueError("ring actions need an explicit --n")
     if n < 1:
         raise ValueError(f"ring {action} needs --n >= 1, got {n}")
+    from . import uring
+
     if action == "multiply":
         _print_expansion(uring.multiply_expand(u, v, n), n, args.format)
         return 0
@@ -322,6 +317,9 @@ def _tally(label: str, items, ok: Callable[..., bool]) -> Check:
 
 
 def _suite_routes(n: int) -> list[Check]:
+    from .schubert import universal_cy, universal_single
+    from .specialize import zero_y
+
     def agree(w: Permutation) -> bool:
         return universal_single(w, n).to_polynomial("c") == zero_y(universal_cy(w, n))
 
@@ -329,6 +327,9 @@ def _suite_routes(n: int) -> list[Check]:
 
 
 def _suite_classical(n: int) -> list[Check]:
+    from .schubert import classical_single, universal_single
+    from .specialize import classical_specialize
+
     def agree(w: Permutation) -> bool:
         return classical_specialize(universal_single(w, n).to_polynomial("c")) == classical_single(w)
 
@@ -337,6 +338,8 @@ def _suite_classical(n: int) -> list[Check]:
 
 
 def _suite_leading(n: int) -> list[Check]:
+    from .schubert import universal_single
+
     def unital(w: Permutation) -> bool:
         el = universal_single(w, n)
         lead = max(el.codes)
@@ -347,6 +350,8 @@ def _suite_leading(n: int) -> list[Check]:
 
 
 def _suite_duality(n: int) -> list[Check]:
+    from .schubert import universal_double
+
     def dual(w: Permutation) -> bool:
         flipped = universal_double(w, n).swap_kinds("c", "d")
         expected = universal_double(w.inverse(), n)
@@ -362,6 +367,9 @@ def _suite_duality(n: int) -> list[Check]:
 
 
 def _suite_quantum(kmax: int) -> list[Check]:
+    from .schubert import universal_single
+    from .specialize import c_from_g, c_from_g_det, c_from_g_paths, quantum_specialize
+
     x1, x2, q1 = Polynomial.var(x(1)), Polynomial.var(x(2)), Polynomial.var(q(1))
     checks: list[Check] = []
     got = quantum_specialize(universal_single(Permutation((2, 3, 1)), 2).to_polynomial("c"))
@@ -384,11 +392,17 @@ def _suite_quantum(kmax: int) -> list[Check]:
 
 
 def _profiles(top: int):
+    from .specialize import FlagProfile
+
     for mask in range(1, 1 << top):
         yield FlagProfile(tuple(i for i in range(1, top + 1) if mask & (1 << (i - 1))))
 
 
 def _suite_flags(top: int) -> list[Check]:
+    from .formulas import dominant_formula
+    from .schubert import universal_cy
+    from .specialize import FlagProfile, partial_flag_specialize
+
     profiles = list(_profiles(top))
 
     def dominant_ok(profile: FlagProfile) -> bool:
@@ -410,6 +424,9 @@ def _suite_flags(top: int) -> list[Check]:
 
 
 def _suite_grassmannian(n: int) -> list[Check]:
+    from .formulas import grassmannian_det
+    from .schubert import universal_cy
+
     def agree(w: Permutation) -> bool:
         return grassmannian_det(w) == universal_cy(w, max(w.size - 1, 1))
 
@@ -425,6 +442,8 @@ _PRINTED_SPECS = {
 
 
 def _suite_census(n: int) -> list[Check]:
+    from .formulas import DetSpec, det19_census
+
     records = det19_census(n)
     hits = sum(1 for rec in records if rec["spec"] is not None)
     checks: list[Check] = []
@@ -451,6 +470,9 @@ def _suite_census(n: int) -> list[Check]:
 
 
 def _suite_product_rule(kmax: int) -> list[Check]:
+    from .formulas import product_rule, remark47_first_sum
+    from .specialize import classical_specialize, g_classical, to_g_form
+
     triples = [(i, j, k) for k in range(0, kmax + 1) for i in range(0, k + 1) for j in range(0, k + 1)]
 
     def both(triple: tuple[int, int, int]) -> tuple[bool, bool]:
@@ -467,6 +489,8 @@ def _suite_product_rule(kmax: int) -> list[Check]:
 
 
 def _suite_diagrams(n: int) -> list[Check]:
+    from .formulas import RankProfile, gysin_check, locus_formula
+
     checks = [_tally(f"modified diagram size equals length on S_{n + 1}", all_perms(n + 1),
                      lambda w: len(w.codiagram(n)) == w.length())]
     subsets = [tuple(i for i in range(1, 4) if mask & (1 << (i - 1))) for mask in range(1, 8)]
@@ -493,6 +517,8 @@ def _suite_diagrams(n: int) -> list[Check]:
 
 
 def _suite_ring(n: int) -> list[Check]:
+    from . import uring
+
     rank = uring.staircase_rank_report(n)
     orth = uring.check_orthogonality(n)
     diag = uring.check_diagonal_vanishing(n)

@@ -20,7 +20,7 @@ output only; the underlying polynomial algebra never changes kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -109,12 +109,10 @@ def grassmannian_det(w: Permutation) -> Polynomial:
 
 # -- one-determinant search ----------------------------------------------------
 
-@dataclass(frozen=True)
-class DetSpec:
+class DetSpec(namedtuple("DetSpec", "a b")):
     """Row data for the matrix C(a, b): top indices a, evaluation points b."""
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ()
 
     def matrix(self) -> list[list[Polynomial]]:
         n = len(self.a)
@@ -217,14 +215,7 @@ def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     return Polynomial.sum(parts)
 
 
-@dataclass
-class ProductRuleReport:
-    i: int
-    j: int
-    k: int
-    lhs: Polynomial
-    rhs: Polynomial
-    equal_in_g: bool
+ProductRuleReport = namedtuple("ProductRuleReport", "i j k lhs rhs equal_in_g")
 
 
 def product_rule(i: int, j: int, k: int) -> ProductRuleReport:
@@ -300,17 +291,16 @@ def split_by_g(p: Polynomial, n: int) -> dict[Monomial, MElement]:
 
 # -- degeneracy locus emitter -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(namedtuple("RankProfile", "A B")):
     """Strictly increasing rank lists for the two sides of a bundle chain."""
 
-    A: tuple[int, ...]
-    B: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, ranks in (("A", self.A), ("B", self.B)):
+    def __new__(cls, A, B):
+        for name, ranks in (("A", A), ("B", B)):
             if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])) or ranks[0] < 1:
                 raise ValueError(f"rank list {name} must be strictly increasing and positive")
+        return super().__new__(cls, A, B)
 
     def contains_codiagram(self, w: Permutation) -> bool:
         n = max(w.size - 1, 1)

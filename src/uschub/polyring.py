@@ -21,7 +21,6 @@ nonzero ints.  Polynomials are treated as immutable values.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from collections.abc import Callable, Iterable
 from itertools import combinations, combinations_with_replacement
@@ -580,6 +579,8 @@ def parse_text(s: str) -> Polynomial:
 def parse_json(data: dict | str) -> Polynomial:
     """Inverse of :meth:`Polynomial.to_json`; repeated variables merge, zero exponents drop."""
     if isinstance(data, str):
+        import json
+
         data = json.loads(data)
     acc: dict[Monomial, int] = {}
     for t in data["terms"]:

@@ -23,7 +23,7 @@ elementary symmetric polynomials instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -43,17 +43,16 @@ from .polyring import (
 from .schubert import universal_single
 
 
-@dataclass(frozen=True)
-class FlagProfile:
+class FlagProfile(namedtuple("FlagProfile", "N")):
     """Strictly increasing cut points N = (n_1, ..., n_l)."""
 
-    N: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        N = tuple(self.N)
-        object.__setattr__(self, "N", N)
+    def __new__(cls, N):
+        N = tuple(N)
         if not N or any(b <= a for a, b in zip(N, N[1:])) or N[0] < 1:
             raise ValueError(f"cut points must be strictly increasing and positive: {N}")
+        return super().__new__(cls, N)
 
     @classmethod
     def parse(cls, text: str) -> "FlagProfile":

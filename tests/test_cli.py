@@ -328,3 +328,34 @@ def test_errors_name_the_smallest_variable_under_any_hash_seed():
             done = subprocess.run([sys.executable, "-m", "uschub.cli", *args],
                                   env=env, capture_output=True, text=True, timeout=60)
             assert (done.returncode, done.stdout, done.stderr) == (1, "", expected), (args, seed)
+
+
+# Runs one command in the child, then prints the names of the loaded modules
+# as the last line of stdout.
+_LOADED = (
+    "import sys\n"
+    "from uschub.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('#loaded', *sorted(sys.modules))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("args, code, absent, present", [
+    (("single", "2,1,4,3"), 0,
+     ("uschub.uring", "uschub.formulas", "uschub.specialize", "dataclasses", "inspect", "json"), ()),
+    (("expand", "c1(1)^"), 1, ("uschub.formulas",), ()),
+    (("ring", "normal-form", "x1", "--n", "1"), 0, (), ("uschub.uring",)),
+], ids=("single", "malformed-expand", "ring"))
+def test_each_verb_loads_only_the_modules_it_runs(args, code, absent, present):
+    # A fresh process per request compiles every module it imports when no
+    # bytecode is cached; modules loaded in-process by other tests hide this.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(uschub.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _LOADED, *args], env=env, text=True,
+                          capture_output=True, timeout=30)
+    assert done.returncode == code, done.stderr
+    _, _, loaded = done.stdout.rpartition("#loaded ")
+    loaded = set(loaded.split())
+    assert "uschub.cli" in loaded
+    assert not loaded & set(absent)
+    assert set(present) <= loaded

@@ -121,6 +121,37 @@ def test_detspec_shape():
     assert kron[1] == [ZERO, ONE]
 
 
+def test_value_classes_keep_their_dataclass_semantics():
+    # FlagProfile, DetSpec, RankProfile and ProductRuleReport were dataclasses;
+    # as named tuples they compare, print and validate as before, and the three
+    # that were frozen hash as before.  ProductRuleReport is now read-only too.
+    pairs = [
+        (FlagProfile((1, 3)), FlagProfile((1, 3))),
+        (DetSpec((2, 1), (3, 2)), DetSpec((2, 1), (3, 2))),
+        (RankProfile((1, 2), (2,)), RankProfile((1, 2), (2,))),
+        (product_rule(1, 1, 2), product_rule(1, 1, 2)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert FlagProfile((1, 3)) != FlagProfile((1, 2))
+    assert DetSpec((2,), (3,)) != DetSpec((2,), (2,))
+    assert FlagProfile([1, 2]) == FlagProfile((1, 2))
+    assert type(FlagProfile([1, 2]).N) is tuple
+    for obj, field in ((FlagProfile((1,)), "N"), (DetSpec((2,), (3,)), "a"), (RankProfile((1,), (1,)), "B")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, (4,))
+    for bad in ((), [2, 1], (0, 2), (2, 2)):
+        with pytest.raises(ValueError, match=r"^cut points must be strictly increasing and positive: \("):
+            FlagProfile(bad)
+    with pytest.raises(ValueError, match="^rank list A must be strictly increasing and positive$"):
+        RankProfile((), (1,))
+    with pytest.raises(ValueError, match="^rank list B must be strictly increasing and positive$"):
+        RankProfile((1,), (2, 2))
+    assert repr(DetSpec((2,), (3,))) == "DetSpec(a=(2,), b=(3,))"
+    assert repr(FlagProfile([1, 2])) == "FlagProfile(N=(1, 2))"
+    assert repr(product_rule(0, 0, 0)) == "ProductRuleReport(i=0, j=0, k=0, lhs=1, rhs=1, equal_in_g=True)"
+
+
 def test_search_finds_the_known_witnesses():
     for word, (a, b) in DET19_WITNESSES.items():
         sigma, spec = det19_search(Permutation(word), 4)
