@@ -9,20 +9,26 @@ Schubert elements indexed by S_{n+1} form a second basis.
 
 Normal forms come from a monic triangular rewrite, the universal
 analogue of the standard Groebner basis h_{n+2-k}(x_1..x_k) of the
-coinvariant ideal.  The first relation is linear and eliminates x_{n+1}
-up front.  Write c_i(n+1) = e_i(x_1..x_{n+1}) + T_i, with T_i the part
-that involves g+, and U(t) = 1 - sum_i T_i t^i.  Since the generating
-series of the c_i(n+1) is zero modulo the ideal, for k = 1..n and
-m = n+2-k
+coinvariant ideal.  The first relation is linear: x_{n+1} = -(x_1 + ... +
+x_n).  Write c_i(n+1) = e_i(x_1..x_{n+1}) + T_i, with T_i the part that
+involves g+, and U(t) = 1 - sum_i T_i t^i.  Since the generating series
+of the c_i(n+1) is zero modulo the ideal, for k = 1..n and m = n+2-k
 
     h_m(x_1..x_k) = (-1)^m sum_{j=0}^{n+1-k} e_j(x_{k+1}..x_{n+1}) [t^{m-j}] U(t)^{-1}
 
-in R_n.  This rule rewrites x_k^m: the other monomials of h_m are
-lex-smaller with higher indices ranking higher, and every term on the
-right has lower x-degree, since each T_i carries a g+ factor.  So
-repeated rewriting of any exponent a_k >= n+2-k terminates on the
-staircase; the result is memoized per exponent tuple.  Schubert
-elements and products are normal forms of polynomials like any other.
+in R_n, which with x_{n+1} eliminated is a rule in x_1..x_n.  This rule
+rewrites x_k^m: the other monomials of h_m are lex-smaller with higher
+indices ranking higher, and every term on the right has lower x-degree,
+since each T_i carries a g+ factor.  So repeated rewriting of any
+exponent a_k >= n+2-k terminates on the staircase.
+
+A normal form reads each input monomial once, as a g+ part and an
+exponent tuple over x_1..x_{n+1} (g_k[0] counts as x_k), and the walk
+memoizes one form per tuple.  A tuple with x_{n+1}^b, b > 0, takes one
+step to the multinomial expansion of (-(x_1 + ... + x_n))^b, whose tuples
+end in 0 and are walked by the rules, so each such monomial is expanded
+once per ring however often it recurs.  Schubert elements and products
+are normal forms of polynomials like any other.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
 terms (g-monomial, exponents): the g-free part of the Schubert element of
@@ -45,6 +51,7 @@ tests.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -76,12 +83,32 @@ def universal_ring(n: int) -> "UniversalRing":
 WALK_BUDGET = 650_000
 
 
+@memo
+def _drop_power(n: int, b: int) -> list[tuple[tuple[int, ...], Polynomial]]:
+    """(-(x_1 + ... + x_n))^b as (shift, multinomial coefficient) pairs.
+
+    A shift has length n+1 and ends in -b, so adding it to an exponent
+    tuple with x_{n+1}^b trades that power for one term of the expansion.
+    """
+    # (exponents of x_1.., coefficient, what is left of b), x_1^b first
+    terms = [((), (-1) ** b, b)]
+    for _ in range(n - 1):
+        terms = [(exps + (a,), coeff * comb(left, a), left - a) for exps, coeff, left in terms for a in range(left, -1, -1)]
+    return [((*exps, left, -b), Polynomial.const(coeff)) for exps, coeff, left in terms]
+
+
+def _over_budget(exps: tuple[int, ...]) -> ArithmeticError:
+    # x_{n+1}'s exponent is named only when it is not 0
+    shown = exps if exps[-1] else exps[:-1]
+    return ArithmeticError(f"reducing the x-exponents {shown} needs more than {WALK_BUDGET:,} stored g-terms")
+
+
 class RingElement:
     """A reduced element of R_n: staircase x-monomials with g+ coefficients.
 
-    Keys of ``coeffs`` are exponent tuples of length n+1 whose last entry
-    is always 0 (the eliminated variable) and whose i-th entry is at most
-    n+1-i.
+    Keys of ``coeffs`` are exponent tuples over x_1..x_{n+1}, the keys of
+    the walk table, whose i-th entry is at most n+1-i; so the last entry,
+    x_{n+1}'s, is always 0.
     """
 
     __slots__ = ("n", "coeffs")
@@ -157,8 +184,6 @@ class UniversalRing:
             raise ValueError("n must be at least 1")
         self.n = n
         self.w0 = Permutation.longest(n + 1)
-        # x_{n+1} -> -(x_1 + ... + x_n): the linear generator, g-free.
-        self._drop = -elementary_sym(1, n)
         # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
         tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(self._xg_image) for i in range(2, n + 2)}
         inv = [ONE]
@@ -179,32 +204,46 @@ class UniversalRing:
     # -- presentation -------------------------------------------------------
 
     def _xg_image(self, v: Variable) -> Polynomial | None:
-        """g_k[0] -> x_k, with x_{n+1} eliminated."""
+        """g_k[0] -> x_k and x_{n+1} -> -(x_1 + ... + x_n), for building the rules."""
         if v.i == self.n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
-            return self._drop
+            return -elementary_sym(1, self.n)
         return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
 
     def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
-        """Split a polynomial in x_1..x_n with g+ coefficients by x-exponent tuple."""
-        out: dict[tuple[int, ...], dict] = {}
+        """Split a polynomial in x_1..x_{n+1} over Z[g+] by exponent tuple, g_k[0] counted as x_k.
+
+        A monomial with foreign variables raises ValueError naming the first
+        in package order, a g_k[0] ranking as x_k.
+        """
+        n = self.n
+        out: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for mono, coeff in p.terms().items():
-            exps = [0] * self.n
+            exps = [0] * (n + 1)
             gmono = []
+            foreign = []
             for v, e in mono:
-                if v.kind == "x" and v.i <= self.n:
-                    exps[v.i - 1] = e
-                elif v.kind == "g" and v.j >= 1:
-                    if v.i + v.j > self.n + 1:
-                        raise ValueError(f"{v.text()} is outside Z[g+] for n = {self.n}")
+                if v.kind == "x" or v.kind == "g" and v.j == 0:
+                    if v.i <= n + 1:
+                        exps[v.i - 1] += e
+                    else:
+                        foreign.append(x(v.i))
+                elif v.kind == "g" and v.i + v.j <= n + 1:
                     gmono.append((v, e))
                 else:
-                    raise ValueError(f"unexpected variable {v.text()} in reduction")
-            out.setdefault(tuple(exps), {})[tuple(gmono)] = coeff
-        return {exps: Polynomial(terms) for exps, terms in out.items()}
+                    foreign.append(v)
+            if foreign:
+                v = min(foreign)
+                if v.kind == "g":
+                    raise ValueError(f"{v.text()} is outside Z[g+] for n = {n}")
+                raise ValueError(f"unexpected variable {v.text()} in reduction")
+            terms = out.setdefault(tuple(exps), {})
+            gmono = tuple(gmono)
+            terms[gmono] = terms.get(gmono, 0) + coeff
+        return {exps: poly for exps, terms in out.items() if (poly := Polynomial(terms))}
 
     def _lead(self, k: int) -> tuple[int, ...]:
         """Exponent tuple of x_k^{n+2-k}, the leading term of rule k."""
-        return (0,) * (k - 1) + (self.n + 2 - k,) + (0,) * (self.n - k)
+        return (0,) * (k - 1) + (self.n + 2 - k,) + (0,) * (self.n + 1 - k)
 
     def rules_are_triangular(self) -> bool:
         """Each rule is monic in x_k^{n+2-k} and every other term is smaller."""
@@ -247,6 +286,18 @@ class UniversalRing:
         x-degree, so only staircase terms below the floor are lost.
         """
         nf = self._nf.setdefault(floor, {})
+        if exps[-1]:
+            if exps not in nf:
+                # x_{n+1}^b = (-(x_1 + ... + x_n))^b; each tuple of the expansion ends in 0
+                # and is walked on a budget of its own
+                form = self._combine(
+                    (coeff, self._nf_monomial(tuple(map(add, exps, shift)), floor))
+                    for shift, coeff in _drop_power(self.n, exps[-1])
+                )
+                if sum(map(len, form.values())) > WALK_BUDGET:
+                    raise _over_budget(exps)
+                nf[exps] = form
+            return nf[exps]
         # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
         pending = [exps]
         stored = 0
@@ -257,7 +308,7 @@ class UniversalRing:
                 continue
             step = self._rewrite(cur)
             if step is None:
-                nf[cur] = {cur + (0,): ONE}
+                nf[cur] = {cur: ONE}
             else:
                 step = [(key, coeff) for key, coeff in step if sum(key) >= floor]
                 missing = [key for key, _ in step if key not in nf]
@@ -267,7 +318,7 @@ class UniversalRing:
                 nf[cur] = self._combine(((coeff, nf[key]) for key, coeff in step), -1)
             stored += sum(map(len, nf[cur].values()))
             if stored > WALK_BUDGET:
-                raise ArithmeticError(f"reducing the x-exponents {exps} needs more than {WALK_BUDGET:,} stored g-terms")
+                raise _over_budget(exps)
         return nf[exps]
 
     def top(self, exps: tuple[int, ...]) -> Polynomial:
@@ -275,7 +326,7 @@ class UniversalRing:
         return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
     def normal_form(self, p: Polynomial) -> RingElement:
-        split = self._by_x_exponent(p.substitute(self._xg_image))
+        split = self._by_x_exponent(p)
         return RingElement(self.n, self._combine((scalar, self._nf_monomial(exps)) for exps, scalar in split.items()))
 
     # -- Schubert basis --------------------------------------------------------
@@ -327,7 +378,7 @@ class UniversalRing:
             inner: dict[Monomial, int] = {}
             for beta, pb in b.coeffs.items():
                 if sum(alpha) + sum(beta) >= self._top_degree:
-                    add_product(inner, pb, self.top(tuple(i + j for i, j in zip(alpha[:-1], beta[:-1]))))
+                    add_product(inner, pb, self.top(tuple(map(add, alpha, beta))))
             add_product(acc, pa, Polynomial(inner))
         return Polynomial(acc)
 

@@ -156,7 +156,7 @@ def _nf_monomial_reference(ring: UniversalRing, exps: tuple[int, ...]) -> RingEl
             continue
         step = ring._rewrite(top)
         if step is None:
-            nf[top] = RingElement(ring.n, {top + (0,): ONE})
+            nf[top] = RingElement(ring.n, {top: ONE})
             continue
         missing = [key for key, _ in step if key not in nf]
         if missing:

@@ -198,6 +198,12 @@ def test_g_variables_outside_the_coefficient_ring_exit_1():
         assert err.startswith("error:"), args
 
 
+def test_foreign_variables_exit_1_even_when_they_cancel():
+    # x4 = -(x1 + x2 + x3) in R_3 cancels every d-term, yet d1(1) is not in the ring
+    code, out, err = run("ring", "normal-form", "d1(1)*x4 + d1(1)*x1 + d1(1)*x2 + d1(1)*x3", "--n", "3")
+    assert (code, out, err) == (1, "", "error: unexpected variable d1(1) in reduction\n")
+
+
 def test_too_deep_a_recursion_exits_1_without_a_traceback(time_limit):
     word = ",".join(map(str, [*range(1, 45), 46, 45]))
     with time_limit(30):

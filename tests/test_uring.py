@@ -78,11 +78,15 @@ def test_normal_form_is_idempotent():
 
 
 def test_normal_form_matches_the_reference():
-    # every Schubert element and omega-dual at n = 1..3, and a few samples;
-    # each normal form also survives the round trip through to_polynomial
-    for n in (1, 2, 3):
+    # every Schubert element and omega-dual at n = 1..3, and a few samples, some
+    # with high powers of x_{n+1} and g_k[0]; each normal form also survives the
+    # round trip through to_polynomial
+    for n, top_power in ((1, 60), (2, 40), (3, 12)):
         ring = universal_ring(n)
-        polys = [_xp(1) ** (n + 2), (_xp(1) + _xp(n + 1)) ** 3, parse_text("g1[1]*x1 + g1[0]^2*x2 - 3")]
+        polys = [_xp(1) ** (n + 2), (_xp(1) + _xp(n + 1)) ** 3, parse_text("g1[1]*x1 + g1[0]^2*x2 - 3"),
+                 _xp(n + 1) ** top_power,
+                 parse_text(f"g{n + 1}[0]^{top_power // 2}*x1 - g1[1]*x{n + 1}^5*g{n + 1}[0]^2 + 2*g1[0]^7*x{n + 1}"),
+                 parse_text(f"x{n + 1}^3 - g{n + 1}[0]^2*x{n + 1} + g{n}[0]^4*x{n + 1}^2 - x{n}^3*g{n + 1}[0]^2")]
         for w in all_perms(n + 1):
             polys.append(ring.schubert(w).to_polynomial())
             polys.append(ring.omega(ring.schubert(w * ring.w0).to_polynomial()))
@@ -93,12 +97,12 @@ def test_normal_form_matches_the_reference():
 
 
 def test_top_is_the_walk_with_a_degree_floor():
-    # every exponent tuple up to two degrees above the top, at n = 1..3
+    # every exponent tuple over x_1..x_{n+1} up to two degrees above the top, at n = 1..3
     for n in (1, 2, 3):
         ring = UniversalRing(n)
         stair = (*range(n, 0, -1), 0)
         bound = n * (n + 1) // 2 + 2
-        for exps in product(range(bound + 1), repeat=n):
+        for exps in product(range(bound + 1), repeat=n + 1):
             if sum(exps) <= bound:
                 assert ring.top(exps) == ring._nf_monomial(exps).get(stair, ZERO), (n, exps)
 
@@ -109,8 +113,34 @@ def test_walks_stop_at_the_budget(monkeypatch):
     with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
         ring.normal_form(_xp(2) ** 30)
     with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
-        ring.top((0, 30))
+        ring.top((0, 30, 0))
+    with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
+        ring.normal_form(_xp(3) ** 30)
     assert ring.normal_form(_xp(2) ** 3) == normal_form_reference(_xp(2) ** 3, 2)
+    assert ring.normal_form(_xp(3) ** 3) == normal_form_reference(_xp(3) ** 3, 2)
+
+
+@pytest.mark.parametrize("text, n, message", [
+    # several foreign variables in one monomial: the first in package order is
+    # named, a g_k[0] ranking as x_k; across monomials, the first bad term is
+    ("g4[0]*g5[1]", 3, "g5[1] is outside Z[g+] for n = 3"),
+    ("g5[0]*c1(1)", 3, "unexpected variable c1(1) in reduction"),
+    ("x5*d2(3)*h1[1]", 3, "unexpected variable d2(3) in reduction"),
+    ("g6[0]*x5", 3, "unexpected variable x5 in reduction"),
+    ("g5[0]*y1", 3, "unexpected variable x5 in reduction"),
+    ("q1*x4", 3, "unexpected variable q1 in reduction"),
+    ("h1[0]*g3[2]", 3, "g3[2] is outside Z[g+] for n = 3"),
+    ("x1 + g2[3]*x4 + c1(2)", 3, "g2[3] is outside Z[g+] for n = 3"),
+    ("g3[0]*h2[1] + x3*x4", 2, "unexpected variable h2[1] in reduction"),
+    ("x2^3*g1[0]*g2[1]*g4[0]", 2, "unexpected variable x4 in reduction"),
+    ("g1[1]*x2 + x3^2*g2[1] + h1[0]*x1", 1, "g2[1] is outside Z[g+] for n = 1"),
+    # foreign variables are rejected even where x_{n+1} = -(x_1 + ... + x_n) cancels them
+    ("d1(1)*x4 + d1(1)*x1 + d1(1)*x2 + d1(1)*x3", 3, "unexpected variable d1(1) in reduction"),
+])
+def test_foreign_variables_are_named_in_package_order(text, n, message):
+    with pytest.raises(ValueError) as err:
+        normal_form(parse_text(text), n)
+    assert str(err.value) == message
 
 
 def test_normal_form_is_a_ring_map():
@@ -168,7 +198,7 @@ def test_rank_report_rejects_a_rule_outside_the_ideal(monkeypatch):
     # still monic and triangular, but c_i(3) no longer rewrites to zero
     ring = UniversalRing(2)
     flipped = dict(ring._rules[2])
-    flipped[(1, 1)] = -flipped[(1, 1)]
+    flipped[(1, 1, 0)] = -flipped[(1, 1, 0)]
     monkeypatch.setitem(ring._rules, 2, flipped)
     monkeypatch.setattr(uring, "universal_ring", lambda n: ring)
     assert ring.rules_are_triangular()
