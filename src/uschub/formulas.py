@@ -38,7 +38,7 @@ from .polyring import (
     memo,
     x,
 )
-from .schubert import MElement, universal_double, universal_single
+from .schubert import MElement, peel, universal_double, universal_single
 from .specialize import FlagProfile, to_g_form
 
 
@@ -237,48 +237,57 @@ def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:
 
 # -- square elimination -----------------------------------------------------------
 
-# The most term rewrites one square elimination may make.
-SQUARE_BUDGET = 10**6
+# The most terms the rewrites of one square elimination may write.
+SQUARE_BUDGET = 500_000
+
+
+def _square_key(mono: Monomial) -> tuple[int, int, int]:
+    """(-c-degree, sum of i*k, -number of factors) over the c_i(k)^e in mono."""
+    degree = weight = factors = 0
+    for v, e in mono:
+        if v.kind == "c":
+            degree, weight, factors = degree - v.i * e, weight + v.i * v.j * e, factors - e
+    return degree, weight, factors
 
 
 def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
     """Eliminate all same-point products c_i(k) c_j(k) with i, j >= 1.
 
-    Takes the terms one at a time from a worklist: a term is rewritten at
-    its own largest pair (k, i, j) by the explicit right side of the
-    product rule, and the products go back on the worklist.  The rewrite
-    is linear, so the order does not change the result, which lives in c
-    and g variables with every monomial's c-part square-free across
-    evaluation points.  ``SQUARE_BUDGET`` guards the termination argument.
+    A ``peel``: a square-free monomial is its own label, and one with pairs
+    leads m - rest * (right side of the product rule) at its largest pair
+    (k, i, j), labelled None.  That right side sorts after c_i(k) c_j(k) by
+    ``_square_key``: a g-term lowers the c-degree, a g-free one at k+1 adds
+    to the weight, one at b = k+2 merges the pair into c_{i+j}(k).  The key
+    adds over factors, so each distinct monomial is rewritten once.
     """
     for v in p.variables():
         if v.kind not in ("c", "g"):
             raise ValueError("rewrite_no_squares expects a polynomial in c (and g)")
         if n is not None and v.kind == "c" and v.j > n:
             raise ValueError(f"c-point {v.j} exceeds the stated bound {n}")
-    pending, steps = p.terms(), 0
-    done: dict[Monomial, int] = {}
-    while pending:
-        mono, coeff = pending.popitem()
-        tops: dict[int, list[int]] = {}
-        for v, e in mono:
-            if v.kind == "c":  # two copies of an index are enough to find the top pair
-                tops.setdefault(v.j, []).extend([v.i] * min(e, 2))
-        pairs = [(k, *sorted(found, reverse=True)[:2]) for k, found in tops.items() if len(found) > 1]
-        if not pairs or not coeff:
-            done[mono] = done.get(mono, 0) + coeff
-            continue
-        steps += 1
-        if steps > SQUARE_BUDGET:
-            raise RuntimeError(f"square elimination needs more than {SQUARE_BUDGET:,} term rewrites")
-        k, i, j = max(pairs)
+    written = 0
+
+    def lead(mono: Monomial) -> tuple[Monomial | None, dict[Monomial, int]]:
+        nonlocal written
+        # (point, index) per c factor, at most twice, largest first: the top pair is the first two at one point
+        found = sorted(((v.j, v.i) for v, e in mono if v.kind == "c" for _ in range(min(e, 2))), reverse=True)
+        pair = next(((k, i, j) for (k, i), (at, j) in zip(found, found[1:]) if at == k), None)
+        if pair is None:
+            return mono, {mono: 1}
+        k, i, j = pair
         exps = dict(mono)
         exps[Variable("c", i, k, i)] -= 1
         exps[Variable("c", j, k, j)] -= 1
         # dropping exponents keeps the monomial's variable order
         rest = tuple((v, e) for v, e in exps.items() if e)
-        add_product(pending, Polynomial({rest: coeff}), _rule_rhs(i, j, k))
-    return Polynomial(done)
+        relation = {mono: 1}
+        add_product(relation, Polynomial({rest: 1}), _rule_rhs(i, j, k), -1)
+        written += len(relation) - 1
+        if written > SQUARE_BUDGET:
+            raise RuntimeError(f"square elimination writes more than {SQUARE_BUDGET:,} terms")
+        return None, relation
+
+    return Polynomial({mono: coeff for mono, coeff in peel(p.terms(), lead, _square_key).items() if mono is not None})
 
 
 def split_by_g(p: Polynomial, n: int) -> dict[Monomial, MElement]:

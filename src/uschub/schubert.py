@@ -27,8 +27,8 @@ expanding an arbitrary code combination in the Schubert basis: the code
 of w is the lexicographically largest code in the expansion of w's
 polynomial and carries coefficient 1.  ``peel`` expands in any such
 unitriangular basis, popping the least term under a key from a heap;
-here the key puts the largest code first, and uschub.uring peels its
-Schubert elements with the same function.
+here the key puts the largest code first, and uschub.uring (Schubert
+elements) and uschub.formulas (square elimination) peel with it too.
 """
 
 from __future__ import annotations
@@ -288,7 +288,8 @@ def peel(coeffs: dict, lead: Callable[[tuple], tuple[object, dict]], key: Callab
     ``lead(t)`` names the basis element led by the term t, as a hashable
     label and its coefficients: t carries 1 there and every other term
     sorts after it under ``key``.  The least term is peeled from a heap,
-    and a peel only adds terms that sort after it, so the walk ends.
+    and a peel only adds later terms, so each term is led once: codes,
+    R_n terms (uschub.uring) and product-rule relations (uschub.formulas).
     """
     rest = dict(coeffs)
     heap = [(key(t), t) for t in rest]

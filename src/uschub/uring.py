@@ -23,12 +23,12 @@ since each T_i carries a g+ factor.  So repeated rewriting of any
 exponent a_k >= n+2-k terminates on the staircase.
 
 A normal form reads each input monomial once, as a g+ part and an
-exponent tuple over x_1..x_{n+1} (g_k[0] counts as x_k), and the walk
-memoizes one form per tuple.  A tuple with x_{n+1}^b, b > 0, takes one
-step to the multinomial expansion of (-(x_1 + ... + x_n))^b, whose tuples
-end in 0 and are walked by the rules, so each such monomial is expanded
-once per ring however often it recurs.  Schubert elements and products
-are normal forms of polynomials like any other.
+exponent tuple over x_1..x_{n+1} (g_k[0] counts as x_k), and walks each
+tuple on one budget; the walk memoizes one form per tuple it passes.  A
+tuple with x_{n+1}^b, b > 0, is a walk step like a rule: it goes to the
+multinomial expansion of (-(x_1 + ... + x_n))^b, whose tuples end in 0
+and go on by the rules.  Schubert elements and products are normal forms
+of polynomials like any other.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
 terms (g-monomial, exponents): the g-free part of the Schubert element of
@@ -85,13 +85,13 @@ WALK_BUDGET = 650_000
 
 @memo
 def _drop_power(n: int, b: int) -> list[tuple[tuple[int, ...], Polynomial]]:
-    """(-(x_1 + ... + x_n))^b as (shift, multinomial coefficient) pairs.
+    """-(-(x_1 + ... + x_n))^b as (shift, coefficient) pairs: the rewrite step of x_{n+1}^b.
 
     A shift has length n+1 and ends in -b, so adding it to an exponent
     tuple with x_{n+1}^b trades that power for one term of the expansion.
     """
     # (exponents of x_1.., coefficient, what is left of b), x_1^b first
-    terms = [((), (-1) ** b, b)]
+    terms = [((), (-1) ** (b + 1), b)]
     for _ in range(n - 1):
         terms = [(exps + (a,), coeff * comb(left, a), left - a) for exps, coeff, left in terms for a in range(left, -1, -1)]
     return [((*exps, left, -b), Polynomial.const(coeff)) for exps, coeff, left in terms]
@@ -258,7 +258,9 @@ class UniversalRing:
     # -- normal form ----------------------------------------------------------
 
     def _rewrite(self, exps: tuple[int, ...]) -> list[tuple[tuple[int, ...], Polynomial]] | None:
-        """One rewrite step: x^exps = -(sum of coeff * x^key), or None on the staircase."""
+        """One rewrite step, x_{n+1}^b first: x^exps = -(sum of coeff * x^key), or None on the staircase."""
+        if exps[-1]:
+            return [(tuple(map(add, exps, shift)), coeff) for shift, coeff in _drop_power(self.n, exps[-1])]
         k = next((k for k in range(self.n, 0, -1) if exps[k - 1] > self.n + 1 - k), None)
         if k is None:
             return None
@@ -286,18 +288,6 @@ class UniversalRing:
         x-degree, so only staircase terms below the floor are lost.
         """
         nf = self._nf.setdefault(floor, {})
-        if exps[-1]:
-            if exps not in nf:
-                # x_{n+1}^b = (-(x_1 + ... + x_n))^b; each tuple of the expansion ends in 0
-                # and is walked on a budget of its own
-                form = self._combine(
-                    (coeff, self._nf_monomial(tuple(map(add, exps, shift)), floor))
-                    for shift, coeff in _drop_power(self.n, exps[-1])
-                )
-                if sum(map(len, form.values())) > WALK_BUDGET:
-                    raise _over_budget(exps)
-                nf[exps] = form
-            return nf[exps]
         # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
         pending = [exps]
         stored = 0

@@ -111,3 +111,11 @@ RENDER_DIGESTS = {
     "melement": "636d0ecc2d17cd19286a0d445f12d921873a42622674002b5e9a4b5aed9efbc3",
     "locus": "1341535a5c06e14d0dae4771772b38895734bb72a3d25902e8de30aac0553806",
 }
+
+# sha256 of the stdout of ``uschub expand <expr>`` (text format), pinned from
+# the worklist elimination that rewrote a monomial each time it came back,
+# before square elimination became a peel that rewrites each monomial once.
+EXPAND_DIGESTS = {
+    "c1(1)^8": "0cad1c85b8b9f93053c5c7fbf7f430cc20bbf874d4ca0f960c9e5bee81dcb972",
+    "c1(4)^8": "dd58795ef7e809d229a1685004796cbdb675e0307b37a388438073444d6c7530",
+}

@@ -35,11 +35,13 @@ from uschub.formulas import (
     render_locus,
     rewrite_no_squares,
     split_by_g,
+    _rule_rhs,
+    _square_key,
 )
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, cpoly, g, parse_text, x, y
 from uschub.schubert import schubert_expand_M, universal_cy, universal_double, universal_single
-from uschub.specialize import FlagProfile, classical_specialize, to_g_form
+from uschub.specialize import FlagProfile, c_from_g, classical_specialize, to_g_form
 
 
 # -- entry polynomials and determinants ------------------------------------------
@@ -305,9 +307,40 @@ def test_rewrite_matches_the_reference():
         assert rewrite_no_squares(p) == rewrite_no_squares_reference(p), p
 
 
+def test_every_rule_term_sorts_after_its_pair():
+    # The key adds over factors, so this is the termination argument for every
+    # monomial: each rewrite writes only terms that the peel reaches later.
+    # With i or j = 0 the pair is a single factor and is never rewritten.
+    for k in range(1, 7):
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                (pair,) = (cpoly(i, k) * cpoly(j, k)).terms()
+                for mono in _rule_rhs(i, j, k).terms():
+                    assert _square_key(mono) > _square_key(pair), (i, j, k, mono)
+
+
+def test_tenth_power_eliminates_within_the_budget():
+    # The worklist rewrote a monomial each time it came back and stopped at
+    # SQUARE_BUDGET after about 28 s.
+    p = parse_text("c1(1)^10")
+    flat = rewrite_no_squares(p)
+    assert _no_same_point_squares(flat)
+    # Both g-forms agree; the flat one is too large to expand, so compare them at integer points.
+    for seed in (1, 2):
+        rng, values = random.Random(seed), {}
+
+        def g_at(v):
+            return Polynomial.const(values.setdefault(v, rng.randint(-9, 9))) if v.kind == "g" else None
+
+        def at(v):
+            return c_from_g(v.i, v.j).substitute(g_at) if v.kind == "c" else g_at(v)
+
+        assert flat.substitute(at) == p.substitute(at)
+
+
 def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
     monkeypatch.setattr(formulas, "SQUARE_BUDGET", 3)
-    with pytest.raises(RuntimeError, match="more than 3 term rewrites"):
+    with pytest.raises(RuntimeError, match="writes more than 3 terms"):
         rewrite_no_squares(cpoly(1, 2) ** 4)
     assert main(["expand", "c1(2)^4"]) == 1
     out, err = capsys.readouterr()
@@ -317,7 +350,7 @@ def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
 def test_a_huge_exponent_reaches_the_budget_without_a_list_of_its_size(monkeypatch):
     # the pair at each point was picked from a list with one entry per unit of exponent
     monkeypatch.setattr(formulas, "SQUARE_BUDGET", 100)
-    with pytest.raises(RuntimeError, match="more than 100 term rewrites"):
+    with pytest.raises(RuntimeError, match="writes more than 100 terms"):
         rewrite_no_squares(parse_text("c1(1)^99999999999"))
 
 
