@@ -32,10 +32,6 @@ def _parse_perm(text: str) -> tuple[Permutation, int]:
     return parse_oneline(text), raw
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
-
-
 def _word(w: Permutation, n: int) -> str:
     return ",".join(str(v) for v in w.as_tuple(n))
 
@@ -116,7 +112,7 @@ def _cmd_specialize(args) -> int:
     elif args.rule == "quantum":
         out = quantum_specialize(universal_single(w, n).to_polynomial("c"))
     else:
-        out = partial_flag_specialize(w, FlagProfile.parse(args.profile), route=args.route)
+        out = partial_flag_specialize(w, FlagProfile(args.profile), route=args.route)
     print(_poly_out(out, args.format))
     return 0
 
@@ -125,7 +121,7 @@ def _cmd_locus(args) -> int:
     w, _ = _parse_perm(args.word)
     from .formulas import RankProfile, locus_formula, render_locus
 
-    profile = RankProfile(_ints(args.ranks_e), _ints(args.ranks_f))
+    profile = RankProfile(args.ranks_e, args.ranks_f)
     mode = "interval" if args.interval else "strict"
     p = locus_formula(w, profile, mode=mode)
     if args.format == "json":
@@ -190,48 +186,36 @@ def _cmd_product_rule(args) -> int:
     return 0 if report.equal_in_g else 2
 
 
+def _hit_text(hit, n: int) -> str:
+    """One det19 search hit (sigma, DetSpec) as printed, or "none"."""
+    return "none" if hit is None else f"{hit[1].label()}  sigma={_word(hit[0], n)}"
+
+
 def _cmd_search_det19(args) -> int:
     w, raw = _parse_perm(args.word)
     n = _default_n(args, raw)
-    from .formulas import det19_record, det19_search
+    from .formulas import det19_matches, det19_record, det19_search
 
-    if args.exhaustive:
-        hits = det19_search(w, n, exhaustive=True)
-        if args.format == "json":
-            print(_json_dumps([det19_record(w, n, hit) for hit in hits]))
-        elif not hits:
-            print("none")
-        else:
-            for sigma, spec in hits:
-                print(f"{spec.label()}  sigma={_word(sigma, n)}")
-        return 0
-    hit = det19_search(w, n)
+    hits = list(det19_matches(w, n)) if args.exhaustive else [det19_search(w, n)]
     if args.format == "json":
-        print(_json_dumps(det19_record(w, n, hit)))
-    elif hit is None:
-        print("none")
-    else:
-        print(f"{hit[1].label()}  sigma={_word(hit[0], n)}")
+        records = [det19_record(w, n, hit) for hit in hits]
+        print(_json_dumps(records if args.exhaustive else records[0]))
+        return 0
+    for hit in hits or [None]:
+        print(_hit_text(hit, n))
     return 0
 
 
 def _cmd_census(args) -> int:
-    from .formulas import DetSpec, det19_census
+    from .formulas import det19_census, det19_record
 
-    records = det19_census(args.n)
+    census = det19_census(args.n)
     if args.format == "json":
-        print(_json_dumps(records))
+        print(_json_dumps([det19_record(w, args.n, hit) for w, hit in census]))
         return 0
-    hits = 0
-    for rec in records:
-        wtext = ",".join(str(v) for v in rec["w"])
-        if rec["spec"] is None:
-            print(f"{wtext}: none")
-            continue
-        hits += 1
-        spec = DetSpec(tuple(rec["spec"]["a"]), tuple(rec["spec"]["b"]))
-        print(f"{wtext}: {spec.label()}  sigma={','.join(str(v) for v in rec['sigma'])}")
-    print(f"expressed {hits} of {len(records)}")
+    for w, hit in census:
+        print(f"{_word(w, args.n + 1)}: {_hit_text(hit, args.n)}")
+    print(f"expressed {sum(1 for _, hit in census if hit)} of {len(census)}")
     return 0
 
 
@@ -444,19 +428,16 @@ _PRINTED_SPECS = {
 def _suite_census(n: int) -> list[Check]:
     from .formulas import DetSpec, det19_census
 
-    records = det19_census(n)
-    hits = sum(1 for rec in records if rec["spec"] is not None)
+    census = dict(det19_census(n))
+    hits = sum(1 for hit in census.values() if hit)
     checks: list[Check] = []
     if n == 4:
         for wt, (a, b) in sorted(_PRINTED_SPECS.items()):
-            rec = next(r for r in records if tuple(r["w"]) == wt)
-            ok = rec["spec"] is not None and (
-                tuple(rec["spec"]["a"]) == a and tuple(rec["spec"]["b"]) == b
-            )
-            label = DetSpec(a, b).label()
-            checks.append((f"search finds {label} for {','.join(map(str, wt))}", ok, str(rec["spec"])))
-        rec = next(r for r in records if tuple(r["w"]) == (1, 5, 3, 2, 4))
-        checks.append(("1,5,3,2,4 admits no expression", rec["spec"] is None, str(rec["spec"])))
+            hit = census[Permutation(wt)]
+            checks.append((f"search finds {DetSpec(a, b).label()} for {','.join(map(str, wt))}",
+                           hit is not None and hit[1] == (a, b), str(hit and hit[1].to_json())))
+        hit = census[Permutation((1, 5, 3, 2, 4))]
+        checks.append(("1,5,3,2,4 admits no expression", hit is None, str(hit and hit[1].to_json())))
         vex = sum(1 for w in all_perms(5) if w.is_vexillary())
         checks.append(("vexillary count in S_5 is 103", vex == 103, str(vex)))
         checks.append((
@@ -465,7 +446,7 @@ def _suite_census(n: int) -> list[Check]:
             f"found {hits}",
         ))
     else:
-        checks.append((f"census over S_{n + 1} ran", True, f"found {hits} of {len(records)}"))
+        checks.append((f"census over S_{n + 1} ran", True, f"found {hits} of {len(census)}"))
     return checks
 
 
@@ -591,6 +572,14 @@ def _size(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """The type of --profile, --ranks-e and --ranks-f: comma-separated ints."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated ints: {text!r}") from None
+
+
 def _add_n(sub, default: int | None = None) -> None:
     sub.add_argument("--n", type=_size, default=default)
 
@@ -616,15 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rule", required=True,
                      choices=("classical", "classical-double", "gform", "quantum", "flag"))
     _add_n(sub)
-    sub.add_argument("--profile", default=None, help="cut points for --rule flag, e.g. 2,4")
+    sub.add_argument("--profile", type=_int_list, default=None, help="cut points for --rule flag, e.g. 2,4")
     sub.add_argument("--route", choices=("A", "B"), default="A")
     _add_format(sub)
     sub.set_defaults(handler=_cmd_specialize)
 
     sub = verbs.add_parser("locus", help="degeneracy-locus class over a rank profile")
     sub.add_argument("word")
-    sub.add_argument("--ranks-e", required=True, help="ranks of the source chain, e.g. 1,2,3")
-    sub.add_argument("--ranks-f", required=True, help="ranks of the target chain")
+    sub.add_argument("--ranks-e", type=_int_list, required=True, help="ranks of the source chain, e.g. 1,2,3")
+    sub.add_argument("--ranks-f", type=_int_list, required=True, help="ranks of the target chain")
     sub.add_argument("--interval", action="store_true",
                      help="snap evaluation points down instead of requiring containment")
     _add_format(sub)

@@ -21,6 +21,7 @@ output only; the underlying polynomial algebra never changes kinds.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -124,44 +125,47 @@ class DetSpec(namedtuple("DetSpec", "a b")):
     def determinant(self) -> Polynomial:
         return determinant(self.matrix())
 
+    def to_json(self) -> dict:
+        return {"a": list(self.a), "b": list(self.b)}
+
     def label(self) -> str:
         return (
             "D_{" + ",".join(map(str, self.a)) + "}(" + ",".join(map(str, self.b)) + ")"
         )
 
 
-def det19_search(w: Permutation, n: int, exhaustive: bool = False):
-    """Row orders sigma making det C(a, b) equal w's single polynomial.
+def det19_matches(w: Permutation, n: int) -> Iterator[tuple[Permutation, DetSpec]]:
+    """Row orders sigma making det C(a, b) equal w's single polynomial, in lex order.
 
-    a = (code_{sigma(1)}, ..., code_{sigma(n)}) and b = sigma itself.
-    Returns the lex-first (sigma, DetSpec) or None; with exhaustive=True,
-    the list of all matches.
+    a = (code_{sigma(1)}, ..., code_{sigma(n)}) and b = sigma itself;
+    yields (sigma, DetSpec) pairs.
     """
     code = w.code_tail(n)
     target = universal_single(w, n).to_polynomial("c")
-    found = []
     for sigma in all_perms(n):
         st = sigma.as_tuple(n)
         spec = DetSpec(tuple(code[p - 1] for p in st), st)
         if spec.determinant() == target:
-            if not exhaustive:
-                return (sigma, spec)
-            found.append((sigma, spec))
-    return found if exhaustive else None
+            yield sigma, spec
 
 
-def det19_record(w: Permutation, n: int, hit) -> dict:
+def det19_search(w: Permutation, n: int) -> tuple[Permutation, DetSpec] | None:
+    """The lex-first (sigma, DetSpec) of ``det19_matches``, or None."""
+    return next(det19_matches(w, n), None)
+
+
+def det19_record(w: Permutation, n: int, hit: tuple[Permutation, DetSpec] | None) -> dict:
     """JSON record of one search result (sigma, DetSpec), or nulls for None."""
     return {
         "w": list(w.as_tuple(n + 1)),
         "sigma": list(hit[0].as_tuple(n)) if hit else None,
-        "spec": {"a": list(hit[1].a), "b": list(hit[1].b)} if hit else None,
+        "spec": hit[1].to_json() if hit else None,
     }
 
 
-def det19_census(n: int) -> list[dict]:
-    """One record per w in S_{n+1}: the lex-first expression or null."""
-    return [det19_record(w, n, det19_search(w, n)) for w in all_perms(n + 1)]
+def det19_census(n: int) -> list[tuple[Permutation, tuple[Permutation, DetSpec] | None]]:
+    """(w, lex-first search hit or None) for every w in S_{n+1}."""
+    return [(w, det19_search(w, n)) for w in all_perms(n + 1)]
 
 
 # -- the product rule -----------------------------------------------------------

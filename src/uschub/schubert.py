@@ -283,13 +283,13 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
 # -- Schubert-basis expansion -------------------------------------------------
 
 def peel(coeffs: dict, lead: Callable[[tuple], tuple[object, dict]], key: Callable[[tuple], tuple]) -> dict:
-    """Expand an integer combination in a unitriangular basis.
+    """Expand a combination in a unitriangular basis, coefficients in any commutative ring (ints, Z[g+]).
 
     ``lead(t)`` names the basis element led by the term t, as a hashable
     label and its coefficients: t carries 1 there and every other term
     sorts after it under ``key``.  The least term is peeled from a heap,
     and a peel only adds later terms, so each term is led once: codes,
-    R_n terms (uschub.uring) and product-rule relations (uschub.formulas).
+    R_n staircases (uschub.uring) and product-rule relations (uschub.formulas).
     """
     rest = dict(coeffs)
     heap = [(key(t), t) for t in rest]

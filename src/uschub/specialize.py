@@ -54,10 +54,6 @@ class FlagProfile(namedtuple("FlagProfile", "N")):
             raise ValueError(f"cut points must be strictly increasing and positive: {N}")
         return super().__new__(cls, N)
 
-    @classmethod
-    def parse(cls, text: str) -> "FlagProfile":
-        return cls(tuple(int(p) for p in text.split(",")))
-
     @property
     def l(self) -> int:
         return len(self.N)

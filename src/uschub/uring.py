@@ -31,9 +31,9 @@ and go on by the rules.  Schubert elements and products are normal forms
 of polynomials like any other.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
-terms (g-monomial, exponents): the g-free part of the Schubert element of
-w is the classical Schubert polynomial, led by x^{lehmer(w)}, and every
-other term carries more g.
+staircase exponents, with coefficients in Z[g+]: the g-free part of the
+Schubert element of w is the classical Schubert polynomial, led by
+x^{lehmer(w)}, and every term carrying g+ has lower x-degree.
 
 The inner product of two elements is the coefficient of the top
 staircase monomial x_1^n ... x_n in the normal form of their product.
@@ -60,8 +60,6 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
-    _mono_key,
-    _mono_mul,
     add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
@@ -323,34 +321,22 @@ class UniversalRing:
 
     @memo
     def schubert(self, w: Permutation) -> RingElement:
-        if w.size > self.n + 1:
-            raise ValueError(f"{w.word} does not lie in S_{self.n + 1}")
         return self.normal_form(to_g_form(universal_single(w, self.n).to_polynomial()))
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+].
 
-        The term (g, x^a) leads g * sigma_w for w = from_lehmer(a), so
-        ``peel`` takes the least g-monomial first and, within it, the
-        largest exponents compared from the last variable (Macdonald).
+        The staircase x^a leads sigma_w for w = from_lehmer(a): the other
+        g-free terms of sigma_w are Macdonald-smaller at the same x-degree
+        and every term with g+ has lower x-degree, so ``peel`` takes the
+        highest x-degree first and, within it, the largest exponents
+        compared from the last variable.
         """
-        def lead(term: tuple[Monomial, tuple[int, ...]]) -> tuple[tuple, dict]:
-            gmono, exps = term
+        def lead(exps: tuple[int, ...]) -> tuple[Permutation, dict[tuple[int, ...], Polynomial]]:
             w = Permutation.from_lehmer(exps)
-            return (w, gmono), {
-                (_mono_mul(gmono, gm) if gmono and gm else gmono or gm, stair): co
-                for stair, poly in self.schubert(w).coeffs.items()
-                for gm, co in poly.terms().items()
-            }
+            return w, self.schubert(w).coeffs
 
-        def key(term: tuple[Monomial, tuple[int, ...]]) -> tuple:
-            return _mono_key(term[0]), tuple(-a for a in reversed(term[1]))
-
-        flat = {(gmono, exps): co for exps, poly in e.coeffs.items() for gmono, co in poly.terms().items()}
-        out: dict[Permutation, dict[Monomial, int]] = {}
-        for (w, gmono), coeff in peel(flat, lead, key).items():
-            out.setdefault(w, {})[gmono] = coeff
-        return {w: Polynomial(terms) for w, terms in out.items()}
+        return peel(e.coeffs, lead, lambda exps: (-sum(exps), tuple(-a for a in reversed(exps))))
 
     # -- products and the pairing ----------------------------------------------
 

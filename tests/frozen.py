@@ -119,3 +119,44 @@ EXPAND_DIGESTS = {
     "c1(1)^8": "0cad1c85b8b9f93053c5c7fbf7f430cc20bbf874d4ca0f960c9e5bee81dcb972",
     "c1(4)^8": "dd58795ef7e809d229a1685004796cbdb675e0307b37a388438073444d6c7530",
 }
+
+# sha256 of the stdout of ``uschub census --n 4`` (5,444 bytes of text, 32,053
+# of JSON), pinned before the census kept its hits as (w, (sigma, DetSpec))
+# pairs and built the JSON records only for printing.
+CENSUS_N4_DIGESTS = {
+    "text": "10308ee135d622d3aa295e1c9f307c0dd6e1c13e12b3f132748fc706e3398b63",
+    "json": "f499e9b6e9699e0adad95239300472c1f9264d45882bec31cb2fe88232fed7d6",
+}
+
+# sha256 of the stdout of ``uschub search-det19 <word> [--exhaustive] --format
+# <format>``, pinned with the census digests.
+SEARCH_DET19_DIGESTS = {
+    ("5,1,4,2,3", "text"): "65efad467387f7b78810b772ca87ea25de0c03500af3ff323bbfd53a6e971331",
+    ("5,1,4,2,3", "json"): "981f2af8ae8dcabc1596ed059646b557e63f2792f2dcf9271667c0748c9352bc",
+    ("5,1,4,2,3", "--exhaustive", "text"): "65efad467387f7b78810b772ca87ea25de0c03500af3ff323bbfd53a6e971331",
+    ("5,1,4,2,3", "--exhaustive", "json"): "07e0f01dc108df018dd78fd5e4ce9a18e9c747e0a2925c3e6c831aafb2b96d2b",
+    ("3,5,1,2,4", "text"): "7b96343da85cd22dd30863cb4ead15810fc9e76647700006598937db6e45597d",
+    ("3,5,1,2,4", "json"): "7154fe1c4667c8c57f2cdf2a7b7acb2d223cacba8b420b6e506ab3819711ea0b",
+    ("3,5,1,2,4", "--exhaustive", "text"): "7b96343da85cd22dd30863cb4ead15810fc9e76647700006598937db6e45597d",
+    ("3,5,1,2,4", "--exhaustive", "json"): "72c24943068bdaaa224bfac2f3543c851d23256f5baad8041549a896dfc08382",
+    ("3,2,5,1,4", "text"): "a1ff9e16e954290d1ec1f3dbdff7f53333a9757f4151df74cdcc3cc2ef4c3bc4",
+    ("3,2,5,1,4", "json"): "a6d8b4f0023b6185437994db04669e589c5fb22ea890dd9f8b0b8092de511c72",
+    ("3,2,5,1,4", "--exhaustive", "text"): "a1ff9e16e954290d1ec1f3dbdff7f53333a9757f4151df74cdcc3cc2ef4c3bc4",
+    ("3,2,5,1,4", "--exhaustive", "json"): "402c8e39225cb3df1fce517794b71db70bfd888f0b0c9858af645dd1296cd6e9",
+    ("1,5,3,2,4", "text"): "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+    ("1,5,3,2,4", "json"): "2bfe14c86c6ff3a77a1904a83ceba7589e80aa770446fee8f59136c2a9bbc2d2",
+    ("1,5,3,2,4", "--exhaustive", "text"): "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+    ("1,5,3,2,4", "--exhaustive", "json"): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+}
+
+# The stdout of ``uschub verify census``, which exits 2 on the stated count,
+# pinned with the census digests.
+VERIFY_CENSUS_STDOUT = (
+    "ok census: search finds D_{1,0,1,3}(4,2,1,3) for 3,2,5,1,4 ({'a': [1, 0, 1, 3], 'b': [4, 2, 1, 3]})\n"
+    "ok census: search finds D_{1,0,2,2}(4,1,3,2) for 3,5,1,2,4 ({'a': [1, 0, 2, 2], 'b': [4, 1, 3, 2]})\n"
+    "ok census: search finds D_{2,2,1,1}(4,3,2,1) for 5,1,4,2,3 ({'a': [2, 2, 1, 1], 'b': [4, 3, 2, 1]})\n"
+    "ok census: 1,5,3,2,4 admits no expression (None)\n"
+    "ok census: vexillary count in S_5 is 103 (103)\n"
+    "FAIL census: expressions found for exactly 112 of 120 (found 113)\n"
+    "1 check(s) failed\n"
+)

@@ -27,10 +27,9 @@ from frozen import (
 )
 from oracles import e_expand
 from uschub.formulas import (
-    DetSpec,
     RankProfile,
     det19_census,
-    det19_search,
+    det19_matches,
     dominant_formula,
     grassmannian_det,
     gysin_check,
@@ -213,35 +212,35 @@ def _words(words) -> str:
 
 def test_criterion_09_census():
     start = time.time()
-    records = det19_census(4)
-    by_word = {tuple(rec["w"]): rec for rec in records}
+    census = det19_census(4)
+    by_word = {w.as_tuple(5): hit for w, hit in census}
     problems = []
     wrong = [
         word
         for word, (a, b) in DET19_WITNESSES.items()
-        if by_word[word]["spec"] != {"a": list(a), "b": list(b)}
+        if by_word[word] is None or by_word[word][1] != (a, b)
     ]
     if wrong:
         problems.append(f"witnesses wrong: {_words(wrong)}")
-    if by_word[(1, 5, 3, 2, 4)]["spec"] is not None:
+    if by_word[(1, 5, 3, 2, 4)] is not None:
         problems.append("non-example 1 5 3 2 4 has an expression")
-    failures = {w for w, rec in by_word.items() if rec["spec"] is None}
+    failures = {w for w, hit in by_word.items() if hit is None}
     if failures != CENSUS_FAILURES:
         problems.append(
             f"failure set differs: missing {_words(CENSUS_FAILURES - failures) or '-'},"
             f" extra {_words(failures - CENSUS_FAILURES) or '-'}"
         )
-    hits = len(records) - len(failures)
+    hits = len(census) - len(failures)
     if hits != CENSUS_HITS:
         problems.append(f"count {hits} is not {CENSUS_HITS}")
     # The search compares against universal_single (the ladder); confirm
     # every hit with the two construction routes it did not use.
     mismatched = {"e_expand": [], "zero_y": []}
-    for word, rec in by_word.items():
-        if rec["spec"] is None:
+    for word, hit in by_word.items():
+        if hit is None:
             continue
         w = Permutation(word)
-        det = DetSpec(tuple(rec["spec"]["a"]), tuple(rec["spec"]["b"])).determinant()
+        det = hit[1].determinant()
         if det != e_expand(classical_single(w), 4).to_polynomial("c"):
             mismatched["e_expand"].append(word)
         if det != zero_y(universal_cy(w, 4)):
@@ -249,7 +248,7 @@ def test_criterion_09_census():
     for route, words in mismatched.items():
         if words:
             problems.append(f"route mismatch ({route}): {_words(words)}")
-    matched = [w for w in failures if det19_search(Permutation(w), 4, exhaustive=True)]
+    matched = [w for w in failures if list(det19_matches(Permutation(w), 4))]
     if matched:
         problems.append(f"exhaustive search matches failures: {_words(matched)}")
     vexillary = sum(1 for w in all_perms(5) if w.is_vexillary())

@@ -14,9 +14,15 @@ from hashlib import sha256
 import pytest
 
 import uschub
-from frozen import EXPAND_DIGESTS, QUANTUM_231
+from frozen import (
+    CENSUS_N4_DIGESTS,
+    EXPAND_DIGESTS,
+    QUANTUM_231,
+    SEARCH_DET19_DIGESTS,
+    VERIFY_CENSUS_STDOUT,
+)
 from uschub.cli import build_parser, main
-from uschub.formulas import det19_census
+from uschub.formulas import det19_census, det19_record
 from uschub.permutations import Permutation
 from uschub.polyring import parse_json
 from uschub.schubert import universal_single
@@ -117,6 +123,13 @@ def test_search_json():
     assert record["sigma"] == [4, 3, 2, 1]
 
 
+@pytest.mark.parametrize("args", sorted(SEARCH_DET19_DIGESTS), ids="-".join)
+def test_search_output_is_pinned(args):
+    code, out, err = run("search-det19", *args[:-1], "--format", args[-1])
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == SEARCH_DET19_DIGESTS[args]
+
+
 def test_product_rule_report():
     code, out, _ = run("product-rule", "--i", "1", "--j", "1", "--k", "2")
     assert code == 0
@@ -144,10 +157,17 @@ def test_census_text_summary():
     assert out.rstrip().endswith("expressed 24 of 24")
 
 
+@pytest.mark.parametrize("fmt", sorted(CENSUS_N4_DIGESTS))
+def test_census_of_s5_output_is_pinned(fmt):
+    code, out, err = run("census", "--n", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == CENSUS_N4_DIGESTS[fmt]
+
+
 def test_census_json_is_the_library_census():
     code, out, _ = run("census", "--n", "3", "--format", "json")
     assert code == 0
-    assert json.loads(out) == det19_census(3)
+    assert json.loads(out) == [det19_record(w, 3, hit) for w, hit in det19_census(3)]
 
 
 def test_census_is_deterministic():
@@ -169,6 +189,7 @@ def test_verify_census_fails_the_stated_count():
     assert code == 2
     assert "FAIL census" in out
     assert "found 113" in out
+    assert out == VERIFY_CENSUS_STDOUT
 
 
 def test_ring_actions():
@@ -195,6 +216,30 @@ def test_domain_error_exits_1():
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_ring_multiply_outside_s_n_plus_1_exits_1():
+    assert run("ring", "multiply", "321", "21", "--n", "1") == (1, "", "error: (3,2,1) does not fit in S_2\n")
+
+
+def test_profile_parses_as_comma_separated_ints():
+    args = build_parser().parse_args(["specialize", "1", "--rule", "flag", "--profile", "2,4"])
+    assert args.profile == (2, 4)
+
+
+@pytest.mark.parametrize("args", [
+    ("specialize", "2,1,3", "--rule", "flag", "--profile", "2,a"),
+    ("specialize", "2,1,3", "--rule", "flag", "--profile", ""),
+    ("locus", "1,3,2", "--ranks-f", "2", "--ranks-e", "a"),
+    ("locus", "1,3,2", "--ranks-e", "2", "--ranks-f", "2,"),
+], ids=("profile", "empty-profile", "ranks-e", "ranks-f"))
+def test_a_bad_int_list_is_a_usage_error_naming_its_option(args):
+    # each exited 1 with the bare "invalid literal for int() with base 10"
+    option, bad = args[-2:]
+    code, out, err = run(*args)
+    assert (code, out) == (1, "")
+    assert "usage" in err
+    assert err.endswith(f"error: argument {option}: invalid comma-separated ints: {bad!r}\n")
 
 
 def test_g_variables_outside_the_coefficient_ring_exit_1():

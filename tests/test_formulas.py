@@ -21,6 +21,7 @@ from uschub.formulas import (
     RankProfile,
     product_family,
     det19_census,
+    det19_matches,
     det19_search,
     det_D,
     dominant_formula,
@@ -163,36 +164,34 @@ def test_search_finds_the_known_witnesses():
 
 def test_search_witnesses_are_unique_for_the_printed_three():
     for word in ((5, 1, 4, 2, 3), (3, 5, 1, 2, 4), (3, 2, 5, 1, 4)):
-        hits = det19_search(Permutation(word), 4, exhaustive=True)
+        hits = list(det19_matches(Permutation(word), 4))
         assert len(hits) == 1
 
 
 def test_search_absence():
     assert det19_search(Permutation((1, 5, 3, 2, 4)), 4) is None
-    assert det19_search(Permutation((1, 5, 3, 2, 4)), 4, exhaustive=True) == []
+    assert list(det19_matches(Permutation((1, 5, 3, 2, 4)), 4)) == []
 
 
 def test_census_of_s4_is_complete():
-    records = det19_census(3)
-    assert len(records) == 24
-    assert all(rec["spec"] is not None for rec in records)
+    census = det19_census(3)
+    assert len(census) == 24
+    assert all(hit is not None for _, hit in census)
 
 
 def test_census_of_s5_pinned():
-    records = det19_census(4)
-    assert len(records) == CENSUS_TOTAL
-    failures = {tuple(rec["w"]) for rec in records if rec["spec"] is None}
+    census = det19_census(4)
+    assert len(census) == CENSUS_TOTAL
+    failures = {w.as_tuple(5) for w, hit in census if hit is None}
     assert failures == CENSUS_FAILURES
-    assert sum(1 for rec in records if rec["spec"] is not None) == CENSUS_HITS
+    assert sum(1 for _, hit in census if hit is not None) == CENSUS_HITS
     vexillary_failures = sum(1 for wt in failures if Permutation(wt).is_vexillary())
     assert vexillary_failures == 6
     assert sum(1 for w in all_perms(5) if w.is_vexillary()) == VEXILLARY_S5
 
 
 def test_census_hits_verify():
-    for rec in det19_census(3):
-        spec = DetSpec(tuple(rec["spec"]["a"]), tuple(rec["spec"]["b"]))
-        w = Permutation(rec["w"])
+    for w, (_, spec) in det19_census(3):
         assert spec.determinant() == universal_single(w, 3).to_polynomial("c")
 
 

@@ -14,11 +14,12 @@ from oracles import (
 )
 from uschub import schubert
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ZERO, Polynomial, c, cpoly, g, parse_text, q, x, y
+from uschub.polyring import ONE, ZERO, Polynomial, c, cpoly, g, parse_text, q, x, y
 from uschub.schubert import (
     MElement,
     classical_single,
     divided_difference,
+    peel,
     schubert_expand_M,
     universal_cy,
     universal_double,
@@ -219,6 +220,20 @@ def test_expand_transition_products():
     # c1(1) c1(2) carries the two length-two members above the simple ones
     got = schubert_expand_M(MElement.from_polynomial(cpoly(1, 1) * cpoly(1, 2), 2))
     assert got == {Permutation((2, 3, 1)): 1, Permutation((3, 1, 2)): 1}
+
+
+def test_peel_expands_over_polynomial_coefficients():
+    # A unitriangular basis over Z[g] on the terms 0 < 1 < 2: element t leads at t.
+    g1, g2 = parse_text("g1[1]"), parse_text("g2[1]")
+    basis = {0: {0: ONE, 1: g1, 2: g2 - 1}, 1: {1: ONE, 2: 2 * g1}, 2: {2: ONE}}
+    coeffs = {"A": g1 + 1, "B": g2, "C": Polynomial.const(3)}
+    combo = {t: Polynomial.sum(a * basis[i].get(t, ZERO) for i, a in enumerate(coeffs.values())) for t in range(3)}
+    assert combo[2] == g1 * g2 + g2 - g1 - 1 + 2 * g1 * g2 + 3
+    assert peel(combo, lambda t: ("ABC"[t], basis[t]), key=lambda t: t) == coeffs
+    # a lead that writes a term the peel has already passed breaks the order
+    wrong = {**basis, 1: {0: g1, 1: ONE}}
+    with pytest.raises(AssertionError, match="earlier term"):
+        peel(combo, lambda t: ("ABC"[t], wrong[t]), key=lambda t: t)
 
 
 def test_single_rejects_too_small_n():

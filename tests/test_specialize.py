@@ -88,7 +88,6 @@ def test_flag_profile_validation():
     for bad in ((), (0, 2), (2, 2), (3, 1)):
         with pytest.raises(ValueError):
             FlagProfile(bad)
-    assert FlagProfile.parse("2,4").N == (2, 4)
 
 
 def test_flag_profile_accessors():
