@@ -147,10 +147,14 @@ Monomial = tuple[tuple[Variable, int], ...]
 # Products repeat: reducing x_2^40 in R_3 makes 4.4 M of them over 13 k distinct pairs.
 @memo(maxsize=1 << 11)
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    acc: dict[Variable, int] = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items(), key=lambda p: p[0].key))
+    """Merge two sorted monomials; a variable on one side only keeps its input pair."""
+    out: list[tuple[Variable, int]] = []
+    for pair in sorted(a + b, key=lambda p: p[0].key):
+        if out and out[-1][0] is pair[0]:
+            out[-1] = (pair[0], out[-1][1] + pair[1])
+        else:
+            out.append(pair)
+    return tuple(out)
 
 
 def _mono_degree(m: Monomial) -> int:

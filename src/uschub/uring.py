@@ -22,13 +22,14 @@ indices ranking higher, and every term on the right has lower x-degree,
 since each T_i carries a g+ factor.  So repeated rewriting of any
 exponent a_k >= n+2-k terminates on the staircase.
 
-A normal form reads each input monomial once, as a g+ part and an
-exponent tuple over x_1..x_{n+1} (g_k[0] counts as x_k), and walks each
-tuple on one budget; the walk memoizes one form per tuple it passes.  A
-tuple with x_{n+1}^b, b > 0, is a walk step like a rule: it goes to the
-multinomial expansion of (-(x_1 + ... + x_n))^b, whose tuples end in 0
-and go on by the rules.  Schubert elements and products are normal forms
-of polynomials like any other.
+A normal form splits the whole input by exponent tuple over x_1..x_{n+1}
+(a per-ring table sends x_k and g_k[0] to slot k, g+ to the coefficient)
+and drops the groups that cancel before walking any tuple.  The walk runs
+on one budget and memoizes one form per tuple it passes; each group's
+form is added into one accumulator per staircase monomial.  A tuple with
+x_{n+1}^b, b > 0, is a walk step like a rule: it goes to the multinomial
+expansion of (-(x_1 + ... + x_n))^b, whose tuples end in 0 and go on by
+the rules.  Schubert elements and products are normal forms.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
 staircase exponents, with coefficients in Z[g+]: the g-free part of the
@@ -46,12 +47,15 @@ may drop every key below the floor, and pairs below it are skipped.  An
 equivalent route reads the coefficient of the longest permutation in the
 Schubert-basis expansion of the product, and the routes are compared in
 tests.
+
+The involution omega permutes the variables of R_n up to sign, so it is a
+signed relabel of each term through a per-n table; it reads no rules.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import add
+from operator import add, gt
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -101,6 +105,17 @@ def _over_budget(exps: tuple[int, ...]) -> ArithmeticError:
     return ArithmeticError(f"reducing the x-exponents {shown} needs more than {WALK_BUDGET:,} stored g-terms")
 
 
+@memo
+def _x_variables(n: int) -> tuple[Variable, ...]:
+    return tuple(map(x, range(1, n + 1)))
+
+
+@memo
+def _top_staircase(n: int) -> tuple[int, ...]:
+    # x_1^n ... x_n over x_1..x_{n+1}: entry i-1 is the staircase bound n+1-i
+    return (*range(n, 0, -1), 0)
+
+
 class RingElement:
     """A reduced element of R_n: staircase x-monomials with g+ coefficients.
 
@@ -113,11 +128,12 @@ class RingElement:
 
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], Polynomial]):
         self.n = n
+        bound = _top_staircase(n)
         clean = {}
         for exps, poly in coeffs.items():
             if len(exps) != n + 1 or exps[-1] != 0:
                 raise ValueError("exponent tuple must have length n+1 and end in 0")
-            if any(exps[i] > n + 1 - (i + 1) for i in range(n + 1)):
+            if any(map(gt, exps, bound)):
                 raise ValueError("exponents exceed the staircase bound")
             if poly:
                 clean[exps] = poly
@@ -131,11 +147,7 @@ class RingElement:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, RingElement) and (self.n, self.coeffs) == (other.n, other.coeffs)
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
@@ -153,22 +165,19 @@ class RingElement:
 
     def to_polynomial(self) -> Polynomial:
         # g sorts before x, so a g-monomial followed by an x-monomial is sorted
-        return Polynomial({
-            gmono + xmono: co
-            for exps, poly in self.coeffs.items()
-            for xmono in [tuple((x(i), e) for i, e in enumerate(exps[:-1], start=1) if e)]
-            for gmono, co in poly.terms().items()
-        })
+        xs = _x_variables(self.n)
+        out: dict[Monomial, int] = {}
+        for exps, poly in self.coeffs.items():
+            xmono = tuple([pair for pair in zip(xs, exps) if pair[1]])
+            for gmono, co in poly.terms().items():
+                out[gmono + xmono] = co
+        return Polynomial(out)
 
     def text(self) -> str:
         return self.to_polynomial().text()
 
     def __repr__(self) -> str:
         return f"RingElement(n={self.n}, {self.text()})"
-
-
-def _top_staircase(n: int) -> tuple[int, ...]:
-    return tuple(n + 1 - i for i in range(1, n + 1)) + (0,)
 
 
 def _rewrite_order(exps: tuple[int, ...]) -> tuple:
@@ -182,6 +191,9 @@ class UniversalRing:
             raise ValueError("n must be at least 1")
         self.n = n
         self.w0 = Permutation.longest(n + 1)
+        # The split of a normal form: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
+        self._slot = {v: None if v.kind == "g" else v.i - 1 for v in _omega_table(n)}
+        self._slot.update((g(k, 0), k - 1) for k in range(1, n + 2))
         # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
         tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(self._xg_image) for i in range(2, n + 2)}
         inv = [ONE]
@@ -213,27 +225,22 @@ class UniversalRing:
         A monomial with foreign variables raises ValueError naming the first
         in package order, a g_k[0] ranking as x_k.
         """
-        n = self.n
+        slot, size = self._slot, self.n + 1
         out: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for mono, coeff in p.terms().items():
-            exps = [0] * (n + 1)
+            exps = [0] * size
             gmono = []
-            foreign = []
-            for v, e in mono:
-                if v.kind == "x" or v.kind == "g" and v.j == 0:
-                    if v.i <= n + 1:
-                        exps[v.i - 1] += e
+            try:
+                for v, e in mono:
+                    k = slot[v]
+                    if k is None:
+                        gmono.append((v, e))
                     else:
-                        foreign.append(x(v.i))
-                elif v.kind == "g" and v.i + v.j <= n + 1:
-                    gmono.append((v, e))
-                else:
-                    foreign.append(v)
-            if foreign:
-                v = min(foreign)
-                if v.kind == "g":
-                    raise ValueError(f"{v.text()} is outside Z[g+] for n = {n}")
-                raise ValueError(f"unexpected variable {v.text()} in reduction")
+                        exps[k] += e
+            except KeyError:
+                v = min(x(v.i) if v.kind == "g" and v.j == 0 else v for v, _ in mono if v not in slot)
+                raise ValueError(f"{v.text()} is outside Z[g+] for n = {self.n}" if v.kind == "g"
+                                 else f"unexpected variable {v.text()} in reduction") from None
             terms = out.setdefault(tuple(exps), {})
             gmono = tuple(gmono)
             terms[gmono] = terms.get(gmono, 0) + coeff
@@ -286,6 +293,8 @@ class UniversalRing:
         x-degree, so only staircase terms below the floor are lost.
         """
         nf = self._nf.setdefault(floor, {})
+        if exps in nf:
+            return nf[exps]
         # An explicit stack, not recursion: x_1^a at n = 1 takes a/2 steps.
         pending = [exps]
         stored = 0
@@ -314,8 +323,11 @@ class UniversalRing:
         return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
     def normal_form(self, p: Polynomial) -> RingElement:
-        split = self._by_x_exponent(p)
-        return RingElement(self.n, self._combine((scalar, self._nf_monomial(exps)) for exps, scalar in split.items()))
+        acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
+        for exps, scalar in self._by_x_exponent(p).items():
+            for stair, poly in self._nf_monomial(exps).items():
+                add_product(acc.setdefault(stair, {}), scalar, poly)
+        return RingElement(self.n, {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))})
 
     # -- Schubert basis --------------------------------------------------------
 
@@ -344,51 +356,73 @@ class UniversalRing:
         return self.normal_form(a.to_polynomial() * b.to_polynomial())
 
     def multiply_expand(self, u: Permutation, v: Permutation) -> dict:
-        product = self.multiply(self.schubert(u), self.schubert(v))
-        return self.schubert_basis_expand(product)
+        return self.schubert_basis_expand(self.multiply(self.schubert(u), self.schubert(v)))
 
     def inner_product(self, a: RingElement, b: RingElement) -> Polynomial:
         """The top staircase coefficient of a*b, without building the product."""
         acc: dict[Monomial, int] = {}
+        right = [(self._top_degree - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
         for alpha, pa in a.coeffs.items():
+            degree = sum(alpha)
             inner: dict[Monomial, int] = {}
-            for beta, pb in b.coeffs.items():
-                if sum(alpha) + sum(beta) >= self._top_degree:
+            for least, beta, pb in right:
+                if degree >= least:
                     add_product(inner, pb, self.top(tuple(map(add, alpha, beta))))
             add_product(acc, pa, Polynomial(inner))
         return Polynomial(acc)
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
-        expansion = self.schubert_basis_expand(self.multiply(a, b))
-        return expansion.get(self.w0, ZERO)
+        return self.schubert_basis_expand(self.multiply(a, b)).get(self.w0, ZERO)
 
     # -- the involution ----------------------------------------------------------
 
     def omega(self, p: Polynomial) -> Polynomial:
-        n = self.n
-
-        def image(v: Variable) -> Polynomial:
-            if v.kind == "x":
-                if not 1 <= v.i <= n + 1:
-                    raise ValueError(f"{v.text()} is outside x_1..x_{n + 1}")
-                return -Polynomial.var(x(n + 2 - v.i))
-            if v.kind == "g" and (v.j or 0) >= 1:
-                target = n + 2 - v.i - v.j
-                if target < 1:
-                    raise ValueError(f"{v.text()} has no mirror for n = {n}")
-                mirror = Polynomial.var(g(target, v.j))
-                return mirror if v.j % 2 else -mirror
-            raise ValueError(f"unexpected variable {v.text()} under omega")
-
-        return p.substitute(image)
+        return omega(p, self.n)
 
 
 def normal_form(p: Polynomial, n: int) -> RingElement:
     return universal_ring(n).normal_form(p)
 
 
+def _omega_image(v: Variable, n: int) -> tuple[Variable, int]:
+    """x_i -> -x_{n+2-i} and g_i[j] -> (-1)^{j+1} g_{n+2-i-j}[j], as (image, sign)."""
+    if v.kind == "x":
+        if not 1 <= v.i <= n + 1:
+            raise ValueError(f"{v.text()} is outside x_1..x_{n + 1}")
+        return x(n + 2 - v.i), -1
+    if v.kind == "g" and (v.j or 0) >= 1:
+        target = n + 2 - v.i - v.j
+        if target < 1:
+            raise ValueError(f"{v.text()} has no mirror for n = {n}")
+        return g(target, v.j), 1 if v.j % 2 else -1
+    raise ValueError(f"unexpected variable {v.text()} under omega")
+
+
+@memo
+def _omega_table(n: int) -> dict[Variable, tuple[Variable, int]]:
+    """omega on the variables of R_n: x_1..x_{n+1} and Z[g+]'s g_i[j], j >= 1, i + j <= n+1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    domain = [*map(x, range(1, n + 2)), *(g(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))]
+    return {v: _omega_image(v, n) for v in domain}
+
+
 def omega(p: Polynomial, n: int) -> Polynomial:
-    return universal_ring(n).omega(p)
+    """The involution as one signed relabel of each term; it is a bijection on variables, so no terms merge."""
+    table = _omega_table(n)
+    out: dict[Monomial, int] = {}
+    try:
+        for mono, co in p.terms().items():
+            image = []
+            for v, e in mono:
+                w, sign = table[v]
+                image.append((w, e))
+                co *= sign ** e
+            out[tuple(sorted(image, key=lambda pair: pair[0].key))] = co
+    except KeyError:
+        # the image rules raise on the first variable without an image, in package order
+        _omega_image(next(v for v in p.variables() if v not in table), n)
+    return Polynomial(out)
 
 
 def schubert_basis_expand(e: RingElement) -> dict[Permutation, Polynomial]:
@@ -415,9 +449,7 @@ def staircase_rank_report(n: int) -> dict:
     """
     ring = universal_ring(n)
     top = n * (n + 1) // 2
-    full_rank = ring.rules_are_triangular() and not any(
-        ring.normal_form(c_from_g(i, n + 1)) for i in range(1, n + 2)
-    )
+    full_rank = ring.rules_are_triangular() and not any(ring.normal_form(c_from_g(i, n + 1)) for i in range(1, n + 2))
     degrees = [{"degree": d, "dimension": comb(d + n - 1, n - 1)} for d in range(top + 1)]
     return {"n": n, "top_degree": top, "full_rank": full_rank, "degrees": degrees}
 
@@ -425,36 +457,20 @@ def staircase_rank_report(n: int) -> dict:
 def check_orthogonality(n: int) -> dict:
     """Pair every Schubert element against the twisted dual family."""
     ring = universal_ring(n)
-    w0 = ring.w0
     perms = sorted(all_perms(n + 1), key=lambda w: (w.length(), w.word))
-    duals = {}
-    for v in perms:
-        image = ring.omega(ring.schubert(v * w0).to_polynomial())
-        duals[v.word] = ring.normal_form(image)
-    checked = 0
-    failures = []
-    for u in perms:
-        su = ring.schubert(u)
-        for v in perms:
-            value = ring.inner_product(su, duals[v.word])
-            expected = ONE if u.word == v.word else ZERO
-            checked += 1
-            if value != expected:
-                failures.append(
-                    {"u": list(u.word), "v": list(v.word), "value": value.text()}
-                )
-    return {"n": n, "checked": checked, "failures": failures}
+    duals = [ring.normal_form(ring.omega(ring.schubert(v * ring.w0).to_polynomial())) for v in perms]
+    failures = [
+        {"u": list(u.word), "v": list(v.word), "value": value.text()}
+        for u in perms
+        for v, dual in zip(perms, duals)
+        if (value := ring.inner_product(ring.schubert(u), dual)) != (ONE if u.word == v.word else ZERO)
+    ]
+    return {"n": n, "checked": len(perms) ** 2, "failures": failures}
 
 
 def check_diagonal_vanishing(n: int) -> dict:
     """Substitute the second alphabet by the first in every double element."""
-    checked = 0
-    failures = []
-    for w in sorted(all_perms(n + 1), key=lambda w: (w.length(), w.word)):
-        if w.is_identity():
-            continue
-        merged = universal_double(w, n).rename_kind("d", "c")
-        checked += 1
-        if merged:
-            failures.append({"w": list(w.word), "value": merged.text()})
-    return {"n": n, "checked": checked, "failures": failures}
+    perms = [w for w in sorted(all_perms(n + 1), key=lambda w: (w.length(), w.word)) if not w.is_identity()]
+    failures = [{"w": list(w.word), "value": merged.text()}
+                for w in perms if (merged := universal_double(w, n).rename_kind("d", "c"))]
+    return {"n": n, "checked": len(perms), "failures": failures}

@@ -18,6 +18,10 @@ inversion) and independent of the ladder operator that
 the whole product, then reading its top staircase coefficient; the
 library reads that coefficient through a memoized functional instead.
 
+``omega_reference`` is the involution of R_n as a substitution with one
+image polynomial per variable; the library relabels each term through a
+per-n table of (image, sign) pairs.
+
 ``substitute_reference``, ``normal_form_reference``,
 ``schubert_basis_expand_reference`` and ``code_products`` build every
 intermediate product as its own ``Polynomial`` and sum the results:
@@ -61,6 +65,7 @@ from uschub.polyring import (
     cpoly,
     dpoly,
     elementary_sym,
+    g,
     x,
     y,
 )
@@ -176,6 +181,25 @@ def normal_form_reference(p: Polynomial, n: int) -> RingElement:
         for exps, scalar in ring._by_x_exponent(substitute_reference(p, ring._xg_image)).items()
         for stair, poly in _nf_monomial_reference(ring, exps).coeffs.items()
     ))
+
+
+def omega_reference(p: Polynomial, n: int) -> Polynomial:
+    """The involution by ``Polynomial.substitute``, one image polynomial per variable."""
+
+    def image(v: Variable) -> Polynomial:
+        if v.kind == "x":
+            if not 1 <= v.i <= n + 1:
+                raise ValueError(f"{v.text()} is outside x_1..x_{n + 1}")
+            return -Polynomial.var(x(n + 2 - v.i))
+        if v.kind == "g" and (v.j or 0) >= 1:
+            target = n + 2 - v.i - v.j
+            if target < 1:
+                raise ValueError(f"{v.text()} has no mirror for n = {n}")
+            mirror = Polynomial.var(g(target, v.j))
+            return mirror if v.j % 2 else -mirror
+        raise ValueError(f"unexpected variable {v.text()} under omega")
+
+    return p.substitute(image)
 
 
 def peel_max_first(coeffs: dict, lead, key) -> dict:

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from frozen import MULTIPLY_DIGEST, NF_DIGESTS, NF_X1_CUBED_N2
-from oracles import inner_product_full, normal_form_reference, schubert_basis_expand_reference
+from oracles import inner_product_full, normal_form_reference, omega_reference, schubert_basis_expand_reference
 from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
@@ -136,11 +136,18 @@ def test_walks_stop_at_the_budget(monkeypatch):
     ("g1[1]*x2 + x3^2*g2[1] + h1[0]*x1", 1, "g2[1] is outside Z[g+] for n = 1"),
     # foreign variables are rejected even where x_{n+1} = -(x_1 + ... + x_n) cancels them
     ("d1(1)*x4 + d1(1)*x1 + d1(1)*x2 + d1(1)*x3", 3, "unexpected variable d1(1) in reduction"),
+    # the whole input is split before any tuple is walked, so x4^40 never meets the walk budget
+    ("x4^40 + d1(1)", 3, "unexpected variable d1(1) in reduction"),
 ])
 def test_foreign_variables_are_named_in_package_order(text, n, message):
     with pytest.raises(ValueError) as err:
         normal_form(parse_text(text), n)
     assert str(err.value) == message
+
+
+def test_groups_that_cancel_are_never_walked():
+    # x4 and g4[0] share x-slot 4; walking x4^40 alone would exceed the walk budget
+    assert normal_form(parse_text("x4^40 - g4[0]^40"), 3) == RingElement.zero(3)
 
 
 def test_normal_form_is_a_ring_map():
@@ -339,21 +346,49 @@ def test_omega_values():
     assert omega(parse_text("g1[2]"), 2) == parse_text("-g1[2]")
 
 
+OMEGA_SAMPLES = [
+    _xp(1) ** 2 + _xp(3),
+    parse_text("g1[1]") * _xp(2),
+    parse_text("g2[1] - g1[2]"),
+]
+
+
 def test_omega_is_an_involution():
-    samples = [
-        _xp(1) ** 2 + _xp(3),
-        parse_text("g1[1]") * _xp(2),
-        parse_text("g2[1] - g1[2]"),
-    ]
-    for p in samples:
+    for p in OMEGA_SAMPLES:
         assert omega(omega(p, 2), 2) == p
 
 
+def test_omega_matches_the_reference():
+    # every Schubert element and omega-dual at n = 1..3, and the involution samples
+    for n in (1, 2, 3):
+        ring = universal_ring(n)
+        for w in all_perms(n + 1):
+            for p in (ring.schubert(w).to_polynomial(), _dual(ring, w).to_polynomial()):
+                assert omega(p, n) == omega_reference(p, n), (n, p)
+                assert ring.omega(p) == omega(p, n)
+    for p in OMEGA_SAMPLES:
+        assert omega(p, 2) == omega_reference(p, 2), p
+
+
 def test_omega_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        omega(_xp(3), 1)
-    with pytest.raises(ValueError):
-        omega(parse_text("g3[2]"), 2)
+    # across terms, the first variable without an image in package order is named
+    for text, n, message in (
+        ("x3", 1, "x3 is outside x_1..x_2"),
+        ("g3[2]", 2, "g3[2] has no mirror for n = 2"),
+        ("g1[0]", 2, "unexpected variable g1[0] under omega"),
+        ("x9*g3[2] + c1(1)*x1", 2, "unexpected variable c1(1) under omega"),
+    ):
+        for route in (omega, omega_reference):
+            with pytest.raises(ValueError) as err:
+                route(parse_text(text), n)
+            assert str(err.value) == message, (route, text)
+
+
+def test_omega_builds_no_ring():
+    # the rewrite rules of R_8 take tens of seconds, and omega reads none of them
+    polyring.clear_caches()
+    assert omega(_xp(1), 8) == -_xp(9)
+    assert universal_ring.cache_info().currsize == 0
 
 
 # -- the verification sweeps ---------------------------------------------------------
