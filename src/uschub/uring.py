@@ -22,14 +22,14 @@ indices ranking higher, and every term on the right has lower x-degree,
 since each T_i carries a g+ factor.  So repeated rewriting of any
 exponent a_k >= n+2-k terminates on the staircase.
 
-A normal form splits the whole input by exponent tuple over x_1..x_{n+1}
-(a per-ring table sends x_k and g_k[0] to slot k, g+ to the coefficient)
-and drops the groups that cancel before walking any tuple.  The walk runs
-on one budget and memoizes one form per tuple it passes; each group's
-form is added into one accumulator per staircase monomial.  A tuple with
-x_{n+1}^b, b > 0, is a walk step like a rule: it goes to the multinomial
-expansion of (-(x_1 + ... + x_n))^b, whose tuples end in 0 and go on by
-the rules.  Schubert elements and products are normal forms.
+All of it runs on split forms, {exponent tuple over x_1..x_{n+1}:
+coefficient in Z[g+]}: a per-ring table sends x_k and g_k[0] to slot k and
+g+ to the coefficient, and a product adds exponent tuples.  The rules are
+computed so, and a Schubert element is the split of its g-form, which is
+already reduced.  A normal form splits its input, drops the groups that
+cancel, then walks each tuple on one budget, memoizing one form per tuple,
+and sums the forms in one pass.  The walk steps x_{n+1}^b, b > 0, to
+(-(x_1 + ... + x_n))^b; the rules lose x_{n+1} by the same step.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
 staircase exponents, with coefficients in Z[g+]: the g-free part of the
@@ -159,9 +159,7 @@ class RingElement:
         return RingElement(self.n, {e: self.coeffs.get(e, ZERO) + other.coeffs.get(e, ZERO) for e in keys})
 
     def scale(self, poly: Polynomial | int) -> "RingElement":
-        if isinstance(poly, int):
-            poly = Polynomial.const(poly)
-        return RingElement(self.n, {e: poly * p for e, p in self.coeffs.items()})
+        return RingElement(self.n, {e: p * poly for e, p in self.coeffs.items()})
 
     def to_polynomial(self) -> Polynomial:
         # g sorts before x, so a g-monomial followed by an x-monomial is sorted
@@ -191,33 +189,31 @@ class UniversalRing:
             raise ValueError("n must be at least 1")
         self.n = n
         self.w0 = Permutation.longest(n + 1)
-        # The split of a normal form: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
+        # The split: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
         self._slot = {v: None if v.kind == "g" else v.i - 1 for v in _omega_table(n)}
         self._slot.update((g(k, 0), k - 1) for k in range(1, n + 2))
-        # Coefficients of U(t)^{-1}, from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
-        tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(self._xg_image) for i in range(2, n + 2)}
-        inv = [ONE]
+        # e_i(x_1..x_{n+1}) cancels from the split of c_i(n+1), which leaves T_i.  The coefficients of U(t)^{-1}
+        # follow from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
+        split = self._by_x_exponent
+        tails = {i: split(c_from_g(i, n + 1) - elementary_sym(i, n + 1)) for i in range(2, n + 2)}
+        inv = [{(0,) * (n + 1): ONE}]
         for r in range(1, n + 2):
-            inv.append(Polynomial.sum(tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)))
-        # rules[k]: the relation x_k^m + (smaller terms) = 0, m = n+2-k, by x-exponent.
+            inv.append(self._combine(self._products((tails[i], inv[r - i]) for i in range(2, r + 1))))
+        # rules[k]: the relation h_m(x_1..x_k) - (-1)^m sum_j e_j(x_{k+1}..x_{n+1}) inv[m-j] = 0, led by x_k^m.
         self._rules: dict[int, dict[tuple[int, ...], Polynomial]] = {}
         for k in range(1, n + 1):
             m = n + 2 - k
-            right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
-            relation = complete_sym(m, k, kind="x") - right.substitute(self._xg_image) * (-1) ** m
-            self._rules[k] = self._by_x_exponent(relation)
+            relation = self._combine(self._products([(split(complete_sym(m, k, kind="x")), inv[0])] + [
+                (split(elementary_sym(j, n + 1 - k, offset=k) * (-1) ** (m + 1)), inv[m - j]) for j in range(m)]))
+            # x_{n+1}^b leaves once, by the walk's own step; that step reads no rules, so it runs before they exist
+            self._rules[k] = self._combine((-poly, dict(self._rewrite(exps))) if exps[-1] else (poly, {exps: ONE})
+                                           for exps, poly in relation.items())
         # One normal-form table per degree floor: {x-exponents: {staircase: coefficient}}.
         self._nf: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]]] = {}
         self._top_degree = n * (n + 1) // 2
         self._top_stair = _top_staircase(n)
 
     # -- presentation -------------------------------------------------------
-
-    def _xg_image(self, v: Variable) -> Polynomial | None:
-        """g_k[0] -> x_k and x_{n+1} -> -(x_1 + ... + x_n), for building the rules."""
-        if v.i == self.n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
-            return -elementary_sym(1, self.n)
-        return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
 
     def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
         """Split a polynomial in x_1..x_{n+1} over Z[g+] by exponent tuple, g_k[0] counted as x_k.
@@ -279,12 +275,16 @@ class UniversalRing:
         ]
 
     def _combine(self, parts, scale: int = 1) -> dict[tuple[int, ...], Polynomial]:
-        """scale * sum of scalar * form over (scalar, {staircase: coefficient}) pairs."""
+        """scale * sum of scalar * form over (scalar, {x-exponents: coefficient}) pairs."""
         acc: dict[tuple[int, ...], dict] = {}
         for scalar, form in parts:
             for stair, poly in form.items():
                 add_product(acc.setdefault(stair, {}), scalar, poly, scale)
         return {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
+
+    def _products(self, pairs):
+        """The sum of products of split forms, as (scalar, form) pairs for ``_combine``: exponent tuples add."""
+        return ((pa, {tuple(map(add, ea, eb)): pb for eb, pb in b.items()}) for a, b in pairs for ea, pa in a.items())
 
     def _nf_monomial(self, exps: tuple[int, ...], floor: int = 0) -> dict[tuple[int, ...], Polynomial]:
         """The normal form of x^exps as {staircase exponents: coefficient in Z[g+]}.
@@ -322,18 +322,18 @@ class UniversalRing:
         """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
         return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
+    def _reduce(self, split: dict[tuple[int, ...], Polynomial]) -> RingElement:
+        return RingElement(self.n, self._combine((scalar, self._nf_monomial(exps)) for exps, scalar in split.items()))
+
     def normal_form(self, p: Polynomial) -> RingElement:
-        acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
-        for exps, scalar in self._by_x_exponent(p).items():
-            for stair, poly in self._nf_monomial(exps).items():
-                add_product(acc.setdefault(stair, {}), scalar, poly)
-        return RingElement(self.n, {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))})
+        return self._reduce(self._by_x_exponent(p))
 
     # -- Schubert basis --------------------------------------------------------
 
     @memo
     def schubert(self, w: Permutation) -> RingElement:
-        return self.normal_form(to_g_form(universal_single(w, self.n).to_polynomial()))
+        # Reduced as it is: x_s comes at most once from each c_i(k), k >= s, and each g_s[t], t >= 1, has s+t <= n.
+        return RingElement(self.n, self._by_x_exponent(to_g_form(universal_single(w, self.n).to_polynomial())))
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+].
@@ -348,18 +348,24 @@ class UniversalRing:
             w = Permutation.from_lehmer(exps)
             return w, self.schubert(w).coeffs
 
+        if e.n != self.n:
+            raise ValueError("mixed ambient n")
         return peel(e.coeffs, lead, lambda exps: (-sum(exps), tuple(-a for a in reversed(exps))))
 
     # -- products and the pairing ----------------------------------------------
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
-        return self.normal_form(a.to_polynomial() * b.to_polynomial())
+        if {a.n, b.n} != {self.n}:
+            raise ValueError("mixed ambient n")
+        return self._reduce(self._combine(self._products([(a.coeffs, b.coeffs)])))
 
     def multiply_expand(self, u: Permutation, v: Permutation) -> dict:
         return self.schubert_basis_expand(self.multiply(self.schubert(u), self.schubert(v)))
 
     def inner_product(self, a: RingElement, b: RingElement) -> Polynomial:
         """The top staircase coefficient of a*b, without building the product."""
+        if {a.n, b.n} != {self.n}:
+            raise ValueError("mixed ambient n")
         acc: dict[Monomial, int] = {}
         right = [(self._top_degree - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
         for alpha, pa in a.coeffs.items():
@@ -434,8 +440,6 @@ def multiply_expand(u: Permutation, v: Permutation, n: int) -> dict:
 
 
 def inner_product(a: RingElement, b: RingElement) -> Polynomial:
-    if a.n != b.n:
-        raise ValueError("mixed ambient n")
     return universal_ring(a.n).inner_product(a, b)
 
 

@@ -18,6 +18,11 @@ inversion) and independent of the ladder operator that
 the whole product, then reading its top staircase coefficient; the
 library reads that coefficient through a memoized functional instead.
 
+``rules_reference`` builds the rewrite rules of R_n on whole polynomials,
+substituting g_k[0] -> x_k and x_{n+1} -> -(x_1 + ... + x_n) through its
+own image function ``xg_image``, which ``normal_form_reference`` uses too;
+the library builds the rules on split forms and never substitutes.
+
 ``omega_reference`` is the involution of R_n as a substitution with one
 image polynomial per variable; the library relabels each term through a
 per-n table of (image, sign) pairs.
@@ -62,6 +67,7 @@ from uschub.polyring import (
     Polynomial,
     Variable,
     _mono_degree,
+    complete_sym,
     cpoly,
     dpoly,
     elementary_sym,
@@ -70,6 +76,7 @@ from uschub.polyring import (
     y,
 )
 from uschub.schubert import MElement, classical_single, divided_difference, universal_single
+from uschub.specialize import c_from_g
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -178,9 +185,39 @@ def normal_form_reference(p: Polynomial, n: int) -> RingElement:
     ring = universal_ring(n)
     return RingElement(n, sum_by_key(
         (stair, scalar * poly)
-        for exps, scalar in ring._by_x_exponent(substitute_reference(p, ring._xg_image)).items()
+        for exps, scalar in ring._by_x_exponent(substitute_reference(p, xg_image(n))).items()
         for stair, poly in _nf_monomial_reference(ring, exps).coeffs.items()
     ))
+
+
+def xg_image(n: int):
+    """The image function g_k[0] -> x_k and x_{n+1}, g_{n+1}[0] -> -(x_1 + ... + x_n), for substitution."""
+    def image(v: Variable) -> Polynomial | None:
+        if v.i == n + 1 and (v.kind == "x" or v.kind == "g" and v.j == 0):
+            return -elementary_sym(1, n)
+        return Polynomial.var(x(v.i)) if v.kind == "g" and v.j == 0 else None
+
+    return image
+
+
+def rules_reference(n: int) -> dict[int, dict[tuple[int, ...], Polynomial]]:
+    """The rewrite rules of R_n built on whole polynomials, with g_k[0] and x_{n+1} substituted away.
+
+    Rule k is the relation x_k^m + (smaller terms) = 0, m = n+2-k, as {exponents over x_1..x_{n+1}: coefficient}.
+    """
+    image = xg_image(n)
+    tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(image) for i in range(2, n + 2)}
+    inv = [ONE]
+    for r in range(1, n + 2):
+        inv.append(Polynomial.sum(tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)))
+    rules = {}
+    for k in range(1, n + 1):
+        m = n + 2 - k
+        right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
+        relation = complete_sym(m, k, kind="x") - right.substitute(image) * (-1) ** m
+        rules[k] = {tuple(dict(xmono).get(x(i), 0) for i in range(1, n + 2)): coeff
+                    for xmono, coeff in relation.coefficients_by("x").items()}
+    return rules
 
 
 def omega_reference(p: Polynomial, n: int) -> Polynomial:

@@ -6,11 +6,17 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from frozen import MULTIPLY_DIGEST, NF_DIGESTS, NF_X1_CUBED_N2
-from oracles import inner_product_full, normal_form_reference, omega_reference, schubert_basis_expand_reference
+from oracles import (
+    inner_product_full,
+    normal_form_reference,
+    omega_reference,
+    rules_reference,
+    schubert_basis_expand_reference,
+)
 from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
-from uschub.specialize import c_from_g, g_classical
+from uschub.specialize import c_from_g, g_classical, to_g_form
 from uschub.uring import (
     RingElement,
     UniversalRing,
@@ -185,6 +191,12 @@ def test_element_validation():
         RingElement(1, {(0, 0): ONE}) + RingElement.zero(2)
 
 
+def test_rules_match_the_reference():
+    # built on split forms; the reference substitutes g_k[0] and x_{n+1} away on whole polynomials
+    for n in range(1, 7):
+        assert UniversalRing(n)._rules == rules_reference(n), n
+
+
 def test_staircase_rank():
     for n in (1, 2):
         report = staircase_rank_report(n)
@@ -213,6 +225,24 @@ def test_rank_report_rejects_a_rule_outside_the_ideal(monkeypatch):
 
 
 # -- the basis and its products ----------------------------------------------------
+
+def test_schubert_elements_are_their_reduced_g_forms():
+    # the split g-form, never walked, is the normal form of the g-form
+    for n in range(1, 5):
+        ring = universal_ring(n)
+        for w in all_perms(n + 1):
+            assert ring.schubert(w) == ring.normal_form(to_g_form(schubert.universal_single(w, n).to_polynomial())), w
+
+
+def test_elements_of_another_ring_are_rejected():
+    a = universal_ring(2).schubert(S1)
+    b = universal_ring(3).schubert(Permutation((3, 2, 1)))
+    r3 = universal_ring(3)
+    for call in (lambda: r3.inner_product(a, b), lambda: r3.multiply(a, b), lambda: r3.multiply(b, a),
+                 lambda: r3.schubert_basis_expand(a), lambda: inner_product(a, b), lambda: inner_product(b, a)):
+        with pytest.raises(ValueError, match="mixed ambient n"):
+            call()
+
 
 def test_basis_expansion_inverts_the_basis():
     ring = universal_ring(2)
