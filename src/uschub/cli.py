@@ -452,14 +452,14 @@ def _suite_census(n: int) -> list[Check]:
 
 def _suite_product_rule(kmax: int) -> list[Check]:
     from .formulas import product_rule, remark47_first_sum
-    from .specialize import classical_specialize, g_classical, to_g_form
+    from .specialize import classical_specialize, g_classical
 
     triples = [(i, j, k) for k in range(0, kmax + 1) for i in range(0, k + 1) for j in range(0, k + 1)]
 
     def both(triple: tuple[int, int, int]) -> tuple[bool, bool]:
         report = product_rule(*triple)
         reduced = classical_specialize(remark47_first_sum(*triple))
-        return report.equal_in_g, reduced == g_classical(to_g_form(report.lhs))
+        return report.equal_in_g, reduced == g_classical(report.lhs)
 
     results = {t: both(t) for t in triples}
     return [

@@ -12,13 +12,13 @@ and -1 just below it, and the sum over families of disjoint intervals
 covering exactly i of the vertices 1..k, where an interval of t+1
 vertices starting at s contributes the factor g_s[t].
 
-One substitution then reads off the g-form: the flag map of a profile
-N sends g_i[0] -> x_i and keeps one g per adjacent block pair as a
-signed q of degree n_{i+1} - n_{i-1}, every other g going to zero.  Its
-one-block case N = (1) is the classical ring (g_classical), and its
-full-flag case N = (1, 2, ..., m) is the quantum ring, g_i[1] -> q_i
-(quantum_specialize).  classical_specialize reads c and d directly as
-elementary symmetric polynomials instead.
+Every terminal specialization is one substitution.  The flag map of a profile
+N sends g_i[0] -> x_i and keeps one g per adjacent block pair as a signed q
+of degree n_{i+1} - n_{i-1}, every other g going to zero; each c_i(j) goes to
+the map of its g-form, once per profile.  Its one-block case N = (1) is the
+classical ring (g_classical), and its full-flag case N = (1, 2, ..., m) is the
+quantum ring, g_i[1] -> q_i (quantum_specialize).  classical_specialize reads
+c and d directly as elementary symmetric polynomials instead.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def classical_specialize(p: Polynomial) -> Polynomial:
 
 
 def g_classical(p: Polynomial) -> Polynomial:
-    """g_i[0] -> x_i and every g_i[j], j >= 1, to zero: the flag map of the one-block profile (1)."""
+    """g_i[0] -> x_i, every g_i[j], j >= 1, to zero and c_i(j) -> e_i(x_1..x_j): the flag map of the profile (1)."""
     return _apply_flag_map(p, FlagProfile((1,)))
 
 
@@ -179,13 +179,11 @@ def zero_y(p: Polynomial) -> Polynomial:
 
 
 def quantum_specialize(p: Polynomial) -> Polynomial:
-    """g_i[0] -> x_i, g_i[1] -> q_i, g_i[j] -> 0 for j >= 2.
+    """g_i[0] -> x_i, g_i[1] -> q_i, g_i[j] -> 0 for j >= 2, each c_i(j) through its g-form.
 
-    This is the flag map of the full flag (1, 2, ..., m), with m the
-    largest c-point or g-index sum i + j of the input, so every g_i[1]
-    the g-form can hold has i < m.  A polynomial still in c variables is
-    converted through the g-form first; d or h variables have no quantum
-    reading here and raise.
+    This is the flag map of the full flag (1, 2, ..., m), with m the largest c-point or
+    g-index sum i + j of the input, so every g_i[1] the g-form can hold has i < m.
+    d or h variables have no quantum reading here and raise.
     """
     m = 1
     for v in p.variables():
@@ -193,28 +191,29 @@ def quantum_specialize(p: Polynomial) -> Polynomial:
             raise ValueError("quantum specialization is defined for single polynomials only")
         if v.kind in "cg":
             m = max(m, v.j if v.kind == "c" else v.i + v.j)
-    return _apply_flag_map(to_g_form(p), FlagProfile(tuple(range(1, m + 1))))
+    return _apply_flag_map(p, FlagProfile(tuple(range(1, m + 1))))
+
+
+@memo
+def _flag_image(v: Variable, profile: FlagProfile) -> Polynomial | None:
+    """The flag map of ``profile`` on one variable, None keeping it: g_i[0] -> x_i,
+    g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i, with q_i of degree
+    n_{i+1} - n_{i-1}, every other g_s[t], t >= 1, -> 0, and c_i(j) -> the map of c_from_g(i, j)."""
+    if v.kind == "c":
+        return _apply_flag_map(c_from_g(v.i, v.j), profile)
+    if v.kind != "g":
+        return None
+    if v.j == 0:
+        return Polynomial.var(x(v.i))
+    for i in range(1, profile.l):
+        if (v.i, v.j) == (profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1):
+            return Polynomial.var(q(i, degree=profile.q_degree(i))) * (-1) ** (profile.k_(i + 1) + 1)
+    return ZERO
 
 
 def _apply_flag_map(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    """g_i[0] -> x_i and the profile's surviving g variables to signed q's.
-
-    Maps g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i, with q_i
-    of degree n_{i+1} - n_{i-1}; every other g_s[t], t >= 1 dies.
-    """
-    q_at = {(profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1): i for i in range(1, profile.l)}
-
-    def image(v: Variable) -> Polynomial | None:
-        if v.kind != "g":
-            return None
-        if v.j == 0:
-            return Polynomial.var(x(v.i))
-        i = q_at.get((v.i, v.j))
-        if i is None:
-            return ZERO
-        return Polynomial.var(q(i, degree=profile.q_degree(i))) * (-1) ** (profile.k_(i + 1) + 1)
-
-    return p.substitute(image)
+    """The flag map of ``profile`` as one substitution, each variable read by :func:`_flag_image`."""
+    return p.substitute(lambda v: _flag_image(v, profile))
 
 
 def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
@@ -225,8 +224,8 @@ def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:
     """The flag-profile quantum polynomial of w, by either route.
 
-    Route A converts the single universal polynomial straight to the
-    g-form and applies the profile substitution.  Route B first rounds
+    Route A applies the profile substitution to the single universal
+    polynomial, each c_i(j) read through its g-form.  Route B first rounds
     every c_i(j) down to the profile's cut points, then does the same;
     the two must agree for members of the profile's subgroup.
     """
@@ -238,5 +237,5 @@ def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "
         p = round_down_ranks(p, profile)
     elif route != "A":
         raise ValueError(f"unknown route {route!r}")
-    return _apply_flag_map(to_g_form(p), profile)
+    return _apply_flag_map(p, profile)
 

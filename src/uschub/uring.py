@@ -121,7 +121,8 @@ class RingElement:
 
     Keys of ``coeffs`` are exponent tuples over x_1..x_{n+1}, the keys of
     the walk table, whose i-th entry is at most n+1-i; so the last entry,
-    x_{n+1}'s, is always 0.
+    x_{n+1}'s, is always 0.  Coefficients may hold only the g_i[j] of Z[g+],
+    the g keys of omega's per-n table.
     """
 
     __slots__ = ("n", "coeffs")
@@ -129,12 +130,19 @@ class RingElement:
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], Polynomial]):
         self.n = n
         bound = _top_staircase(n)
+        table = _omega_table(n)
         clean = {}
         for exps, poly in coeffs.items():
             if len(exps) != n + 1 or exps[-1] != 0:
                 raise ValueError("exponent tuple must have length n+1 and end in 0")
             if any(map(gt, exps, bound)):
                 raise ValueError("exponents exceed the staircase bound")
+            for mono in poly.terms():
+                for v, _ in mono:
+                    if v.kind != "g" or v not in table:
+                        v = min((v for p in coeffs.values() for v in p.variables() if v.kind != "g" or v not in table),
+                                key=lambda v: v.key)
+                        raise ValueError(f"{v.text()} is outside Z[g+] for n = {n}")
             if poly:
                 clean[exps] = poly
         self.coeffs = clean

@@ -39,6 +39,13 @@ QUANTUM_312 = "x1^2 - q1"
 # before the quantum ring became the full-flag case of the flag map.
 QUANTUM_DIGEST = "4b22c4d5a5fd6780e65744d1a4c158f3d40c39410b6e3e925fa79eca7fed1e7d"
 
+# sha256 of the newline-joined lines "<N, comma-separated>: <w.as_tuple(top),
+# comma-separated>: <route-A flag form>" over every profile N inside 5 (every
+# nonempty subset of 1..5, in the mask order of cli._profiles) and each of its
+# members: 633 lines.  Pinned from the two-pass route, which built the whole
+# g-form and then mapped its g variables.
+FLAG_DIGEST = "25f585066909d51417b71dcd7616b222d445f14935d70d8cde04e268e9220e00"
+
 # Expansions of c_i(k) in the g alphabet for the smallest cases.
 C_FROM_G = {
     (1, 1): "g1[0]",

@@ -27,6 +27,10 @@ the library builds the rules on split forms and never substitutes.
 image polynomial per variable; the library relabels each term through a
 per-n table of (image, sign) pairs.
 
+``flag_map_reference`` builds the whole g-form with ``to_g_form`` and then
+maps its g variables; the library maps each c_i(j) once per profile,
+through the flag map of its g-form, in the same substitution as the g's.
+
 ``substitute_reference``, ``normal_form_reference``,
 ``schubert_basis_expand_reference`` and ``code_products`` build every
 intermediate product as its own ``Polynomial`` and sum the results:
@@ -72,11 +76,12 @@ from uschub.polyring import (
     dpoly,
     elementary_sym,
     g,
+    q,
     x,
     y,
 )
 from uschub.schubert import MElement, classical_single, divided_difference, universal_single
-from uschub.specialize import c_from_g
+from uschub.specialize import FlagProfile, c_from_g, to_g_form
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -237,6 +242,27 @@ def omega_reference(p: Polynomial, n: int) -> Polynomial:
         raise ValueError(f"unexpected variable {v.text()} under omega")
 
     return p.substitute(image)
+
+
+def flag_map_reference(p: Polynomial, profile: FlagProfile) -> Polynomial:
+    """The flag map in two passes: the whole g-form of ``p``, then an image for each g variable.
+
+    Maps g_i[0] -> x_i and g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i,
+    with q_i of degree n_{i+1} - n_{i-1}; every other g_s[t], t >= 1 dies.
+    """
+    q_at = {(profile.n_(i - 1) + 1, profile.k_(i) + profile.k_(i + 1) - 1): i for i in range(1, profile.l)}
+
+    def image(v: Variable) -> Polynomial | None:
+        if v.kind != "g":
+            return None
+        if v.j == 0:
+            return Polynomial.var(x(v.i))
+        i = q_at.get((v.i, v.j))
+        if i is None:
+            return ZERO
+        return Polynomial.var(q(i, degree=profile.q_degree(i))) * (-1) ** (profile.k_(i + 1) + 1)
+
+    return to_g_form(p).substitute(image)
 
 
 def peel_max_first(coeffs: dict, lead, key) -> dict:

@@ -71,9 +71,10 @@ def test_substitution_is_a_homomorphism(p, r):
     assert p.substitute(lambda v: None) == p
 
 
-# Images of every shape substitute sorts apart: kept, zero, constants, signed
-# and scaled one-term images, relabels that may land on a kept variable
-# (x3), longer images that hold the variable itself, and q of degree 3.
+# Images of every shape: kept, zero, constants, signed and scaled one-term
+# images, relabels that may land on a kept variable (x3), longer images that
+# hold the variable itself, and q of degree 3.  substitute multiplies every
+# image out as a polynomial and drops each term holding a variable whose image is zero.
 SUBSTITUTION_VARS = (x(1), x(2), x(3), q(1, 3), g(1, 1))
 IMAGES = (
     None,

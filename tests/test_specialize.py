@@ -4,7 +4,9 @@ from hashlib import sha256
 
 import pytest
 
-from frozen import C_FROM_G, QUANTUM_231, QUANTUM_312, QUANTUM_DIGEST
+from frozen import C_FROM_G, FLAG_DIGEST, QUANTUM_231, QUANTUM_312, QUANTUM_DIGEST
+from oracles import flag_map_reference
+from uschub.cli import _profiles
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, g, parse_text
 from uschub.schubert import classical_single, universal_double, universal_single
@@ -68,6 +70,13 @@ def test_quantum_forms_of_s5_are_pinned():
     assert sha256("\n".join(lines).encode()).hexdigest() == QUANTUM_DIGEST
 
 
+def test_quantum_matches_the_two_pass_reference():
+    full = FlagProfile((1, 2, 3, 4))
+    for w in all_perms(5):
+        single = universal_single(w, 4).to_polynomial("c")
+        assert quantum_specialize(single) == flag_map_reference(single, full), w
+
+
 def test_quantum_refuses_double_inputs():
     with pytest.raises(ValueError):
         quantum_specialize(universal_double(Permutation((2, 1, 3)), 2))
@@ -77,6 +86,12 @@ def test_g_route_collapses_to_the_classical_polynomial():
     for w in all_perms(4):
         single = universal_single(w, 3).to_polynomial("c")
         assert g_classical(to_g_form(single)) == classical_single(w)
+
+
+def test_g_classical_reads_c_as_elementary_symmetric():
+    for w in all_perms(4):
+        single = universal_single(w, 3).to_polynomial("c")
+        assert g_classical(single) == classical_specialize(single), w
 
 
 def test_zero_y_only_touches_y():
@@ -118,6 +133,16 @@ def test_partial_flag_routes_agree():
                 assert partial_flag_specialize(w, profile, route="A") == partial_flag_specialize(
                     w, profile, route="B"
                 )
+
+
+def test_flag_forms_inside_5_are_pinned():
+    lines = [
+        f"{','.join(map(str, N.N))}: {','.join(map(str, w.as_tuple(N.top)))}: {partial_flag_specialize(w, N).text()}"
+        for N in _profiles(5)
+        for w in N.members()
+    ]
+    assert len(lines) == 633
+    assert sha256("\n".join(lines).encode()).hexdigest() == FLAG_DIGEST
 
 
 def test_full_flag_is_the_quantum_specialization():

@@ -1,5 +1,6 @@
 """The finite quotient ring: normal forms, duality pairing, the twist."""
 
+import re
 from hashlib import sha256
 from itertools import combinations_with_replacement, product
 
@@ -15,7 +16,7 @@ from oracles import (
 )
 from uschub import polyring, schubert, uring
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ONE, Polynomial, ZERO, parse_text, x
+from uschub.polyring import ONE, Polynomial, ZERO, c, g, parse_text, x
 from uschub.specialize import c_from_g, g_classical, to_g_form
 from uschub.uring import (
     RingElement,
@@ -191,6 +192,19 @@ def test_element_validation():
         RingElement(1, {(0, 0): ONE}) + RingElement.zero(2)
 
 
+
+@pytest.mark.parametrize("coeff, message", [
+    (Polynomial.var(c(1, 1)), "c1(1) is outside Z[g+] for n = 2"),
+    (Polynomial.var(x(1)) * Polynomial.var(g(1, 1)), "x1 is outside Z[g+] for n = 2"),
+    (Polynomial.var(g(1, 0)), "g1[0] is outside Z[g+] for n = 2"),
+    (Polynomial.var(g(3, 1)) + Polynomial.var(g(1, 3)), "g1[3] is outside Z[g+] for n = 2"),
+])
+def test_foreign_coefficient_variables_are_refused(coeff, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RingElement(2, {(0, 0, 0): Polynomial.var(g(1, 1)), (1, 0, 0): coeff})
+    with pytest.raises(ValueError, match="outside"):
+        inner_product(RingElement(2, {(0, 0, 0): coeff}), RingElement(2, {(2, 1, 0): ONE}))
+
 def test_rules_match_the_reference():
     # built on split forms; the reference substitutes g_k[0] and x_{n+1} away on whole polynomials
     for n in range(1, 7):
@@ -280,6 +294,17 @@ def test_products_match_the_frozen_digest():
                 lines.append(f"{word(u)} * {word(v)} -> {word(w)}: {expansion[w].text()}")
     assert sha256("\n".join(lines).encode()).hexdigest() == MULTIPLY_DIGEST
 
+
+def test_products_sum_back_from_their_basis_expansions():
+    # sums, scalings and hashes of elements, which only the bench's checks otherwise run
+    ring = universal_ring(2)
+    for u, v in product(all_perms(3), repeat=2):
+        total = RingElement.zero(2)
+        for w, coeff in multiply_expand(u, v, 2).items():
+            total = total + ring.schubert(w).scale(coeff)
+        expected = ring.multiply(ring.schubert(u), ring.schubert(v))
+        assert total == expected, (u, v)
+        assert hash(total) == hash(expected), (u, v)
 
 def test_classical_peel_names_the_permutation_of_the_lead():
     # x1 + x2 is S_132: x2 leads once exponents are compared from the last variable
