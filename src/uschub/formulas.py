@@ -285,7 +285,7 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
         # dropping exponents keeps the monomial's variable order
         rest = tuple((v, e) for v, e in exps.items() if e)
         relation = {mono: 1}
-        add_product(relation, Polynomial({rest: 1}), _rule_rhs(i, j, k), -1)
+        add_product(relation, rest, _rule_rhs(i, j, k), -1)
         written += len(relation) - 1
         if written > SQUARE_BUDGET:
             raise RuntimeError(f"square elimination writes more than {SQUARE_BUDGET:,} terms")

@@ -21,6 +21,7 @@ nonzero ints.  Polynomials are treated as immutable values.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from collections.abc import Callable, Iterable
 from itertools import combinations, combinations_with_replacement
@@ -147,22 +148,34 @@ Monomial = tuple[tuple[Variable, int], ...]
 # Products repeat: a cold bench query round makes 25-33 k (31 % miss); the x_2^40 walk in R_3, 2.69 M (196 k miss).
 @memo(maxsize=1 << 11)
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Merge two sorted monomials; a variable on one side only keeps its input pair."""
+    """Merge two sorted monomials in one sweep; a variable on one side only keeps its input pair."""
     out: list[tuple[Variable, int]] = []
-    for pair in sorted(a + b, key=lambda p: p[0].key):
-        if out and out[-1][0] is pair[0]:
-            out[-1] = (pair[0], out[-1][1] + pair[1])
+    i = j = 0
+    while i < len(a) and j < len(b):
+        pa, pb = a[i], b[j]
+        if pa[0] is pb[0]:
+            out.append((pa[0], pa[1] + pb[1]))
+            i, j = i + 1, j + 1
+        elif pa[0].key < pb[0].key:
+            out.append(pa)
+            i += 1
         else:
-            out.append(pair)
-    return tuple(out)
+            out.append(pb)
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _mono_degree(m: Monomial) -> int:
     return sum(v.degree * e for v, e in m)
 
 
-def _mono_key(m: Monomial):
-    return (_mono_degree(m), tuple((v.key, e) for v, e in m))
+def _term_key(term: tuple[Monomial, int]):
+    """Render order of a term: graded degree, then the (variable key, exponent) pairs, built in one pass."""
+    degree, pairs = 0, []
+    for v, e in term[0]:
+        degree += v.degree * e
+        pairs.append((v.key, e))
+    return degree, pairs
 
 
 class Polynomial:
@@ -204,7 +217,7 @@ class Polynomial:
         return dict(self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
+        return sorted(self._terms.items(), key=_term_key)
 
     def variables(self) -> list[Variable]:
         """The distinct variables, in package order (smallest first)."""
@@ -286,40 +299,37 @@ class Polynomial:
     # -- structural operations ------------------------------------------
 
     def substitute(self, image: Callable[[Variable], "Polynomial | int | None"]) -> "Polynomial":
-        """Ring homomorphism sending each variable v to ``image(v)``; None keeps v.
+        """Ring homomorphism sending each variable v to ``image(v)``, called once per distinct variable;
+        None keeps v.  A term's mapped part is the product of its image powers, each computed once per call."""
+        images = {v: img if isinstance(img, Polynomial) else Polynomial.const(img)
+                  for v in self.variables() if (img := image(v)) is not None}
+        power = functools.cache(lambda v, e: images[v] ** e)
+        return self.map_terms(images, lambda mapped: math.prod((power(v, e) for v, e in mapped), start=ONE))
 
-        ``image`` is called once per distinct variable; when it maps none,
-        the polynomial itself is returned.  A term holding a variable whose
-        image is zero is dropped; every other term starts as its kept
-        monomial times its coefficient and is multiplied by each image
-        power, computed once per call.
-        """
-        images: dict[Variable, Polynomial] = {}
-        for v in self.variables():
-            img = image(v)
-            if img is not None:
-                images[v] = img if isinstance(img, Polynomial) else Polynomial.const(img)
+    def map_terms(self, images: dict[Variable, Polynomial], image: Callable[[Monomial], Polynomial]) -> "Polynomial":
+        """The homomorphism with these variable images (``self`` when there are none), each term's mapped part
+        read by ``image``: a term holding a zero image is dropped, every other adds co * kept * image to one dict."""
         if not images:
             return self
-        power = functools.cache(lambda v, e: images[v] ** e)
-        parts = []
+        acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
-            if any(v in images and not images[v] for v, _ in m):
-                continue
-            term = Polynomial({tuple(pair for pair in m if pair[0] not in images): co})
-            for v, e in m:
-                if v in images:
-                    term = term * power(v, e)
-            parts.append(term)
-        return Polynomial.sum(parts)
+            mapped = tuple(pair for pair in m if pair[0] in images)
+            if all(images[v] for v, _ in mapped):
+                kept = tuple(pair for pair in m if pair[0] not in images) if len(mapped) < len(m) else ()
+                add_product(acc, kept, image(mapped) if mapped else ONE, co)
+        return Polynomial(acc)
 
     def _relabel(self, trade: dict[str, str]) -> "Polynomial":
-        """Move every variable of a paired family to the family ``trade`` names for it."""
+        """Move each variable of a paired family to the family ``trade`` names, through one variable table."""
         if not set(trade) | set(trade.values()) <= _PAIRED:
             raise ValueError("kind renaming only applies to the c/d/g/h families")
-        return self.substitute(
-            lambda v: Polynomial.var(Variable(trade[v.kind], v.i, v.j, v.degree)) if v.kind in trade else None
-        )
+        table = {v: Variable(trade[v.kind], v.i, v.j, v.degree) for v in self.variables() if v.kind in trade}
+        acc: dict[Monomial, int] = {}
+        for m, co in self._terms.items():
+            moved = sorted(((table[v], e) for v, e in m if v in table), key=lambda pair: pair[0].key)
+            m = _mono_mul(tuple(pair for pair in m if pair[0] not in table), tuple(moved))
+            acc[m] = acc.get(m, 0) + co
+        return Polynomial(acc)
 
     def rename_kind(self, src: str, dst: str) -> "Polynomial":
         """Send one paired family to another, e.g. every c_i(j) -> d_i(j)."""
@@ -390,13 +400,11 @@ def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
     return "".join(chunks) or "0"
 
 
-def add_product(acc: dict[Monomial, int], a: Polynomial, b: Polynomial, scale: int = 1) -> None:
-    """acc += scale * a * b, term by term: the one multiply-accumulate kernel.
-
-    Coefficients that cancel stay in ``acc`` as zeros; ``Polynomial(acc)``
-    drops them.
+def add_product(acc: dict[Monomial, int], a: "Polynomial | Monomial", b: Polynomial, scale: int = 1) -> None:
+    """acc += scale * a * b, term by term, ``a`` a polynomial or one monomial: the one multiply-accumulate
+    kernel.  Coefficients that cancel stay in ``acc`` as zeros; ``Polynomial(acc)`` drops them.
     """
-    for m1, c1 in a._terms.items():
+    for m1, c1 in a._terms.items() if isinstance(a, Polynomial) else ((a, 1),):
         c1 *= scale
         for m2, c2 in b._terms.items():
             m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2

@@ -46,6 +46,13 @@ QUANTUM_DIGEST = "4b22c4d5a5fd6780e65744d1a4c158f3d40c39410b6e3e925fa79eca7fed1e
 # g-form and then mapped its g variables.
 FLAG_DIGEST = "25f585066909d51417b71dcd7616b222d445f14935d70d8cde04e268e9220e00"
 
+# sha256 of the newline-joined lines "<w as 6 comma-separated values>: <g-form>"
+# over all_perms(6), to_g_form(universal_single(w, 5).to_polynomial("c")) in
+# text form (720 lines, 5,314,388 bytes).  Pinned from the substitution that
+# rebuilt each term's image as a chain of products, before the g-form read each
+# monomial through a memo built from its prefix's image.
+G_FORM_S6_DIGEST = "5bcef88ff17756dc4cb68f503ddccbc156d2f255035171842ae8a809002b664e"
+
 # Expansions of c_i(k) in the g alphabet for the smallest cases.
 C_FROM_G = {
     (1, 1): "g1[0]",

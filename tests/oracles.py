@@ -27,9 +27,12 @@ the library builds the rules on split forms and never substitutes.
 image polynomial per variable; the library relabels each term through a
 per-n table of (image, sign) pairs.
 
-``flag_map_reference`` builds the whole g-form with ``to_g_form`` and then
-maps its g variables; the library maps each c_i(j) once per profile,
-through the flag map of its g-form, in the same substitution as the g's.
+``to_g_form_reference``, ``classical_reference`` and ``flag_map_reference``
+are the specializations as term-by-term substitutions through
+``substitute_reference``, the h analogue of each g-form included; the flag map
+builds the whole g-form with ``to_g_form_reference`` and then maps its g
+variables.  The library maps each c_i(j) once per rule, and reads each
+monomial's mapped part through one bounded memo, built from its prefix's.
 
 ``substitute_reference``, ``normal_form_reference``,
 ``schubert_basis_expand_reference`` and ``code_products`` build every
@@ -76,12 +79,13 @@ from uschub.polyring import (
     dpoly,
     elementary_sym,
     g,
+    h,
     q,
     x,
     y,
 )
 from uschub.schubert import MElement, classical_single, divided_difference, universal_single
-from uschub.specialize import FlagProfile, c_from_g, to_g_form
+from uschub.specialize import FlagProfile, c_from_g
 from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
@@ -244,6 +248,24 @@ def omega_reference(p: Polynomial, n: int) -> Polynomial:
     return p.substitute(image)
 
 
+def to_g_form_reference(p: Polynomial) -> Polynomial:
+    """c_i(j) -> c_from_g(i, j) and d_i(j) -> the same with every g_s[t] read as h_s[t]."""
+    def image(v: Variable) -> Polynomial | None:
+        if v.kind not in "cd":
+            return None
+        gform = c_from_g(v.i, v.j)
+        return gform if v.kind == "c" else substitute_reference(gform, lambda u: Polynomial.var(h(u.i, u.j)))
+
+    return substitute_reference(p, image)
+
+
+def classical_reference(p: Polynomial) -> Polynomial:
+    """c_i(j) -> e_i(x_1..x_j) and d_i(j) -> e_i(y_1..y_j)."""
+    return substitute_reference(
+        p, lambda v: elementary_sym(v.i, v.j, kind="x" if v.kind == "c" else "y") if v.kind in "cd" else None
+    )
+
+
 def flag_map_reference(p: Polynomial, profile: FlagProfile) -> Polynomial:
     """The flag map in two passes: the whole g-form of ``p``, then an image for each g variable.
 
@@ -262,7 +284,7 @@ def flag_map_reference(p: Polynomial, profile: FlagProfile) -> Polynomial:
             return ZERO
         return Polynomial.var(q(i, degree=profile.q_degree(i))) * (-1) ** (profile.k_(i + 1) + 1)
 
-    return to_g_form(p).substitute(image)
+    return substitute_reference(to_g_form_reference(p), image)
 
 
 def peel_max_first(coeffs: dict, lead, key) -> dict:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import uschub
 from oracles import substitute_reference, sum_by_key
+from uschub.permutations import all_perms
 from uschub.polyring import (
     Polynomial,
     ONE,
@@ -30,6 +31,7 @@ from uschub.polyring import (
     x,
     y,
 )
+from uschub.schubert import universal_double
 
 VARS = (x(1), x(2), x(3), y(1), c(1, 1), c(1, 2), c(2, 2), d(1, 1), g(1, 1), g(2, 1))
 
@@ -101,6 +103,38 @@ def test_substitute_merges_relabels_into_kept_variables():
     image = {x(1): Polynomial.var(x(3)), x(2): Polynomial.var(x(2)) * -2, q(1): 0}.get
     assert p.substitute(image) == parse_text("x3^3 + 8*x2^3")
     assert p.substitute(image) == substitute_reference(p, image)
+
+
+# Every paired family at two points, so a relabel can land on a variable the term already holds.
+RELABEL_VARS = (c(1, 1), c(1, 2), d(1, 1), d(1, 2), g(1, 0), g(1, 1), h(1, 0), h(1, 1), x(1))
+
+
+def relabel_reference(p: Polynomial, trade: dict[str, str]) -> Polynomial:
+    return substitute_reference(
+        p, lambda v: Polynomial.var(Variable(trade[v.kind], v.i, v.j, v.degree)) if v.kind in trade else None
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(RELABEL_VARS), st.sampled_from("cdgh"), st.sampled_from("cdgh"))
+def test_relabels_match_the_reference(p, a, b):
+    assert p.rename_kind(a, b) == relabel_reference(p, {a: b})
+    if a != b:
+        assert p.swap_kinds(a, b) == relabel_reference(p, {a: b, b: a})
+
+
+def test_relabels_of_the_doubles_of_s4_match_the_reference():
+    for w in all_perms(4):
+        double = universal_double(w, 3)
+        assert double.swap_kinds("c", "d") == relabel_reference(double, {"c": "d", "d": "c"}), w
+        assert double.rename_kind("d", "c") == relabel_reference(double, {"d": "c"}), w
+        assert double.rename_kind("c", "h") == relabel_reference(double, {"c": "h"}), w
+
+
+def test_relabels_refuse_unpaired_families():
+    for call in (lambda p: p.rename_kind("c", "x"), lambda p: p.swap_kinds("y", "d")):
+        with pytest.raises(ValueError):
+            call(parse_text("c1(1)"))
 
 
 @settings(max_examples=60, deadline=None)

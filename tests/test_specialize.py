@@ -4,14 +4,16 @@ from hashlib import sha256
 
 import pytest
 
-from frozen import C_FROM_G, FLAG_DIGEST, QUANTUM_231, QUANTUM_312, QUANTUM_DIGEST
-from oracles import flag_map_reference
+from frozen import C_FROM_G, FLAG_DIGEST, G_FORM_S6_DIGEST, QUANTUM_231, QUANTUM_312, QUANTUM_DIGEST
+from oracles import classical_reference, flag_map_reference, to_g_form_reference
 from uschub.cli import _profiles
+from uschub.formulas import product_rule
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ONE, Polynomial, ZERO, g, parse_text
+from uschub.polyring import MEMOS, ONE, Polynomial, ZERO, c, clear_caches, g, parse_text, x
 from uschub.schubert import classical_single, universal_double, universal_single
 from uschub.specialize import (
     FlagProfile,
+    _monomial_image,
     c_from_g,
     c_from_g_det,
     c_from_g_paths,
@@ -19,6 +21,7 @@ from uschub.specialize import (
     g_classical,
     partial_flag_specialize,
     quantum_specialize,
+    round_down_ranks,
     to_g_form,
     zero_y,
 )
@@ -166,3 +169,63 @@ def test_partial_flag_rejects_non_members():
 def test_classical_specialize_example():
     got = classical_specialize(parse_text("c2(2) - d1(1)*c1(2)"))
     assert got == parse_text("x1*x2 - y1*x1 - y1*x2")
+
+
+def test_g_forms_of_s6_are_pinned():
+    lines = [
+        f"{','.join(map(str, w.as_tuple(6)))}: {to_g_form(universal_single(w, 5).to_polynomial('c')).text()}"
+        for w in all_perms(6)
+    ]
+    assert len(lines) == 720
+    assert sha256("\n".join(lines).encode()).hexdigest() == G_FORM_S6_DIGEST
+
+
+def _kernel_cases():
+    """(call, expected) pairs: each specialization beside its substitution reference."""
+    full = FlagProfile((1, 2, 3, 4))
+    for w in all_perms(5):
+        single = universal_single(w, 4).to_polynomial("c")
+        yield (lambda p=single: quantum_specialize(p)), flag_map_reference(single, full)
+        yield (lambda p=single: to_g_form(p)), to_g_form_reference(single)
+        yield (lambda p=single: classical_specialize(p)), classical_reference(single)
+    for profile in _profiles(5):
+        for w in profile.members():
+            single = universal_single(w, max(profile.top - 1, 1)).to_polynomial("c")
+            for route, p in (("A", single), ("B", round_down_ranks(single, profile))):
+                yield (lambda w=w, N=profile, r=route: partial_flag_specialize(w, N, r)), flag_map_reference(p, profile)
+    for w in all_perms(4):
+        double = universal_double(w, 3)
+        yield (lambda p=double: to_g_form(p)), to_g_form_reference(double)
+        yield (lambda p=double: classical_specialize(p)), classical_reference(double)
+    for k in range(5):
+        for i in range(k + 1):
+            for j in range(k + 1):
+                report = product_rule(i, j, k)
+                for side in (report.lhs, report.rhs):
+                    yield (lambda p=side: to_g_form(p)), to_g_form_reference(side)
+                    yield (lambda p=side: g_classical(p)), flag_map_reference(side, FlagProfile((1,)))
+
+
+def test_kernel_matches_the_substitution_references_cold_and_warm():
+    cases = list(_kernel_cases())
+    assert len(cases) == 360 + 2 * 633 + 48 + 4 * 55
+    for index, (call, expected) in enumerate(cases):
+        clear_caches()
+        assert call() == expected, f"case {index}, cold"
+        assert call() == expected, f"case {index}, warm"
+
+
+def test_monomial_image_memo_is_bounded_and_cleared():
+    assert _monomial_image in MEMOS and _monomial_image.cache_info().maxsize <= 4096
+    to_g_form(universal_single(Permutation((3, 1, 4, 2)), 3).to_polynomial("c"))
+    assert _monomial_image.cache_info().currsize > 0
+    clear_caches()
+    assert _monomial_image.cache_info().currsize == 0
+
+
+def test_long_monomials_do_not_recurse():
+    xs = tuple((x(i), 1) for i in range(1, 1501))
+    got = to_g_form(Polynomial({xs + ((c(1, 1), 1),): 1}))
+    assert got == Polynomial({((g(1, 0), 1),) + xs: 1})
+    # here every variable maps, so the memo key is 1,500 variables long
+    assert g_classical(Polynomial({tuple((g(i, 0), 1) for i in range(1, 1501)): 3})) == Polynomial({xs: 3})
