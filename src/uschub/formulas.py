@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import permutations
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -134,19 +135,49 @@ class DetSpec(namedtuple("DetSpec", "a b")):
         )
 
 
+def _det_is(a: tuple[int, ...], b: tuple[int, ...], target: dict[tuple[int, ...], int]) -> bool:
+    """Whether det C(a, b) is the code combination ``target``, read in code space.
+
+    The rows sit at the distinct points b, so a column choice tau gives one
+    code, with index a_i + tau(i) - i at point b_i (0 on a Kronecker row), and
+    no two choices give the same code: the determinant is sum sgn(tau) code(tau).
+    Walk the choices row by row and stop at the first code target lacks or signs
+    otherwise; then every code of target must have been met.
+    """
+    n = len(a)
+    # (column, index) per row, leaving out the zero entries: index below 0 or above the point
+    choices = [[(j, ai + j - i) for j in range(n) if 0 <= ai + j - i <= bi] if ai else [(i, 0)]
+               for i, (ai, bi) in enumerate(zip(a, b))]
+    code, found = [0] * n, 0
+
+    def walk(i: int, used: int, sign: int) -> bool:
+        nonlocal found
+        if i == n:
+            found += 1
+            return target.get(tuple(code)) == sign
+        for j, index in choices[i]:
+            if not used >> j & 1:
+                code[b[i] - 1] = index
+                # each used column right of j is one inversion of tau
+                if not walk(i + 1, used | 1 << j, -sign if (used >> j).bit_count() & 1 else sign):
+                    return False
+        return True
+
+    return walk(0, 0, 1) and found == len(target)
+
+
 def det19_matches(w: Permutation, n: int) -> Iterator[tuple[Permutation, DetSpec]]:
     """Row orders sigma making det C(a, b) equal w's single polynomial, in lex order.
 
     a = (code_{sigma(1)}, ..., code_{sigma(n)}) and b = sigma itself;
-    yields (sigma, DetSpec) pairs.
+    yields (sigma, DetSpec) pairs, each compared with w's codes by ``_det_is``.
     """
     code = w.code_tail(n)
-    target = universal_single(w, n).to_polynomial("c")
-    for sigma in all_perms(n):
-        st = sigma.as_tuple(n)
-        spec = DetSpec(tuple(code[p - 1] for p in st), st)
-        if spec.determinant() == target:
-            yield sigma, spec
+    target = universal_single(w, n).codes
+    for st in permutations(range(1, n + 1)):
+        a = tuple(code[p - 1] for p in st)
+        if _det_is(a, st, target):
+            yield Permutation(st), DetSpec(a, st)
 
 
 def det19_search(w: Permutation, n: int) -> tuple[Permutation, DetSpec] | None:

@@ -57,7 +57,7 @@ _INTERNED: dict[tuple, "Variable"] = {}
 class Variable:
     """One interned tagged symbol.  Ordering is kind rank, then indices, then degree."""
 
-    __slots__ = ("kind", "i", "j", "degree", "key")
+    __slots__ = ("kind", "i", "j", "degree", "key", "_text", "_latex")
 
     def __new__(cls, kind: str, i: int, j: int | None, degree: int) -> "Variable":
         ident = (kind, i, j, degree)
@@ -67,6 +67,9 @@ class Variable:
             key = (_KIND_RANK[kind], i, -1 if j is None else j, degree)
             for name, value in zip(cls.__slots__, (*ident, key)):
                 object.__setattr__(v, name, value)
+            # both names once per variable, not once per occurrence in a render
+            object.__setattr__(v, "_text", v._name("", ""))
+            object.__setattr__(v, "_latex", v._name("_{", "}"))
             # publish only a finished object, and keep the first if two threads race
             v = _INTERNED.setdefault(ident, v)
         return v
@@ -91,10 +94,10 @@ class Variable:
         return f"{self.kind}{left}{self.i}{right}"
 
     def text(self) -> str:
-        return self._name("", "")
+        return self._text
 
     def latex(self) -> str:
-        return self._name("_{", "}")
+        return self._latex
 
     def __repr__(self) -> str:
         return self.text()

@@ -142,6 +142,13 @@ CENSUS_N4_DIGESTS = {
     "json": "f499e9b6e9699e0adad95239300472c1f9264d45882bec31cb2fe88232fed7d6",
 }
 
+# sha256 of the stdout of ``uschub census --n 5`` (text format), pinned from
+# the search that compared each row order's Laplace determinant with the target
+# polynomial, before it walked the column choices in code space.  The last line
+# is ``expressed 572 of 720``.
+CENSUS_N5_DIGEST = "e296e58f3b51c1357b49287a897ff967c19799062bbc292d36499fc178902115"
+CENSUS_N5_HITS = 572
+
 # sha256 of the stdout of ``uschub search-det19 <word> [--exhaustive] --format
 # <format>``, pinned with the census digests.
 SEARCH_DET19_DIGESTS = {

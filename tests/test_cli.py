@@ -16,6 +16,8 @@ import pytest
 import uschub
 from frozen import (
     CENSUS_N4_DIGESTS,
+    CENSUS_N5_DIGEST,
+    CENSUS_N5_HITS,
     EXPAND_DIGESTS,
     QUANTUM_231,
     SEARCH_DET19_DIGESTS,
@@ -162,6 +164,13 @@ def test_census_of_s5_output_is_pinned(fmt):
     code, out, err = run("census", "--n", "4", "--format", fmt)
     assert (code, err) == (0, "")
     assert sha256(out.encode()).hexdigest() == CENSUS_N4_DIGESTS[fmt]
+
+
+def test_census_of_s6_output_is_pinned():
+    code, out, err = run("census", "--n", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"expressed {CENSUS_N5_HITS} of 720"
+    assert sha256(out.encode()).hexdigest() == CENSUS_N5_DIGEST
 
 
 def test_census_json_is_the_library_census():

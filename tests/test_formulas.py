@@ -155,6 +155,17 @@ def test_value_classes_keep_their_dataclass_semantics():
     assert repr(product_rule(0, 0, 0)) == "ProductRuleReport(i=0, j=0, k=0, lhs=1, rhs=1, equal_in_g=True)"
 
 
+def test_search_agrees_with_the_laplace_determinant():
+    # every row order of every w in S_{n+1}, hits and misses, against the polynomial route
+    for n in range(1, 5):
+        for w in all_perms(n + 1):
+            code, target = w.code_tail(n), universal_single(w, n).to_polynomial("c")
+            orders = (sigma.as_tuple(n) for sigma in all_perms(n))
+            specs = (DetSpec(tuple(code[p - 1] for p in st), st) for st in orders)
+            expected = [(spec.b, spec) for spec in specs if spec.determinant() == target]
+            assert [(sigma.as_tuple(n), spec) for sigma, spec in det19_matches(w, n)] == expected, w
+
+
 def test_search_finds_the_known_witnesses():
     for word, (a, b) in DET19_WITNESSES.items():
         sigma, spec = det19_search(Permutation(word), 4)
