@@ -383,13 +383,9 @@ def locus_formula(w: Permutation, profile: RankProfile, mode: str = "strict") ->
         raise ValueError(f"unknown mode {mode!r}")
     if not profile.covers_descents(w):
         raise ValueError(f"descents of {w} or its inverse escape the profile")
-    def snapped(v: Variable) -> Polynomial | None:
-        if v.kind not in "cd":
-            return None
-        point = _snap(v.j, profile.A if v.kind == "c" else profile.B)
-        return (cpoly if v.kind == "c" else dpoly)(v.i, point) if point else ZERO
-
-    return p.substitute(snapped)
+    points = {v: _snap(v.j, profile.A if v.kind == "c" else profile.B) for v in p.variables() if v.kind in "cd"}
+    return p.relabel({v: (Variable(v.kind, v.i, at, v.i), 1) if at and v.i <= at else None
+                      for v, at in points.items()})
 
 
 def _snap(k: int, ranks: tuple[int, ...]) -> int | None:

@@ -249,8 +249,7 @@ def all_perms(n: int):
 def parse_oneline(text: str) -> Permutation:
     """Read a one-line word, either comma-separated or as a digit string."""
     text = text.strip()
-    if "," in text:
-        return Permutation(int(p) for p in text.split(","))
-    if not text.isdigit():
+    parts = text.split(",") if "," in text else list(text)
+    if not parts or not all(part.strip().isdecimal() for part in parts):
         raise ValueError(f"cannot read permutation from {text!r}")
-    return Permutation(int(ch) for ch in text)
+    return Permutation(int(part) for part in parts)

@@ -21,10 +21,10 @@ nonzero ints.  Polynomials are treated as immutable values.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from collections.abc import Callable, Iterable
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
+from operator import itemgetter
 
 KINDS = "cdghxyq"
 _KIND_RANK = {k: r for r, k in enumerate(KINDS)}
@@ -301,46 +301,37 @@ class Polynomial:
 
     # -- structural operations ------------------------------------------
 
-    def substitute(self, image: Callable[[Variable], "Polynomial | int | None"]) -> "Polynomial":
-        """Ring homomorphism sending each variable v to ``image(v)``, called once per distinct variable;
-        None keeps v.  A term's mapped part is the product of its image powers, each computed once per call."""
-        images = {v: img if isinstance(img, Polynomial) else Polynomial.const(img)
-                  for v in self.variables() if (img := image(v)) is not None}
-        power = functools.cache(lambda v, e: images[v] ** e)
-        return self.map_terms(images, lambda mapped: math.prod((power(v, e) for v, e in mapped), start=ONE))
-
-    def map_terms(self, images: dict[Variable, Polynomial], image: Callable[[Monomial], Polynomial]) -> "Polynomial":
-        """The homomorphism with these variable images (``self`` when there are none), each term's mapped part
-        read by ``image``: a term holding a zero image is dropped, every other adds co * kept * image to one dict."""
-        if not images:
-            return self
+    def relabel(self, table: dict[Variable, tuple[Variable, int] | None]) -> "Polynomial":
+        """Send each variable v of ``table`` to sign * w for its entry (w, sign), or to 0 for None, and keep
+        every other variable.  A term maps to at most one term, so nothing is multiplied; variables that land on
+        one variable add their exponents, in a sweep that runs only when the table lets two of them meet."""
+        targets = {img[0] for img in table.values() if img}
+        merges = len(targets) < len(table) - [*table.values()].count(None) or not table.keys() >= targets
         acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
-            mapped = tuple(pair for pair in m if pair[0] in images)
-            if all(images[v] for v, _ in mapped):
-                kept = tuple(pair for pair in m if pair[0] not in images) if len(mapped) < len(m) else ()
-                add_product(acc, kept, image(mapped) if mapped else ONE, co)
-        return Polynomial(acc)
-
-    def _relabel(self, trade: dict[str, str]) -> "Polynomial":
-        """Move each variable of a paired family to the family ``trade`` names, through one variable table."""
-        if not set(trade) | set(trade.values()) <= _PAIRED:
-            raise ValueError("kind renaming only applies to the c/d/g/h families")
-        table = {v: Variable(trade[v.kind], v.i, v.j, v.degree) for v in self.variables() if v.kind in trade}
-        acc: dict[Monomial, int] = {}
-        for m, co in self._terms.items():
-            moved = sorted(((table[v], e) for v, e in m if v in table), key=lambda pair: pair[0].key)
-            m = _mono_mul(tuple(pair for pair in m if pair[0] not in table), tuple(moved))
-            acc[m] = acc.get(m, 0) + co
+            out = []
+            for v, e in m:
+                if v in table:
+                    if (img := table[v]) is None:
+                        break
+                    v, sign = img
+                    co *= sign ** e
+                out.append((v, e))
+            else:
+                out.sort(key=lambda pair: pair[0].key)
+                if merges:  # sorted, so the variables that meet are neighbours
+                    out = [(v, sum(e for _, e in run)) for v, run in groupby(out, itemgetter(0))]
+                m = tuple(out)
+                acc[m] = acc.get(m, 0) + co
         return Polynomial(acc)
 
     def rename_kind(self, src: str, dst: str) -> "Polynomial":
         """Send one paired family to another, e.g. every c_i(j) -> d_i(j)."""
-        return self._relabel({src: dst})
+        return self.relabel(_trade_table(self, {src: dst}))
 
     def swap_kinds(self, a: str, b: str) -> "Polynomial":
         """Exchange two paired families in one pass, e.g. c <-> d."""
-        return self._relabel({a: b, b: a})
+        return self.relabel(_trade_table(self, {a: b, b: a}))
 
     def coefficients_by(self, kinds: str) -> dict[Monomial, "Polynomial"]:
         """Split into {monomial in the given kinds: cofactor polynomial}."""
@@ -388,6 +379,13 @@ class Polynomial:
 
 ZERO = Polynomial()
 ONE = Polynomial.one()
+
+
+def _trade_table(p: Polynomial, trade: dict[str, str]) -> dict[Variable, tuple[Variable, int]]:
+    """The relabel table moving each variable of ``p`` in a paired family to the family ``trade`` names."""
+    if not set(trade) | set(trade.values()) <= _PAIRED:
+        raise ValueError("kind renaming only applies to the c/d/g/h families")
+    return {v: (Variable(trade[v.kind], v.i, v.j, v.degree), 1) for v in p.variables() if v.kind in trade}
 
 
 def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:

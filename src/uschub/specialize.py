@@ -32,8 +32,9 @@ from .polyring import (
     Monomial,
     Polynomial,
     Variable,
+    add_product,
+    c,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
-    cpoly,
     determinant,
     elementary_sym,
     g,
@@ -167,7 +168,7 @@ def g_classical(p: Polynomial) -> Polynomial:
 
 
 def zero_y(p: Polynomial) -> Polynomial:
-    return p.substitute(lambda v: ZERO if v.kind == "y" else None)
+    return p.relabel({v: None for v in p.variables() if v.kind == "y"})
 
 
 def quantum_specialize(p: Polynomial) -> Polynomial:
@@ -218,18 +219,24 @@ def _monomial_image(mapped: Monomial, rule: str | FlagProfile) -> Polynomial:
 
 
 def _specialize(p: Polynomial, rule: str | FlagProfile) -> Polynomial:
-    """p under ``rule``, each term's mapped part read through the memo :func:`_monomial_image`."""
-    def image(mapped: Monomial) -> Polynomial:
-        for k in range(32, len(mapped), 32):  # short to long, so a cold monomial recurses at most 32 deep
-            _monomial_image(mapped[:k], rule)
-        return _monomial_image(mapped, rule)
-
-    return p.map_terms({v: img for v in p.variables() if (img := _rule_image(v, rule)) is not None}, image)
+    """p under ``rule``: a term holding a zero image is dropped, every other adds co * kept * the image of its
+    mapped part, read through the memo :func:`_monomial_image`, to one dict."""
+    images = {v: img for v in p.variables() if (img := _rule_image(v, rule)) is not None}
+    acc: dict[Monomial, int] = {}
+    for m, co in p.terms().items():
+        mapped = tuple(pair for pair in m if pair[0] in images)
+        if all(images[v] for v, _ in mapped):
+            kept = tuple(pair for pair in m if pair[0] not in images) if len(mapped) < len(m) else ()
+            for k in range(32, len(mapped), 32):  # short to long, so a cold monomial recurses at most 32 deep
+                _monomial_image(mapped[:k], rule)
+            add_product(acc, kept, _monomial_image(mapped, rule) if mapped else ONE, co)
+    return Polynomial(acc)
 
 
 def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j."""
-    return p.substitute(lambda v: cpoly(v.i, profile.block_of(v.j)) if v.kind == "c" else None)
+    """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j, or to 0 when i > n_k."""
+    points = {v: profile.block_of(v.j) for v in p.variables() if v.kind == "c"}
+    return p.relabel({v: (c(v.i, b), 1) if v.i <= b else None for v, b in points.items()})
 
 
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:

@@ -422,21 +422,12 @@ def _omega_table(n: int) -> dict[Variable, tuple[Variable, int]]:
 
 
 def omega(p: Polynomial, n: int) -> Polynomial:
-    """The involution as one signed relabel of each term; it is a bijection on variables, so no terms merge."""
+    """The involution as one signed relabel through the per-n table; it is a bijection, so no terms merge."""
     table = _omega_table(n)
-    out: dict[Monomial, int] = {}
-    try:
-        for mono, co in p.terms().items():
-            image = []
-            for v, e in mono:
-                w, sign = table[v]
-                image.append((w, e))
-                co *= sign ** e
-            out[tuple(sorted(image, key=lambda pair: pair[0].key))] = co
-    except KeyError:
+    if not table.keys() >= {v for m in p.terms() for v, _ in m}:
         # the image rules raise on the first variable without an image, in package order
         _omega_image(next(v for v in p.variables() if v not in table), n)
-    return Polynomial(out)
+    return p.relabel(table)
 
 
 def schubert_basis_expand(e: RingElement) -> dict[Permutation, Polynomial]:

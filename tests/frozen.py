@@ -126,6 +126,15 @@ RENDER_DIGESTS = {
     "locus": "1341535a5c06e14d0dae4771772b38895734bb72a3d25902e8de30aac0553806",
 }
 
+# sha256 of the lines "<w> <A> <B>: <interval-mode locus>", each ending in a
+# newline, over every w in all_perms(5) (written as 5 comma-separated values)
+# and every pair of nonempty subsets A, B of 1..4 (comma-separated, in bitmask
+# order 1..15) whose RankProfile(A, B) covers the descents of w, each locus
+# printed by render_locus: 2,930 lines.  Pinned from the substitution that
+# multiplied out each snapped point's image polynomial, before interval mode
+# became a relabel.
+LOCUS_INTERVAL_DIGEST = "f8319d4629f6660055e076fd9e0834025ecda679a026aad859ae3c76d588aa51"
+
 # sha256 of the stdout of ``uschub expand <expr>`` (text format), pinned from
 # the worklist elimination that rewrote a monomial each time it came back,
 # before square elimination became a peel that rewrites each monomial once.

@@ -134,7 +134,7 @@ def d_to_y(p: Polynomial) -> Polynomial:
         for v in p.variables()
         if v.kind == "d"
     }
-    return p.substitute(mapping.get)
+    return substitute_reference(p, mapping.get)
 
 
 def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> Polynomial:
@@ -142,7 +142,8 @@ def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> P
 
 
 def substitute_reference(p: Polynomial, image) -> Polynomial:
-    """``Polynomial.substitute`` one product per term: coefficient times each image power."""
+    """The ring homomorphism sending each variable v to ``image(v)``, called once per distinct variable in
+    package order (None keeps v): one product per term, coefficient times each image power."""
     imgs: dict = {}
     for v in p.variables():
         img = image(v)
@@ -215,7 +216,7 @@ def rules_reference(n: int) -> dict[int, dict[tuple[int, ...], Polynomial]]:
     Rule k is the relation x_k^m + (smaller terms) = 0, m = n+2-k, as {exponents over x_1..x_{n+1}: coefficient}.
     """
     image = xg_image(n)
-    tails = {i: (c_from_g(i, n + 1) - elementary_sym(i, n + 1)).substitute(image) for i in range(2, n + 2)}
+    tails = {i: substitute_reference(c_from_g(i, n + 1) - elementary_sym(i, n + 1), image) for i in range(2, n + 2)}
     inv = [ONE]
     for r in range(1, n + 2):
         inv.append(Polynomial.sum(tails[i] * inv[r - i] for i in range(2, min(r, n + 1) + 1)))
@@ -223,14 +224,14 @@ def rules_reference(n: int) -> dict[int, dict[tuple[int, ...], Polynomial]]:
     for k in range(1, n + 1):
         m = n + 2 - k
         right = Polynomial.sum(elementary_sym(j, n + 1 - k, offset=k) * inv[m - j] for j in range(m))
-        relation = complete_sym(m, k, kind="x") - right.substitute(image) * (-1) ** m
+        relation = complete_sym(m, k, kind="x") - substitute_reference(right, image) * (-1) ** m
         rules[k] = {tuple(dict(xmono).get(x(i), 0) for i in range(1, n + 2)): coeff
                     for xmono, coeff in relation.coefficients_by("x").items()}
     return rules
 
 
 def omega_reference(p: Polynomial, n: int) -> Polynomial:
-    """The involution by ``Polynomial.substitute``, one image polynomial per variable."""
+    """The involution by ``substitute_reference``, one image polynomial per variable."""
 
     def image(v: Variable) -> Polynomial:
         if v.kind == "x":
@@ -245,7 +246,7 @@ def omega_reference(p: Polynomial, n: int) -> Polynomial:
             return mirror if v.j % 2 else -mirror
         raise ValueError(f"unexpected variable {v.text()} under omega")
 
-    return p.substitute(image)
+    return substitute_reference(p, image)
 
 
 def to_g_form_reference(p: Polynomial) -> Polynomial:
@@ -382,7 +383,7 @@ def divided_difference_reference(p: Polynomial, k: int, kind: str = "x") -> Poly
     """(p - s_k p) / (v_k - v_{k+1}) in the chosen degree-1 family."""
     mk = x if kind == "x" else y
     a, b = mk(k), mk(k + 1)
-    swapped = p.substitute(lambda v: Polynomial.var(b if v == a else a) if v in (a, b) else None)
+    swapped = substitute_reference(p, lambda v: Polynomial.var(b if v == a else a) if v in (a, b) else None)
     return divide_by_difference(p - swapped, a, b)
 
 

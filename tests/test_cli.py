@@ -251,6 +251,12 @@ def test_a_bad_int_list_is_a_usage_error_naming_its_option(args):
     assert err.endswith(f"error: argument {option}: invalid comma-separated ints: {bad!r}\n")
 
 
+@pytest.mark.parametrize("word", ("1,,2", "1,a", ",", "1a34"))
+def test_a_bad_word_says_it_cannot_be_read(word):
+    # the comma-separated ones exited 1 with the bare "invalid literal for int() with base 10"
+    assert run("single", word) == (1, "", f"error: cannot read permutation from {word!r}\n")
+
+
 def test_g_variables_outside_the_coefficient_ring_exit_1():
     for args in (
         ("ring", "expand", "g9[9]", "--n", "1"),

@@ -10,10 +10,11 @@ from frozen import (
     CENSUS_HITS,
     CENSUS_TOTAL,
     DET19_WITNESSES,
+    LOCUS_INTERVAL_DIGEST,
     RENDER_DIGESTS,
     VEXILLARY_S5,
 )
-from oracles import rewrite_no_squares_reference
+from oracles import rewrite_no_squares_reference, substitute_reference
 from uschub import formulas
 from uschub.cli import main
 from uschub.formulas import (
@@ -86,8 +87,8 @@ def test_reduced_det_under_a_flag_context():
         for v in to_g_form(poly).variables():
             if v.kind == "g" and v.j >= 1 and (v.i, v.j) not in nonzero:
                 kill[v] = ZERO
-    reduced = to_g_form(lemma42_reduced(2, 2, 0, nonzero)).substitute(kill.get)
-    full = to_g_form(det_D(2, 2, 0)).substitute(kill.get)
+    reduced = substitute_reference(to_g_form(lemma42_reduced(2, 2, 0, nonzero)), kill.get)
+    full = substitute_reference(to_g_form(det_D(2, 2, 0)), kill.get)
     assert reduced == full
 
 
@@ -199,6 +200,19 @@ def test_census_of_s5_pinned():
     vexillary_failures = sum(1 for wt in failures if Permutation(wt).is_vexillary())
     assert vexillary_failures == 6
     assert sum(1 for w in all_perms(5) if w.is_vexillary()) == VEXILLARY_S5
+
+
+def test_census_of_s6_failures_and_the_n_dependence():
+    w = Permutation((4, 1, 3, 6, 2, 5))
+    assert det19_search(w, 5) is None
+    sigma, spec = det19_search(w, 6)
+    assert (sigma.as_tuple(6), spec.label()) == ((5, 3, 6, 4, 2, 1), "D_{1,0,0,3,1,1}(5,3,6,4,2,1)")
+    failures = {w.as_tuple(6) for w, hit in det19_census(5) if hit is None}
+    assert len(failures) == 148
+    # every word of S_6 holding a failure of S_5 as a pattern fails too; 3 failures hold none of them
+    containing = {w.as_tuple(6) for w in all_perms(6) if any(w.contains_pattern(u) for u in CENSUS_FAILURES)}
+    assert len(containing) == 145 and containing <= failures
+    assert failures - containing == {(1, 4, 3, 6, 5, 2), (1, 4, 6, 3, 5, 2), (4, 1, 3, 6, 2, 5)}
 
 
 def test_census_hits_verify():
@@ -343,9 +357,9 @@ def test_tenth_power_eliminates_within_the_budget():
             return Polynomial.const(values.setdefault(v, rng.randint(-9, 9))) if v.kind == "g" else None
 
         def at(v):
-            return c_from_g(v.i, v.j).substitute(g_at) if v.kind == "c" else g_at(v)
+            return substitute_reference(c_from_g(v.i, v.j), g_at) if v.kind == "c" else g_at(v)
 
-        assert flat.substitute(at) == p.substitute(at)
+        assert substitute_reference(flat, at) == substitute_reference(p, at)
 
 
 def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
@@ -404,6 +418,20 @@ def test_locus_interval_mode_snaps_points():
     assert full == parse_text("-c1(2)*d1(1) + c2(2) + d1(1)*d1(2) - d2(2)")
     with pytest.raises(ValueError):
         locus_formula(Permutation((1, 3, 2)), RankProfile((1, 3), (1, 3)), mode="interval")
+
+
+def test_interval_loci_of_s5_are_pinned():
+    subsets = [tuple(i for i in range(1, 5) if mask >> (i - 1) & 1) for mask in range(1, 16)]
+    lines = []
+    for w in all_perms(5):
+        for A in subsets:
+            for B in subsets:
+                prof = RankProfile(A, B)
+                if prof.covers_descents(w):
+                    case = " ".join(",".join(map(str, t)) for t in (w.as_tuple(5), A, B))
+                    lines.append(f"{case}: {render_locus(locus_formula(w, prof, mode='interval'), prof)}\n")
+    assert len(lines) == 2930
+    assert sha256("".join(lines).encode()).hexdigest() == LOCUS_INTERVAL_DIGEST
 
 
 def test_locus_strict_on_every_covering_profile_of_s4():

@@ -7,7 +7,7 @@ import pickle
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import uschub
 from oracles import substitute_reference, sum_by_key
@@ -67,42 +67,26 @@ def test_ring_laws(p, r, s):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_substitution_is_a_homomorphism(p, r):
-    image = {x(1): cpoly(1, 1) + 2, x(2): ZERO, y(1): Polynomial.var(x(3))}.get
-    assert (p + r).substitute(image) == p.substitute(image) + r.substitute(image)
-    assert (p * r).substitute(image) == p.substitute(image) * r.substitute(image)
-    assert p.substitute(lambda v: None) == p
+    table = {x(1): (c(1, 1), -1), x(2): None, y(1): (x(3), 1), c(1, 2): (x(1), 1)}
+    assert (p + r).relabel(table) == p.relabel(table) + r.relabel(table)
+    assert (p * r).relabel(table) == p.relabel(table) * r.relabel(table)
+    assert p.relabel({}) == p
 
 
-# Images of every shape: kept, zero, constants, signed and scaled one-term
-# images, relabels that may land on a kept variable (x3), longer images that
-# hold the variable itself, and q of degree 3.  substitute multiplies every
-# image out as a polynomial and drops each term holding a variable whose image is zero.
-SUBSTITUTION_VARS = (x(1), x(2), x(3), q(1, 3), g(1, 1))
-IMAGES = (
-    None,
-    0,
-    3,
-    -1,
-    Polynomial.var(x(2)) * -2,
-    Polynomial.var(x(3)),
-    -Polynomial.var(q(1, 3)),
-    Polynomial.var(x(1)) + Polynomial.var(x(2)),
-    Polynomial.var(q(2, 3)) - Polynomial.var(g(1, 1)),
-)
+# A relabel table over c, d, x and y sends a variable to 0 (None), or to +-1 times a variable of the pool:
+# itself, one the table keeps, or one that another entry also reaches, so their exponents merge.
+RELABEL_POOL = (c(1, 1), c(1, 2), d(1, 1), d(2, 2), x(1), x(2), y(1), y(2))
+ENTRIES = st.none() | st.tuples(st.sampled_from(RELABEL_POOL), st.sampled_from((1, -1)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(polys(SUBSTITUTION_VARS), st.lists(st.sampled_from(IMAGES), min_size=5, max_size=5))
-def test_substitute_matches_the_reference(p, images):
-    image = dict(zip(SUBSTITUTION_VARS, images)).get
-    assert p.substitute(image) == substitute_reference(p, image)
+@settings(max_examples=200, deadline=None)
+@given(polys(RELABEL_POOL), st.dictionaries(st.sampled_from(RELABEL_POOL), ENTRIES))
+@example(parse_text("x1^2*x3 + 5*x1*y1 - x2^3 + c1(1)*x3"), {x(1): (x(3), 1), x(2): (x(3), -1), y(1): None})
+def test_relabel_matches_the_reference(p, table):
+    def image(v):
+        return None if v not in table else ZERO if table[v] is None else Polynomial.var(table[v][0]) * table[v][1]
 
-
-def test_substitute_merges_relabels_into_kept_variables():
-    p = parse_text("x1^2*x3 + 5*x1*q1 - x2^3")
-    image = {x(1): Polynomial.var(x(3)), x(2): Polynomial.var(x(2)) * -2, q(1): 0}.get
-    assert p.substitute(image) == parse_text("x3^3 + 8*x2^3")
-    assert p.substitute(image) == substitute_reference(p, image)
+    assert p.relabel(table) == substitute_reference(p, image)
 
 
 # Every paired family at two points, so a relabel can land on a variable the term already holds.
