@@ -301,18 +301,22 @@ class Polynomial:
 
     # -- structural operations ------------------------------------------
 
-    def relabel(self, table: dict[Variable, tuple[Variable, int] | None]) -> "Polynomial":
+    def relabel(self, table: dict[Variable, tuple[Variable, int] | None], *,
+                merges: bool | None = None) -> "Polynomial":
         """Send each variable v of ``table`` to sign * w for its entry (w, sign), or to 0 for None, and keep
         every other variable.  A term maps to at most one term, so nothing is multiplied; variables that land on
-        one variable add their exponents, in a sweep that runs only when the table lets two of them meet."""
-        targets = {img[0] for img in table.values() if img}
-        merges = len(targets) < len(table) - [*table.values()].count(None) or not table.keys() >= targets
+        one variable add their exponents, in a sweep that runs only when ``merges`` (None: when the table lets
+        two of them meet, decided per call; a table that permutes its own keys never does, and passes False)."""
+        if merges is None:
+            targets = {img[0] for img in table.values() if img}
+            merges = len(targets) < len(table) - [*table.values()].count(None) or not table.keys() >= targets
+        image = table.get
         acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
             out = []
             for v, e in m:
-                if v in table:
-                    if (img := table[v]) is None:
+                if (img := image(v, v)) is not v:  # v itself only when v is kept
+                    if img is None:
                         break
                     v, sign = img
                     co *= sign ** e

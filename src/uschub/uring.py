@@ -422,12 +422,12 @@ def _omega_table(n: int) -> dict[Variable, tuple[Variable, int]]:
 
 
 def omega(p: Polynomial, n: int) -> Polynomial:
-    """The involution as one signed relabel through the per-n table; it is a bijection, so no terms merge."""
+    """The involution as one signed relabel through the per-n table, which permutes its own keys: no terms merge."""
     table = _omega_table(n)
     if not table.keys() >= {v for m in p.terms() for v, _ in m}:
         # the image rules raise on the first variable without an image, in package order
         _omega_image(next(v for v in p.variables() if v not in table), n)
-    return p.relabel(table)
+    return p.relabel(table, merges=False)
 
 
 def schubert_basis_expand(e: RingElement) -> dict[Permutation, Polynomial]:

@@ -86,7 +86,18 @@ def test_relabel_matches_the_reference(p, table):
     def image(v):
         return None if v not in table else ZERO if table[v] is None else Polynomial.var(table[v][0]) * table[v][1]
 
-    assert p.relabel(table) == substitute_reference(p, image)
+    expected = substitute_reference(p, image)
+    assert p.relabel(table) == expected
+    assert p.relabel(table, merges=True) == expected  # the sweep leaves unmerged terms as they are
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(RELABEL_POOL), st.permutations(RELABEL_POOL), st.lists(st.sampled_from((1, -1)), min_size=8, max_size=8))
+def test_relabel_through_a_permutation_of_its_keys_skips_the_sweep(p, images, signs):
+    # distinct images inside the keys never meet each other or a kept variable, as omega relies on
+    table = {v: (w, sign) for v, w, sign in zip(RELABEL_POOL, images, signs)}
+    image = {v: Polynomial.var(w) * sign for v, (w, sign) in table.items()}
+    assert p.relabel(table, merges=False) == substitute_reference(p, image.get)
 
 
 # Every paired family at two points, so a relabel can land on a variable the term already holds.

@@ -21,6 +21,7 @@ from uschub.specialize import c_from_g, g_classical, to_g_form
 from uschub.uring import (
     RingElement,
     UniversalRing,
+    _omega_table,
     check_diagonal_vanishing,
     check_orthogonality,
     inner_product,
@@ -423,6 +424,13 @@ def test_omega_matches_the_reference():
                 assert ring.omega(p) == omega(p, n)
     for p in OMEGA_SAMPLES:
         assert omega(p, 2) == omega_reference(p, 2), p
+
+
+def test_omega_table_permutes_its_keys():
+    # omega relabels without the merge sweep, which is exact only for such a table
+    for n in range(1, 7):
+        table = _omega_table(n)
+        assert sorted(w.key for w, _ in table.values()) == sorted(v.key for v in table), n
 
 
 def test_omega_rejects_out_of_range():
