@@ -354,7 +354,7 @@ class RankProfile(namedtuple("RankProfile", "A B")):
     def covers_descents(self, w: Permutation) -> bool:
         return (
             w.has_descents_only_in(self.A)
-            and w.inverse().has_descents_only_in(self.B)
+            and w.left_descents() <= set(self.B)
         )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations as _itperms
 
+from .polyring import memo
+
 
 def _trim(word: tuple[int, ...]) -> tuple[int, ...]:
     n = len(word)
@@ -29,6 +31,8 @@ def _trim(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Permutation:
+    """An immutable permutation; a word from outside is checked, a derived one is trusted."""
+
     __slots__ = ("_w",)
 
     def __init__(self, word):
@@ -37,11 +41,26 @@ class Permutation:
             raise ValueError(f"not a permutation word: {word}")
         object.__setattr__(self, "_w", _trim(word))
 
+    @classmethod
+    def _of(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a word this module derived from valid ones, trimming it without the sort."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_w", _trim(word))
+        return p
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Permutation, (self._w,)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls) -> "Permutation":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def s(cls, k: int) -> "Permutation":
@@ -51,19 +70,20 @@ class Permutation:
         return cls.t(k, k + 1)
 
     @classmethod
+    @memo
     def t(cls, a: int, b: int) -> "Permutation":
-        """Transposition swapping a and b."""
+        """Transposition swapping a and b, one shared object per pair."""
         if a == b or a < 1 or b < 1:
             raise ValueError(f"bad transposition ({a}, {b})")
         a, b = min(a, b), max(a, b)
         word = list(range(1, b + 1))
         word[a - 1], word[b - 1] = b, a
-        return cls(word)
+        return cls._of(tuple(word))
 
     @classmethod
     def longest(cls, m: int) -> "Permutation":
         """The order-reversing word (m, m-1, ..., 1)."""
-        return cls(range(m, 0, -1))
+        return cls._of(tuple(range(m, 0, -1)))
 
     @classmethod
     def longest_with_descents_in(cls, N: tuple[int, ...]) -> "Permutation":
@@ -81,7 +101,7 @@ class Permutation:
         for np in N:
             word.extend(range(nl - np + 1, nl - np + (np - prev) + 1))
             prev = np
-        return cls(word)
+        return cls._of(tuple(word))
 
     @classmethod
     def from_lehmer(cls, code: tuple[int, ...]) -> "Permutation":
@@ -91,7 +111,7 @@ class Permutation:
             if L >= len(remaining):
                 raise ValueError(f"invalid Lehmer code {code}")
             word.append(remaining.pop(L))
-        return cls(word)
+        return cls._of(tuple(word))
 
     # -- basic structure --------------------------------------------------
 
@@ -125,14 +145,16 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (u * v)(i) = u(v(i))."""
-        n = max(self.size, other.size)
-        return Permutation(tuple(self(other(i)) for i in range(1, n + 1)))
+        u, v = self._w, other._w
+        if len(v) > len(u):  # u fixes every point past its word
+            u += tuple(range(len(u) + 1, len(v) + 1))
+        return Permutation._of(tuple([u[j - 1] for j in v]) + u[len(v):])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._w)
         for i, v in enumerate(self._w, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def length(self) -> int:
         w = self._w
@@ -141,6 +163,16 @@ class Permutation:
     def descents(self) -> tuple[int, ...]:
         w = self._w + (len(self._w) + 1,)
         return tuple(k for k in range(1, len(self._w) + 1) if w[k - 1] > w[k])
+
+    def left_descents(self) -> frozenset[int]:
+        """The values k standing right of k+1: the descents of the inverse."""
+        seen: set[int] = set()
+        out = []
+        for v in self._w:
+            if v + 1 in seen:
+                out.append(v)
+            seen.add(v)
+        return frozenset(out)
 
     def has_descents_only_in(self, N) -> bool:
         allowed = set(N)
@@ -169,13 +201,7 @@ class Permutation:
     @classmethod
     def from_code_tail(cls, code: tuple[int, ...]) -> "Permutation":
         """Inverse of :meth:`code_tail`: recovers w in S_{n+1} from (i_1..i_n)."""
-        n = len(code)
-        for k, ik in enumerate(code, start=1):
-            if not 0 <= ik <= k:
-                raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
-        w0 = cls.longest(n + 1)
-        v = cls.from_lehmer(tuple(reversed(code)) + (0,))
-        return w0 * v * w0
+        return _from_code_tail(tuple(code))
 
     # -- diagrams ------------------------------------------------------------
 
@@ -234,6 +260,18 @@ class Permutation:
         return (r, lam, mu, phi)
 
 
+# A Schubert-basis peel leads with the same codes over and over.
+@memo(maxsize=1 << 12)
+def _from_code_tail(code: tuple[int, ...]) -> Permutation:
+    """w = w0 v w0 in S_m, m = n+1, with v of Lehmer code reversed(code) + (0,): w(i) = m+1 - v(m+1-i)."""
+    for k, ik in enumerate(code, start=1):
+        if not 0 <= ik <= k:
+            raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
+    m = len(code) + 1
+    v = Permutation.from_lehmer(code[::-1] + (0,)).as_tuple(m)
+    return Permutation._of(tuple(m + 1 - v[m - i] for i in range(1, m + 1)))
+
+
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     if not lam:
         return ()
@@ -243,7 +281,7 @@ def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
 def all_perms(n: int):
     """All of S_n in lexicographic one-line order."""
     for word in _itperms(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._of(word)
 
 
 def parse_oneline(text: str) -> Permutation:

@@ -244,8 +244,8 @@ def universal_cy(w: Permutation, n: int) -> Polynomial:
             yv = Polynomial.var(y(n + 1 - i))
             result = result * Polynomial.sum(cpoly(i - j, i) * ((-1) ** j) * (yv ** j) for j in range(0, i + 1))
         return result
-    inv = w.inverse()
-    k = next(k for k in range(1, n + 1) if inv(k) < inv(k + 1))
+    lefts = w.left_descents()
+    k = next(k for k in range(1, n + 1) if k not in lefts)
     return -divided_difference(universal_cy(Permutation.s(k) * w, n), k, kind="y")
 
 
@@ -256,7 +256,8 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
 
     The factorizations are walked level by level from (v, u) = (e, w); a
     step takes both to s_k v and s_k u for each descent k of u^{-1} that is
-    not one of v^{-1}, so l(u) drops by one as l(v) grows by one.
+    not one of v^{-1}, so l(u) drops by one as l(v) grows by one.  Those
+    descents are read off the words: the values k standing right of k+1.
     """
     if w.size > n + 1:
         raise ValueError(f"{w} does not fit in S_{n + 1}")
@@ -271,7 +272,7 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
         level = {
             (Permutation.s(k) * v, Permutation.s(k) * u)
             for v, u in level
-            for k in set(u.inverse().descents()) - set(v.inverse().descents())
+            for k in u.left_descents() - v.left_descents()
         }
         sign = -sign
     # c sorts before d, so a c-monomial followed by a d-monomial is sorted

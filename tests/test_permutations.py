@@ -1,13 +1,78 @@
 """Permutation combinatorics: group laws, codes, diagrams, pattern classes."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uschub.permutations import Permutation, all_perms, conjugate, parse_oneline
+from uschub.permutations import Permutation, _from_code_tail, _trim, all_perms, conjugate, parse_oneline
+from uschub.polyring import MEMOS, clear_caches
 
 perms = st.permutations(range(1, 6)).map(Permutation)
+# S_1 .. S_7, so operands of a product may differ in size
+small_perms = st.integers(1, 7).flatmap(lambda m: st.permutations(range(1, m + 1))).map(Permutation)
+
+
+def assert_derived(p):
+    """A derived permutation is one the validating constructor accepts, with its word trimmed."""
+    assert p == Permutation(p.word)
+    assert _trim(p.word) == p.word
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_perms, small_perms)
+def test_derived_words_are_valid_and_trimmed(u, v):
+    assert_derived(u * v)
+    assert_derived(u.inverse())
+    assert (u * v).as_tuple(7) == tuple(u(v(i)) for i in range(1, 8))
+    for n in range(max(u.size - 1, 0), 7):
+        w = Permutation.from_code_tail(u.code_tail(n))
+        assert_derived(w)
+        assert w == u
+    w = Permutation.from_lehmer(u.lehmer_code())
+    assert_derived(w)
+    assert w == u
+    assert u.left_descents() == set(u.inverse().descents())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.sets(st.integers(1, 7), min_size=1))
+def test_derived_constructors_are_valid_and_trimmed(a, b, cuts):
+    if a != b:
+        assert_derived(Permutation.t(a, b))
+    assert_derived(Permutation.longest(a))
+    assert_derived(Permutation.longest_with_descents_in(tuple(cuts)))
+    for w in all_perms(min(a, 4)):
+        assert_derived(w)
+
+
+def test_permutations_are_immutable():
+    p = Permutation((2, 1))
+    h = hash(p)
+    with pytest.raises(AttributeError):
+        p._w = (1,)
+    with pytest.raises(AttributeError):
+        del p._w
+    # shared memoized objects stay intact
+    s1 = Permutation.s(1)
+    assert s1 is Permutation.s(1) is Permutation.t(1, 2)
+    with pytest.raises(AttributeError):
+        s1._w = ()
+    assert p.word == (2, 1) and hash(p) == h
+    assert s1.word == (2, 1)
+    # copies go back through the validating constructor, not through attribute writes
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+
+
+def test_memoized_constructors_are_registered_and_bounded():
+    assert Permutation.t.__func__ in MEMOS and _from_code_tail in MEMOS
+    assert _from_code_tail.cache_info().maxsize == 1 << 12
+    Permutation.from_code_tail((1, 0))
+    clear_caches()
+    assert _from_code_tail.cache_info().currsize == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -134,6 +199,24 @@ def test_parse_oneline():
         parse_oneline("2,2,1")
     with pytest.raises(ValueError):
         parse_oneline("abc")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation((1, 1)), "not a permutation word: (1, 1)"),
+    (lambda: Permutation((0, 1)), "not a permutation word: (0, 1)"),
+    (lambda: Permutation([3, 1]), "not a permutation word: (3, 1)"),
+    (lambda: Permutation.from_lehmer((3, 0)), "invalid Lehmer code (3, 0)"),
+    (lambda: Permutation.from_code_tail((0, 3)), "entry i_2 = 3 outside 0..2"),
+    (lambda: Permutation.from_code_tail([2]), "entry i_1 = 2 outside 0..1"),
+    (lambda: Permutation.t(2, 2), "bad transposition (2, 2)"),
+    (lambda: parse_oneline("1,,2"), "cannot read permutation from '1,,2'"),
+    (lambda: parse_oneline("2,2,1"), "not a permutation word: (2, 2, 1)"),
+])
+def test_public_input_is_validated(build, message):
+    # derived words skip the check; every word a caller hands in still meets it
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_conjugate_partition():
