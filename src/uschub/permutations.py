@@ -70,7 +70,7 @@ class Permutation:
         return cls.t(k, k + 1)
 
     @classmethod
-    @memo
+    @memo(typed=True)  # typed: t(1.0, 2) misses the (1, 2) entry and fails in the body
     def t(cls, a: int, b: int) -> "Permutation":
         """Transposition swapping a and b, one shared object per pair."""
         if a == b or a < 1 or b < 1:
@@ -201,7 +201,10 @@ class Permutation:
     @classmethod
     def from_code_tail(cls, code: tuple[int, ...]) -> "Permutation":
         """Inverse of :meth:`code_tail`: recovers w in S_{n+1} from (i_1..i_n)."""
-        return _from_code_tail(tuple(code))
+        for k, ik in enumerate(code, start=1):
+            if not 0 <= ik <= k:
+                raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
+        return _from_reversed_code(*reversed(code))
 
     # -- diagrams ------------------------------------------------------------
 
@@ -260,15 +263,15 @@ class Permutation:
         return (r, lam, mu, phi)
 
 
-# A Schubert-basis peel leads with the same codes over and over.
-@memo(maxsize=1 << 12)
-def _from_code_tail(code: tuple[int, ...]) -> Permutation:
-    """w = w0 v w0 in S_m, m = n+1, with v of Lehmer code reversed(code) + (0,): w(i) = m+1 - v(m+1-i)."""
-    for k, ik in enumerate(code, start=1):
-        if not 0 <= ik <= k:
-            raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
-    m = len(code) + 1
-    v = Permutation.from_lehmer(code[::-1] + (0,)).as_tuple(m)
+# In a cold bench ``query`` round 94 % of the calls repeat a code already
+# decoded in that round (3 rounds, seed 1: 1,979 hits, 128 misses).  The
+# entries are separate arguments so that ``typed`` keys each one's type:
+# (1.0,) misses the (1,) entry and fails in from_lehmer, as an uncached call would.
+@memo(maxsize=1 << 12, typed=True)
+def _from_reversed_code(*lehmer: int) -> Permutation:
+    """w = w0 v w0 in S_m, m = n+1, where v has Lehmer code (i_n, ..., i_1, 0): w(i) = m+1 - v(m+1-i)."""
+    m = len(lehmer) + 1
+    v = Permutation.from_lehmer(lehmer + (0,)).as_tuple(m)
     return Permutation._of(tuple(m + 1 - v[m - i] for i in range(1, m + 1)))
 
 

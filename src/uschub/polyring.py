@@ -35,11 +35,11 @@ _PAIRED = frozenset("cdgh")
 MEMOS: list = []
 
 
-def memo(fn=None, *, maxsize: int | None = None):
+def memo(fn=None, *, maxsize: int | None = None, typed: bool = False):
     """``functools.lru_cache``, unbounded unless ``maxsize`` is given, that :func:`clear_caches` empties."""
     if fn is None:
-        return functools.partial(memo, maxsize=maxsize)
-    cached = functools.lru_cache(maxsize=maxsize)(fn)
+        return functools.partial(memo, maxsize=maxsize, typed=typed)
+    cached = functools.lru_cache(maxsize=maxsize, typed=typed)(fn)
     MEMOS.append(cached)
     return cached
 

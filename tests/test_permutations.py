@@ -7,7 +7,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uschub.permutations import Permutation, _from_code_tail, _trim, all_perms, conjugate, parse_oneline
+from uschub.permutations import Permutation, _from_reversed_code, _trim, all_perms, conjugate, parse_oneline
 from uschub.polyring import MEMOS, clear_caches
 
 perms = st.permutations(range(1, 6)).map(Permutation)
@@ -68,11 +68,11 @@ def test_permutations_are_immutable():
 
 
 def test_memoized_constructors_are_registered_and_bounded():
-    assert Permutation.t.__func__ in MEMOS and _from_code_tail in MEMOS
-    assert _from_code_tail.cache_info().maxsize == 1 << 12
+    assert Permutation.t.__func__ in MEMOS and _from_reversed_code in MEMOS
+    assert _from_reversed_code.cache_info().maxsize == 1 << 12
     Permutation.from_code_tail((1, 0))
     clear_caches()
-    assert _from_code_tail.cache_info().currsize == 0
+    assert _from_reversed_code.cache_info().currsize == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,6 +217,23 @@ def test_public_input_is_validated(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Permutation.from_code_tail((1.0,)),
+    lambda: Permutation.from_code_tail([0, 1.0]),
+    lambda: Permutation.t(1.0, 2),
+    lambda: Permutation.s(1.0),
+    lambda: Permutation.from_lehmer((1.0, 0)),
+])
+def test_non_integer_entries_are_rejected_whatever_is_cached(build):
+    # equal integer inputs already in the memos must not answer for them
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            build()
+        Permutation.from_code_tail((1,))
+        Permutation.from_code_tail((0, 1))
+        Permutation.t(1, 2)
 
 
 def test_conjugate_partition():
