@@ -190,3 +190,23 @@ VERIFY_CENSUS_STDOUT = (
     "FAIL census: expressions found for exactly 112 of 120 (found 113)\n"
     "1 check(s) failed\n"
 )
+
+# sha256 of the stdout of ``uschub --help`` and of ``uschub VERB --help`` for
+# each of the eleven verbs, keyed by the arguments after ``uschub``.  argparse
+# wraps help at the terminal width, so these are the bytes with COLUMNS=80
+# (Python 3.11's layout), pinned before the sub-commands were declared
+# through one helper.
+HELP_DIGESTS = {
+    ("--help",): "d4ab4c3c116484a03db18d53e08871751b1783f5be382a0778a3f2eeab7e1091",
+    ("single", "--help"): "16b0543c11442c9b1aec110329ac8018f1d73fbd7e2905b5bef6f9ea3fde0945",
+    ("double", "--help"): "934079de8edcbf3f78d17965de3c951a326493c7a964fbb0ad2ea21935613e70",
+    ("specialize", "--help"): "7bd0c38a4e35983357fedfa596a919a08a6c7af6e9ec954424c59c49d96885bf",
+    ("locus", "--help"): "ed41d3364e8e8591ea5adfb705077fa5568fd75a3c70d0c3af3f350baae1b532",
+    ("expand", "--help"): "1d8f253ed3c90fcb7542b797971ed80f63eda81456b49190a926f0f94a9f5810",
+    ("product-rule", "--help"): "83cfda0a81c5e45c57d84cc319f2d233eb6a7fa0fa488ad794bb66eb5b550526",
+    ("search-det19", "--help"): "0d9277d721e688613a42dad4bee41c46dc464c9f5736f5cd4adf8270db70c623",
+    ("census", "--help"): "4686e718bcba240eec3ac507ae8cdfc18ccf11eaae1ede779622de97b2e24bde",
+    ("ring", "--help"): "a88ba682f1ad9c7f0ea6cd15d2a015fecfe773a87f239de3406ae992eb032216",
+    ("table", "--help"): "df2f8943e1449b70cccdeff6fe17b7ab92a035ae9dfb4e72b1fbe29ab0ea8217",
+    ("verify", "--help"): "ecabcdf0e5263d4fb0e0aad160fadac36c38192f1917cfcf3843241a63bdfbd1",
+}

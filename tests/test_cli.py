@@ -19,6 +19,7 @@ from frozen import (
     CENSUS_N5_DIGEST,
     CENSUS_N5_HITS,
     EXPAND_DIGESTS,
+    HELP_DIGESTS,
     QUANTUM_231,
     SEARCH_DET19_DIGESTS,
     VERIFY_CENSUS_STDOUT,
@@ -379,6 +380,15 @@ def test_n_below_the_least_exits_1_naming_it(args):
     verb, name = args[:2]
     first = "duality" if name == "all" else name  # the first suite of the sweep that needs n >= 1
     assert run(*args, "--n", "0") == (1, "", f"error: {verb} {first} needs --n >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("args", sorted(HELP_DIGESTS), ids=lambda args: args[0] if len(args) > 1 else "uschub")
+def test_help_output_is_pinned(args, monkeypatch):
+    # argparse reads the terminal width from COLUMNS when it builds each formatter
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(*args)
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == HELP_DIGESTS[args]
 
 
 def test_usage_error_prints_help():
