@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .permutations import Permutation, all_perms, parse_oneline
 from .polyring import Polynomial, parse_text, q, x
@@ -32,88 +32,92 @@ def _parse_perm(text: str) -> tuple[Permutation, int]:
     return parse_oneline(text), raw
 
 
+def _word_and_n(args) -> tuple[Permutation, int]:
+    """The word argument and --n, which defaults to the raw word length less one."""
+    w, raw = _parse_perm(args.word)
+    return w, args.n if args.n is not None else max(raw - 1, 0)
+
+
 def _word(w: Permutation, n: int) -> str:
     return ",".join(str(v) for v in w.as_tuple(n))
 
 
-def _json_dumps(obj) -> str:
-    import json
+def _emit(fmt: str, record: Callable[[], object], lines: Callable[[], Iterable[str]]) -> None:
+    """Print ``record()`` as JSON under --format json, else each of ``lines()``.
 
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _poly_out(p: Polynomial, fmt: str) -> str:
-    if fmt == "latex":
-        return p.latex()
+    Only the one the format asks for is built.
+    """
     if fmt == "json":
-        return _json_dumps(p.to_json())
-    return p.text()
+        import json
+
+        print(json.dumps(record(), indent=2, sort_keys=True))
+    else:
+        for line in lines():
+            print(line)
+
+
+def _poly_text(p: Polynomial, fmt: str) -> str:
+    return p.latex() if fmt == "latex" else p.text()
+
+
+def _print_poly(p: Polynomial, fmt: str) -> None:
+    _emit(fmt, p.to_json, lambda: [_poly_text(p, fmt)])
 
 
 def _print_rows(rows: list[tuple[Permutation, Polynomial]], n: int, fmt: str, key: str) -> None:
     """One ``w: polynomial`` line per row, or a JSON list of {w, key} records."""
-    if fmt == "json":
-        print(_json_dumps([{"w": list(w.as_tuple(n + 1)), key: p.to_json()} for w, p in rows]))
-    else:
-        for w, p in rows:
-            print(f"{_word(w, n + 1)}: {_poly_out(p, fmt)}")
+    _emit(fmt, lambda: [{"w": list(w.as_tuple(n + 1)), key: p.to_json()} for w, p in rows],
+          lambda: (f"{_word(w, n + 1)}: {_poly_text(p, fmt)}" for w, p in rows))
 
 
-def _print_expansion(expansion: dict[Permutation, Polynomial], n: int, fmt: str) -> None:
-    """A Schubert-basis expansion in R_n, by length and then one-line word."""
-    rows = sorted(expansion.items(), key=lambda t: (t[0].length(), t[0].as_tuple(n + 1)))
-    _print_rows(rows, n, fmt, "coeff")
-
-
-def _default_n(args, raw: int) -> int:
-    return args.n if args.n is not None else max(raw - 1, 0)
+def _by_length(expansion: dict[Permutation, object], n: int) -> list[tuple[Permutation, object]]:
+    """The terms of a Schubert-basis expansion in R_n, by length and then one-line word."""
+    return sorted(expansion.items(), key=lambda t: (t[0].length(), t[0].as_tuple(n + 1)))
 
 
 # -- polynomial verbs -------------------------------------------------------------
 
-def _cmd_single(args) -> int:
-    w, raw = _parse_perm(args.word)
-    n = _default_n(args, raw)
+def _single_form(w: Permutation, n: int) -> Polynomial:
     from .schubert import universal_single
 
-    print(_poly_out(universal_single(w, n).to_polynomial("c"), args.format))
-    return 0
+    return universal_single(w, n).to_polynomial("c")
 
 
-def _cmd_double(args) -> int:
-    w, raw = _parse_perm(args.word)
-    n = _default_n(args, raw)
+def _double_form(w: Permutation, n: int) -> Polynomial:
     from .schubert import universal_double
 
-    print(_poly_out(universal_double(w, n), args.format))
-    return 0
+    return universal_double(w, n)
 
 
-def _cmd_specialize(args) -> int:
-    w, raw = _parse_perm(args.word)
-    n = _default_n(args, raw)
-    if args.rule == "flag" and args.profile is None:
-        raise ValueError("rule 'flag' needs --profile")
-    from .schubert import universal_double, universal_single
-    from .specialize import (
-        FlagProfile,
-        classical_specialize,
-        partial_flag_specialize,
-        quantum_specialize,
-        to_g_form,
-    )
+# Each --rule of specialize but flag, which builds from its profile instead: the
+# construction of the word, then the name of its map in ``specialize``.
+_RULES = {
+    "classical": (_single_form, "classical_specialize"),
+    "classical-double": (_double_form, "classical_specialize"),
+    "gform": (_single_form, "to_g_form"),
+    "quantum": (_single_form, "quantum_specialize"),
+}
+_FORMS = {"single": (_single_form, None), "double": (_double_form, None), **_RULES}
 
-    if args.rule == "classical":
-        out = classical_specialize(universal_single(w, n).to_polynomial("c"))
-    elif args.rule == "classical-double":
-        out = classical_specialize(universal_double(w, n))
-    elif args.rule == "gform":
-        out = to_g_form(universal_single(w, n).to_polynomial("c"))
-    elif args.rule == "quantum":
-        out = quantum_specialize(universal_single(w, n).to_polynomial("c"))
-    else:
+
+def _cmd_form(args) -> int:
+    """The verbs single and double, and specialize by its --rule."""
+    w, n = _word_and_n(args)
+    rule = getattr(args, "rule", args.verb)
+    if rule == "flag":
+        if args.profile is None:
+            raise ValueError("rule 'flag' needs --profile")
+        from .specialize import FlagProfile, partial_flag_specialize
+
         out = partial_flag_specialize(w, FlagProfile(args.profile), route=args.route)
-    print(_poly_out(out, args.format))
+    else:
+        build, name = _FORMS[rule]
+        out = build(w, n)
+        if name:
+            from . import specialize
+
+            out = getattr(specialize, name)(out)
+    _print_poly(out, args.format)
     return 0
 
 
@@ -124,12 +128,8 @@ def _cmd_locus(args) -> int:
     profile = RankProfile(args.ranks_e, args.ranks_f)
     mode = "interval" if args.interval else "strict"
     p = locus_formula(w, profile, mode=mode)
-    if args.format == "json":
-        print(_json_dumps({"polynomial": p.to_json(), "rendered": render_locus(p, profile)}))
-    elif args.format == "latex":
-        print(p.latex())
-    else:
-        print(render_locus(p, profile))
+    _emit(args.format, lambda: {"polynomial": p.to_json(), "rendered": render_locus(p, profile)},
+          lambda: [p.latex() if args.format == "latex" else render_locus(p, profile)])
     return 0
 
 
@@ -147,20 +147,16 @@ def _cmd_expand(args) -> int:
     rows = []
     for gpart, el in sorted(split_by_g(flat, n).items()):
         gtext = Polynomial({gpart: 1}).text() if gpart else ""
-        for w, coeff in sorted(
-            schubert_expand_M(el).items(), key=lambda t: (t[0].length(), t[0].as_tuple(n + 1))
-        ):
-            rows.append((gtext, w, coeff))
-    if args.format == "json":
-        print(_json_dumps([
-            {"g": gtext or None, "w": list(w.as_tuple(n + 1)), "coeff": coeff}
-            for gtext, w, coeff in rows
-        ]))
-    else:
-        for gtext, w, coeff in rows:
-            head = f"{coeff} * " if coeff != 1 else ""
-            mid = f"{gtext} * " if gtext else ""
-            print(f"{head}{mid}S({_word(w, n + 1)})")
+        rows += [(gtext, w, coeff) for w, coeff in _by_length(schubert_expand_M(el), n)]
+
+    def line(gtext: str, w: Permutation, coeff: int) -> str:
+        head = f"{coeff} * " if coeff != 1 else ""
+        mid = f"{gtext} * " if gtext else ""
+        return f"{head}{mid}S({_word(w, n + 1)})"
+
+    _emit(args.format,
+          lambda: [{"g": gtext or None, "w": list(w.as_tuple(n + 1)), "coeff": coeff} for gtext, w, coeff in rows],
+          lambda: (line(*row) for row in rows))
     return 0
 
 
@@ -170,19 +166,18 @@ def _cmd_product_rule(args) -> int:
     from .formulas import product_rule
 
     report = product_rule(args.i, args.j, args.k)
-    if args.format == "json":
-        print(_json_dumps({
-            "i": report.i,
-            "j": report.j,
-            "k": report.k,
-            "lhs": report.lhs.to_json(),
-            "rhs": report.rhs.to_json(),
-            "equal": report.equal_in_g,
-        }))
-    else:
-        print(f"lhs: {_poly_out(report.lhs, args.format)}")
-        print(f"rhs: {_poly_out(report.rhs, args.format)}")
-        print(f"equal in g: {'yes' if report.equal_in_g else 'NO'}")
+    _emit(args.format, lambda: {
+        "i": report.i,
+        "j": report.j,
+        "k": report.k,
+        "lhs": report.lhs.to_json(),
+        "rhs": report.rhs.to_json(),
+        "equal": report.equal_in_g,
+    }, lambda: [
+        f"lhs: {_poly_text(report.lhs, args.format)}",
+        f"rhs: {_poly_text(report.rhs, args.format)}",
+        f"equal in g: {'yes' if report.equal_in_g else 'NO'}",
+    ])
     return 0 if report.equal_in_g else 2
 
 
@@ -192,39 +187,32 @@ def _hit_text(hit, n: int) -> str:
 
 
 def _cmd_search_det19(args) -> int:
-    w, raw = _parse_perm(args.word)
-    n = _default_n(args, raw)
+    w, n = _word_and_n(args)
     from .formulas import det19_matches, det19_record, det19_search
 
     hits = list(det19_matches(w, n)) if args.exhaustive else [det19_search(w, n)]
-    if args.format == "json":
-        records = [det19_record(w, n, hit) for hit in hits]
-        print(_json_dumps(records if args.exhaustive else records[0]))
-        return 0
-    for hit in hits or [None]:
-        print(_hit_text(hit, n))
+    _emit(args.format,
+          lambda: [det19_record(w, n, hit) for hit in hits] if args.exhaustive else det19_record(w, n, hits[0]),
+          lambda: (_hit_text(hit, n) for hit in hits or [None]))
     return 0
 
 
 def _cmd_census(args) -> int:
     from .formulas import det19_census, det19_record
 
-    census = det19_census(args.n)
-    if args.format == "json":
-        print(_json_dumps([det19_record(w, args.n, hit) for w, hit in census]))
-        return 0
-    for w, hit in census:
-        print(f"{_word(w, args.n + 1)}: {_hit_text(hit, args.n)}")
-    print(f"expressed {sum(1 for _, hit in census if hit)} of {len(census)}")
+    n = args.n
+    census = det19_census(n)
+    _emit(args.format, lambda: [det19_record(w, n, hit) for w, hit in census], lambda: [
+        *(f"{_word(w, n + 1)}: {_hit_text(hit, n)}" for w, hit in census),
+        f"expressed {sum(1 for _, hit in census if hit)} of {len(census)}",
+    ])
     return 0
 
 
 def _cmd_table(args) -> int:
-    n = 2 if args.n is None else args.n
-    from .schubert import universal_double
-
+    n = args.n
     words = sorted(all_perms(n + 1), key=lambda u: (-u.length(), u.as_tuple(n + 1)))
-    _print_rows([(w, universal_double(w, n)) for w in words], n, args.format, "polynomial")
+    _print_rows([(w, _double_form(w, n)) for w in words], n, args.format, "polynomial")
     return 0
 
 
@@ -237,7 +225,7 @@ def _take(exprs: list[str], count: int, action: str) -> list[str]:
 
 
 def _cmd_ring(args) -> int:
-    action, n = args.action, args.n
+    action, n, fmt = args.action, args.n, args.format
     if action == "multiply":
         (u, ru), (v, rv) = map(_parse_perm, _take(args.exprs, 2, action))
         n = n if n is not None else max(ru, rv) - 1
@@ -248,44 +236,32 @@ def _cmd_ring(args) -> int:
     from . import uring
 
     if action == "multiply":
-        _print_expansion(uring.multiply_expand(u, v, n), n, args.format)
-        return 0
-    if action == "normal-form":
-        el = uring.normal_form(parse_text(_take(args.exprs, 1, action)[0]), n)
-        print(_poly_out(el.to_polynomial(), args.format))
-        return 0
-    if action == "expand":
-        el = uring.normal_form(parse_text(_take(args.exprs, 1, action)[0]), n)
-        _print_expansion(uring.schubert_basis_expand(el), n, args.format)
-        return 0
-    if action == "inner":
-        exprs = _take(args.exprs, 2, action)
-        a = uring.normal_form(parse_text(exprs[0]), n)
-        b = uring.normal_form(parse_text(exprs[1]), n)
-        print(_poly_out(uring.inner_product(a, b), args.format))
-        return 0
-    if action == "omega":
-        out = uring.omega(parse_text(_take(args.exprs, 1, action)[0]), n)
-        print(_poly_out(out, args.format))
-        return 0
-    if action == "rank":
-        report = uring.staircase_rank_report(n)
-        if args.format == "json":
-            print(_json_dumps(report))
+        _print_rows(_by_length(uring.multiply_expand(u, v, n), n), n, fmt, "coeff")
+    elif action == "omega":
+        _print_poly(uring.omega(parse_text(_take(args.exprs, 1, action)[0]), n), fmt)
+    elif action in ("normal-form", "expand", "inner"):
+        exprs = _take(args.exprs, 2 if action == "inner" else 1, action)
+        els = [uring.normal_form(parse_text(expr), n) for expr in exprs]
+        if action == "expand":
+            _print_rows(_by_length(uring.schubert_basis_expand(els[0]), n), n, fmt, "coeff")
         else:
-            for row in report["degrees"]:
-                print(f"degree {row['degree']}: dimension {row['dimension']}")
-            print("full rank" if report["full_rank"] else "RANK DROP")
+            _print_poly(uring.inner_product(*els) if action == "inner" else els[0].to_polynomial(), fmt)
+    elif action == "rank":
+        report = uring.staircase_rank_report(n)
+        _emit(fmt, lambda: report, lambda: [
+            *(f"degree {row['degree']}: dimension {row['dimension']}" for row in report["degrees"]),
+            "full rank" if report["full_rank"] else "RANK DROP",
+        ])
         return 0 if report["full_rank"] else 2
-    _take(args.exprs, 0, action)
-    report = uring.check_orthogonality(n) if action == "verify-25" else uring.check_diagonal_vanishing(n)
-    if args.format == "json":
-        print(_json_dumps(report))
     else:
-        for failure in report["failures"]:
-            print(f"FAIL {failure}")
-        print(f"checked {report['checked']}, failures {len(report['failures'])}")
-    return 0 if not report["failures"] else 2
+        _take(args.exprs, 0, action)
+        report = uring.check_orthogonality(n) if action == "verify-25" else uring.check_diagonal_vanishing(n)
+        _emit(fmt, lambda: report, lambda: [
+            *(f"FAIL {failure}" for failure in report["failures"]),
+            f"checked {report['checked']}, failures {len(report['failures'])}",
+        ])
+        return 0 if not report["failures"] else 2
+    return 0
 
 
 # -- verification suites -------------------------------------------------------------
@@ -513,31 +489,29 @@ def _suite_ring(n: int) -> list[Check]:
     ]
 
 
+# Each suite's function, default --n and least --n: below the least a suite
+# checks nothing, or S_0 (duality).
 _SUITES = {
-    "routes": (_suite_routes, 4),
-    "classical": (_suite_classical, 4),
-    "leading": (_suite_leading, 4),
-    "duality": (_suite_duality, 3),
-    "quantum": (_suite_quantum, 5),
-    "flags": (_suite_flags, 4),
-    "grassmannian": (_suite_grassmannian, 4),
-    "census": (_suite_census, 4),
-    "product-rule": (_suite_product_rule, 4),
-    "diagrams": (_suite_diagrams, 5),
-    "ring": (_suite_ring, 2),
+    "routes": (_suite_routes, 4, 0),
+    "classical": (_suite_classical, 4, 0),
+    "leading": (_suite_leading, 4, 0),
+    "duality": (_suite_duality, 3, 1),
+    "quantum": (_suite_quantum, 5, 1),
+    "flags": (_suite_flags, 4, 1),
+    "grassmannian": (_suite_grassmannian, 4, 0),
+    "census": (_suite_census, 4, 0),
+    "product-rule": (_suite_product_rule, 4, 0),
+    "diagrams": (_suite_diagrams, 5, 0),
+    "ring": (_suite_ring, 2, 1),
 }
-
-
-# The least --n where it is above 0: below it a suite checks nothing, or S_0 (duality).
-_LEAST_N = {"duality": 1, "quantum": 1, "flags": 1, "ring": 1}
 
 
 def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     sizes = {name: args.n if args.n is not None else _SUITES[name][1] for name in names}
     for name, n in sizes.items():
-        if n < _LEAST_N.get(name, 0):
-            raise ValueError(f"verify {name} needs --n >= {_LEAST_N[name]}, got {n}")
+        if n < _SUITES[name][2]:
+            raise ValueError(f"verify {name} needs --n >= {_SUITES[name][2]}, got {n}")
     failures = 0
     for name, n in sizes.items():
         for label, ok, detail in _SUITES[name][0](n):
@@ -584,83 +558,74 @@ def _add_n(sub, default: int | None = None) -> None:
     sub.add_argument("--n", type=_size, default=default)
 
 
+def _verb(verbs, name: str, summary: str, handler: Callable[..., int], /, **positionals) -> argparse.ArgumentParser:
+    """The sub-command ``name``; each keyword adds a positional with those add_argument options."""
+    sub = verbs.add_parser(name, help=summary)
+    for dest, options in positionals.items():
+        sub.add_argument(dest, **options)
+    sub.set_defaults(handler=handler)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uschub", description=__doc__.splitlines()[0])
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    sub = verbs.add_parser("single", help="single universal polynomial of a permutation")
-    sub.add_argument("word", help="one-line permutation, comma-separated or digits")
+    sub = _verb(verbs, "single", "single universal polynomial of a permutation", _cmd_form,
+                word={"help": "one-line permutation, comma-separated or digits"})
     _add_n(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_single)
 
-    sub = verbs.add_parser("double", help="double universal polynomial of a permutation")
-    sub.add_argument("word")
+    sub = _verb(verbs, "double", "double universal polynomial of a permutation", _cmd_form, word={})
     _add_n(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_double)
 
-    sub = verbs.add_parser("specialize", help="specialize the polynomial of a permutation")
-    sub.add_argument("word")
-    sub.add_argument("--rule", required=True,
-                     choices=("classical", "classical-double", "gform", "quantum", "flag"))
+    sub = _verb(verbs, "specialize", "specialize the polynomial of a permutation", _cmd_form, word={})
+    sub.add_argument("--rule", required=True, choices=(*_RULES, "flag"))
     _add_n(sub)
     sub.add_argument("--profile", type=_int_list, default=None, help="cut points for --rule flag, e.g. 2,4")
     sub.add_argument("--route", choices=("A", "B"), default="A")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_specialize)
 
-    sub = verbs.add_parser("locus", help="degeneracy-locus class over a rank profile")
-    sub.add_argument("word")
+    sub = _verb(verbs, "locus", "degeneracy-locus class over a rank profile", _cmd_locus, word={})
     sub.add_argument("--ranks-e", type=_int_list, required=True, help="ranks of the source chain, e.g. 1,2,3")
     sub.add_argument("--ranks-f", type=_int_list, required=True, help="ranks of the target chain")
     sub.add_argument("--interval", action="store_true",
                      help="snap evaluation points down instead of requiring containment")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_locus)
 
-    sub = verbs.add_parser("expand", help="expand a c/g polynomial in the Schubert basis")
-    sub.add_argument("expr")
+    sub = _verb(verbs, "expand", "expand a c/g polynomial in the Schubert basis", _cmd_expand, expr={})
     _add_n(sub)
     _add_format(sub, choices=("text", "json"))
-    sub.set_defaults(handler=_cmd_expand)
 
-    sub = verbs.add_parser("product-rule", help="both sides of the same-point product rule")
+    sub = _verb(verbs, "product-rule", "both sides of the same-point product rule", _cmd_product_rule)
     sub.add_argument("--i", type=int, required=True)
     sub.add_argument("--j", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_product_rule)
 
-    sub = verbs.add_parser("search-det19", help="determinantal expression search for one permutation")
-    sub.add_argument("word")
+    sub = _verb(verbs, "search-det19", "determinantal expression search for one permutation", _cmd_search_det19,
+                word={})
     _add_n(sub)
     sub.add_argument("--exhaustive", action="store_true")
     _add_format(sub, choices=("text", "json"))
-    sub.set_defaults(handler=_cmd_search_det19)
 
-    sub = verbs.add_parser("census", help="determinantal expression search over a full S_{n+1}")
+    sub = _verb(verbs, "census", "determinantal expression search over a full S_{n+1}", _cmd_census)
     _add_n(sub, default=4)
     _add_format(sub, choices=("text", "json"))
-    sub.set_defaults(handler=_cmd_census)
 
-    sub = verbs.add_parser("ring", help="work inside the universal quotient ring")
-    sub.add_argument("action", choices=(
-        "normal-form", "expand", "multiply", "inner", "omega", "rank", "verify-25", "verify-26"))
-    sub.add_argument("exprs", nargs="*")
+    actions = ("normal-form", "expand", "multiply", "inner", "omega", "rank", "verify-25", "verify-26")
+    sub = _verb(verbs, "ring", "work inside the universal quotient ring", _cmd_ring,
+                action={"choices": actions}, exprs={"nargs": "*"})
     _add_n(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_ring)
 
-    sub = verbs.add_parser("table", help="table of double polynomials for S_{n+1}")
-    _add_n(sub)
+    sub = _verb(verbs, "table", "table of double polynomials for S_{n+1}", _cmd_table)
+    _add_n(sub, default=2)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_table)
 
-    sub = verbs.add_parser("verify", help="run a verification sweep")
-    sub.add_argument("suite", choices=tuple(_SUITES) + ("all",))
+    sub = _verb(verbs, "verify", "run a verification sweep", _cmd_verify, suite={"choices": (*_SUITES, "all")})
     _add_n(sub)
-    sub.set_defaults(handler=_cmd_verify)
 
     return parser
 
