@@ -183,10 +183,9 @@ class Permutation:
 
     # -- codes -------------------------------------------------------------
 
-    def lehmer_code(self, n: int | None = None) -> tuple[int, ...]:
-        if n is None:
-            n = self.size
-        w = self.as_tuple(max(n, self.size))
+    def lehmer_code(self) -> tuple[int, ...]:
+        w = self._w
+        n = len(w)
         return tuple(sum(1 for j in range(k + 1, n) if w[j] < w[k]) for k in range(n))
 
     def code_tail(self, n: int) -> tuple[int, ...]:
