@@ -112,6 +112,12 @@ NF_DIGESTS = {
 # Schubert-basis expansions became one heap peel.
 MULTIPLY_DIGEST = "10c46bb0998a278aeda22ae15984ffd54ca0cf8cb4f6cd0b61e01ad00053fec0"
 
+# sha256 of the newline-joined text forms of normal_form(omega(sigma_{v*w0}))
+# over v in S_{n+1} by (length, word), the 24 duals at n = 3 and then the 120
+# at n = 4: 144 lines.  Pinned from the normal form that added each
+# memoized form to its sum one staircase key at a time.
+DUAL_NF_DIGEST = "e1ad5f30006435c04d3d1a34b8d12419ea1a3b5a96569237dd45223079888da0"
+
 # sha256 of the newline-joined lines "<object>: <printed form>", pinned
 # from the four hand-written renderers before they were folded into one
 # formatter:

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from frozen import MULTIPLY_DIGEST, NF_DIGESTS, NF_X1_CUBED_N2
+from frozen import DUAL_NF_DIGEST, MULTIPLY_DIGEST, NF_DIGESTS, NF_X1_CUBED_N2
 from oracles import (
     inner_product_full,
     normal_form_reference,
@@ -71,6 +71,15 @@ def test_normal_forms_match_the_frozen_digest():
                     mono = mono * _xp(i)
                 lines.append(f"{mono.text()}: {normal_form(mono, n).text()}")
         assert sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest, n
+
+
+def test_dual_normal_forms_match_the_frozen_digest():
+    # the 24 omega-duals at n = 3, then the 120 at n = 4
+    lines = []
+    for n in (3, 4):
+        ring = universal_ring(n)
+        lines += [_dual(ring, v).text() for v in sorted(all_perms(n + 1), key=lambda w: (w.length(), w.word))]
+    assert sha256("\n".join(lines).encode()).hexdigest() == DUAL_NF_DIGEST
 
 
 def test_normal_form_is_idempotent():
