@@ -247,6 +247,7 @@ def _cmd_ring(args) -> int:
         else:
             _print_poly(uring.inner_product(*els) if action == "inner" else els[0].to_polynomial(), fmt)
     elif action == "rank":
+        _take(args.exprs, 0, action)
         report = uring.staircase_rank_report(n)
         _emit(fmt, lambda: report, lambda: [
             *(f"degree {row['degree']}: dimension {row['dimension']}" for row in report["degrees"]),

@@ -26,10 +26,13 @@ All of it runs on split forms, {exponent tuple over x_1..x_{n+1}:
 coefficient in Z[g+]}: a per-ring table sends x_k and g_k[0] to slot k and
 g+ to the coefficient, and a product adds exponent tuples.  The rules are
 computed so, and a Schubert element is the split of its g-form, which is
-already reduced.  A normal form splits its input, drops the groups that
-cancel, then walks each tuple on one budget, memoizing one form per tuple,
-and sums the forms in one pass.  The walk steps x_{n+1}^b, b > 0, to
-(-(x_1 + ... + x_n))^b; the rules lose x_{n+1} by the same step.
+already reduced.  A normal form reads each input term once into raw term
+dicts by exponent tuple, drops the groups that cancel, then walks each
+tuple on one budget, memoizing one form per tuple.  ``_add_form`` adds a
+group's coefficient times a whole walked form into one accumulator of term
+dicts, and the sum becomes Polynomials once, at the end; the element is
+built without re-checking what the ring made.  The walk steps x_{n+1}^b,
+b > 0, to (-(x_1 + ... + x_n))^b; the rules lose x_{n+1} by the same step.
 
 The Schubert-basis expansion is the peel of uschub.schubert over the
 staircase exponents, with coefficients in Z[g+]: the g-free part of the
@@ -64,7 +67,7 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
-    add_product,
+    _mono_mul,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
     elementary_sym,
@@ -97,6 +100,26 @@ def _drop_power(n: int, b: int) -> list[tuple[tuple[int, ...], Polynomial]]:
     for _ in range(n - 1):
         terms = [(exps + (a,), coeff * comb(left, a), left - a) for exps, coeff, left in terms for a in range(left, -1, -1)]
     return [((*exps, left, -b), Polynomial.const(coeff)) for exps, coeff, left in terms]
+
+
+def _add_form(acc: dict[tuple[int, ...], dict[Monomial, int]], scalar: Polynomial | dict[Monomial, int],
+              form: dict[tuple[int, ...], Polynomial], scale: int = 1) -> None:
+    """acc[stair] += scale * scalar * form[stair] for every staircase key of ``form``, in one call.
+
+    The R_n twin of ``polyring.add_product``: ``scalar`` is a polynomial or
+    its term dict, ``acc`` holds term dicts, and cancelled coefficients stay
+    in them as zeros.
+    """
+    scalar = (scalar._terms if isinstance(scalar, Polynomial) else scalar).items()
+    for stair, poly in form.items():
+        terms = acc.get(stair)
+        if terms is None:
+            terms = acc[stair] = {}
+        for m1, c1 in scalar:
+            c1 *= scale
+            for m2, c2 in poly._terms.items():
+                m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                terms[m] = terms.get(m, 0) + c1 * c2
 
 
 def _over_budget(exps: tuple[int, ...]) -> ArithmeticError:
@@ -146,6 +169,13 @@ class RingElement:
             if poly:
                 clean[exps] = poly
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, n: int, coeffs: dict[tuple[int, ...], Polynomial]) -> "RingElement":
+        """An element the ring made, staircase keys and nonzero Z[g+] coefficients: no checks."""
+        e = object.__new__(cls)
+        e.n, e.coeffs = n, coeffs
+        return e
 
     @classmethod
     def zero(cls, n: int) -> "RingElement":
@@ -223,11 +253,12 @@ class UniversalRing:
 
     # -- presentation -------------------------------------------------------
 
-    def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], Polynomial]:
+    def _by_x_exponent(self, p: Polynomial) -> dict[tuple[int, ...], dict[Monomial, int]]:
         """Split a polynomial in x_1..x_{n+1} over Z[g+] by exponent tuple, g_k[0] counted as x_k.
 
-        A monomial with foreign variables raises ValueError naming the first
-        in package order, a g_k[0] ranking as x_k.
+        Each group is a term dict {g+ monomial: int}; groups that cancel are
+        dropped.  A monomial with foreign variables raises ValueError naming
+        the first in package order, a g_k[0] ranking as x_k.
         """
         slot, size = self._slot, self.n + 1
         out: dict[tuple[int, ...], dict[Monomial, int]] = {}
@@ -248,7 +279,7 @@ class UniversalRing:
             terms = out.setdefault(tuple(exps), {})
             gmono = tuple(gmono)
             terms[gmono] = terms.get(gmono, 0) + coeff
-        return {exps: poly for exps, terms in out.items() if (poly := Polynomial(terms))}
+        return {exps: terms for exps, terms in out.items() if any(terms.values())}
 
     def _lead(self, k: int) -> tuple[int, ...]:
         """Exponent tuple of x_k^{n+2-k}, the leading term of rule k."""
@@ -283,11 +314,10 @@ class UniversalRing:
         ]
 
     def _combine(self, parts, scale: int = 1) -> dict[tuple[int, ...], Polynomial]:
-        """scale * sum of scalar * form over (scalar, {x-exponents: coefficient}) pairs."""
-        acc: dict[tuple[int, ...], dict] = {}
+        """scale * sum of scalar * form over (scalar, {x-exponents: coefficient}) pairs, through ``_add_form``."""
+        acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for scalar, form in parts:
-            for stair, poly in form.items():
-                add_product(acc.setdefault(stair, {}), scalar, poly, scale)
+            _add_form(acc, scalar, form, scale)
         return {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
 
     def _products(self, pairs):
@@ -330,8 +360,9 @@ class UniversalRing:
         """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
         return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
-    def _reduce(self, split: dict[tuple[int, ...], Polynomial]) -> RingElement:
-        return RingElement(self.n, self._combine((scalar, self._nf_monomial(exps)) for exps, scalar in split.items()))
+    def _reduce(self, split: dict[tuple[int, ...], Polynomial | dict[Monomial, int]]) -> RingElement:
+        forms = ((scalar, self._nf_monomial(exps)) for exps, scalar in split.items())
+        return RingElement._of(self.n, self._combine(forms))
 
     def normal_form(self, p: Polynomial) -> RingElement:
         return self._reduce(self._by_x_exponent(p))
@@ -341,7 +372,8 @@ class UniversalRing:
     @memo
     def schubert(self, w: Permutation) -> RingElement:
         # Reduced as it is: x_s comes at most once from each c_i(k), k >= s, and each g_s[t], t >= 1, has s+t <= n.
-        return RingElement(self.n, self._by_x_exponent(to_g_form(universal_single(w, self.n).to_polynomial())))
+        split = self._by_x_exponent(to_g_form(universal_single(w, self.n).to_polynomial()))
+        return RingElement(self.n, {exps: Polynomial(terms) for exps, terms in split.items()})
 
     def schubert_basis_expand(self, e: RingElement) -> dict[Permutation, Polynomial]:
         """Write e as sum of a_w(g) times the Schubert elements, a_w in Z[g+].
@@ -374,16 +406,19 @@ class UniversalRing:
         """The top staircase coefficient of a*b, without building the product."""
         if {a.n, b.n} != {self.n}:
             raise ValueError("mixed ambient n")
-        acc: dict[Monomial, int] = {}
-        right = [(self._top_degree - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
+        # Floor-walk forms hold at most the top staircase key; the part of x^alpha * b sums first, then takes pa.
+        floor = self._top_degree
+        right = [(floor - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
+        acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for alpha, pa in a.coeffs.items():
             degree = sum(alpha)
-            inner: dict[Monomial, int] = {}
+            inner: dict[tuple[int, ...], dict[Monomial, int]] = {}
             for least, beta, pb in right:
                 if degree >= least:
-                    add_product(inner, pb, self.top(tuple(map(add, alpha, beta))))
-            add_product(acc, pa, Polynomial(inner))
-        return Polynomial(acc)
+                    _add_form(inner, pb, self._nf_monomial(tuple(map(add, alpha, beta)), floor))
+            for stair, terms in inner.items():
+                _add_form(acc, terms, {stair: pa})
+        return Polynomial(acc.get(self._top_stair, {}))
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
         return self.schubert_basis_expand(self.multiply(a, b)).get(self.w0, ZERO)

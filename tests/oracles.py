@@ -194,8 +194,8 @@ def normal_form_reference(p: Polynomial, n: int) -> RingElement:
     """The normal form in R_n with one Polynomial per product, regrouped by ``sum_by_key``."""
     ring = universal_ring(n)
     return RingElement(n, sum_by_key(
-        (stair, scalar * poly)
-        for exps, scalar in ring._by_x_exponent(substitute_reference(p, xg_image(n))).items()
+        (stair, Polynomial(terms) * poly)
+        for exps, terms in ring._by_x_exponent(substitute_reference(p, xg_image(n))).items()
         for stair, poly in _nf_monomial_reference(ring, exps).coeffs.items()
     ))
 

@@ -228,6 +228,13 @@ def test_domain_error_exits_1():
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("action", ["rank", "verify-25", "verify-26"])
+@pytest.mark.parametrize("exprs", [("x1",), ("21", "x1")])
+def test_ring_actions_without_expressions_refuse_stray_ones(action, exprs):
+    assert run("ring", action, *exprs, "--n", "1") == (
+        1, "", f"error: ring {action} takes 0 expression(s), got {len(exprs)}\n")
+
+
 def test_ring_multiply_outside_s_n_plus_1_exits_1():
     assert run("ring", "multiply", "321", "21", "--n", "1") == (1, "", "error: (3,2,1) does not fit in S_2\n")
 

@@ -203,6 +203,18 @@ def test_element_validation():
 
 
 
+def test_ring_made_elements_pass_the_validating_constructor():
+    # normal forms and products skip the checks of RingElement(n, coeffs); they must pass them all the same
+    for n in (1, 2, 3):
+        ring = universal_ring(n)
+        perms = list(all_perms(n + 1))
+        made = [ring.normal_form(ring.schubert(w).to_polynomial()) for w in perms]
+        made += [_dual(ring, v) for v in perms]
+        made += [ring.multiply(ring.schubert(u), ring.schubert(v)) for u in perms for v in perms]
+        for e in made:
+            assert RingElement(n, e.coeffs) == e, (n, e)
+
+
 @pytest.mark.parametrize("coeff, message", [
     (Polynomial.var(c(1, 1)), "c1(1) is outside Z[g+] for n = 2"),
     (Polynomial.var(x(1)) * Polynomial.var(g(1, 1)), "x1 is outside Z[g+] for n = 2"),
