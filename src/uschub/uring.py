@@ -41,12 +41,12 @@ x^{lehmer(w)}, and every term carrying g+ has lower x-degree.
 
 The inner product of two elements is the coefficient of the top
 staircase monomial x_1^n ... x_n in the normal form of their product.
-It is read without building the product: ``top(exps)``, the top
-coefficient of the normal form of x^exps, and <a, b> is the sum of
-a_alpha b_beta top(alpha + beta).  ``top`` is the same rewrite walk with
-a degree floor of n(n+1)/2: a rewrite step never raises x-degree, and
-x_1^n ... x_n is the only staircase monomial of that degree, so the walk
-may drop every key below the floor, and pairs below it are skipped.  An
+It is read without building the product: with top(exps) the top
+coefficient of the normal form of x^exps, <a, b> is the sum of a_alpha
+b_beta top(alpha + beta).  top is the same rewrite walk with a degree
+floor of n(n+1)/2: a rewrite step never raises x-degree, and x_1^n ... x_n
+is the only staircase monomial of that degree, so the walk may drop every
+key below the floor, and pairs below it are skipped.  An
 equivalent route reads the coefficient of the longest permutation in the
 Schubert-basis expansion of the product, and the routes are compared in
 tests.
@@ -106,9 +106,8 @@ def _add_form(acc: dict[tuple[int, ...], dict[Monomial, int]], scalar: Polynomia
               form: dict[tuple[int, ...], Polynomial], scale: int = 1) -> None:
     """acc[stair] += scale * scalar * form[stair] for every staircase key of ``form``, in one call.
 
-    The R_n twin of ``polyring.add_product``: ``scalar`` is a polynomial or
-    its term dict, ``acc`` holds term dicts, and cancelled coefficients stay
-    in them as zeros.
+    The R_n twin of ``polyring.add_product``: ``scalar`` is a polynomial or its term dict, and ``acc`` holds
+    term dicts, in which cancelled coefficients stay as zeros.
     """
     scalar = (scalar._terms if isinstance(scalar, Polynomial) else scalar).items()
     for stair, poly in form.items():
@@ -355,10 +354,6 @@ class UniversalRing:
             if stored > WALK_BUDGET:
                 raise _over_budget(exps)
         return nf[exps]
-
-    def top(self, exps: tuple[int, ...]) -> Polynomial:
-        """The coefficient of x_1^n ... x_n in the normal form of x^exps, in Z[g+]."""
-        return self._nf_monomial(exps, self._top_degree).get(self._top_stair, ZERO)
 
     def _reduce(self, split: dict[tuple[int, ...], Polynomial | dict[Monomial, int]]) -> RingElement:
         forms = ((scalar, self._nf_monomial(exps)) for exps, scalar in split.items())
