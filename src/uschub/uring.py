@@ -46,10 +46,9 @@ coefficient of the normal form of x^exps, <a, b> is the sum of a_alpha
 b_beta top(alpha + beta).  top is the same rewrite walk with a degree
 floor of n(n+1)/2: a rewrite step never raises x-degree, and x_1^n ... x_n
 is the only staircase monomial of that degree, so the walk may drop every
-key below the floor, and pairs below it are skipped.  An
-equivalent route reads the coefficient of the longest permutation in the
-Schubert-basis expansion of the product, and the routes are compared in
-tests.
+key below the floor, and pairs below it are skipped.  An equivalent route
+reads the coefficient of the longest permutation in the Schubert-basis
+expansion of the product, and the routes are compared in tests.
 
 The involution omega permutes the variables of R_n up to sign, so it is a
 signed relabel of each term through a per-n table; it reads no rules.
@@ -401,7 +400,8 @@ class UniversalRing:
         """The top staircase coefficient of a*b, without building the product."""
         if {a.n, b.n} != {self.n}:
             raise ValueError("mixed ambient n")
-        # Floor-walk forms hold at most the top staircase key; the part of x^alpha * b sums first, then takes pa.
+        # Forms of the floor walk hold the top staircase key at most.  Per alpha, the sum of pb * top(alpha + beta)
+        # comes first; pa then multiplies it as the form, the sum's term dict being the scalar.
         floor = self._top_degree
         right = [(floor - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
         acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
