@@ -41,7 +41,7 @@ from .polyring import (
     x,
 )
 from .schubert import MElement, peel, universal_double, universal_single
-from .specialize import FlagProfile, to_g_form
+from .specialize import FlagProfile, round_points, to_g_form
 
 
 # -- f and D ------------------------------------------------------------------
@@ -364,8 +364,8 @@ def locus_formula(w: Permutation, profile: RankProfile, mode: str = "strict") ->
     Strict mode requires the codiagram inside A x B, and the mixed
     polynomial then only mentions admissible evaluation points.
     Interval mode only needs descents of w in A and of w inverse in B;
-    points are snapped down to the profile (dropping those below the
-    range, capping those above).
+    points are rounded down to A and B by ``round_points`` (dropping
+    those below the range, capping those above).
     """
     n = max(w.size - 1, 1)
     p = universal_double(w, n)
@@ -383,14 +383,7 @@ def locus_formula(w: Permutation, profile: RankProfile, mode: str = "strict") ->
         raise ValueError(f"unknown mode {mode!r}")
     if not profile.covers_descents(w):
         raise ValueError(f"descents of {w} or its inverse escape the profile")
-    points = {v: _snap(v.j, profile.A if v.kind == "c" else profile.B) for v in p.variables() if v.kind in "cd"}
-    return p.relabel({v: (Variable(v.kind, v.i, at, v.i), 1) if at and v.i <= at else None
-                      for v, at in points.items()})
-
-
-def _snap(k: int, ranks: tuple[int, ...]) -> int | None:
-    """Largest rank <= k, or None below the first."""
-    return max((r for r in ranks if r <= k), default=None)
+    return round_points(p, {"c": profile.A, "d": profile.B})
 
 
 def render_locus(p: Polynomial, profile: RankProfile) -> str:

@@ -37,6 +37,9 @@ class Permutation:
 
     def __init__(self, word):
         word = tuple(word)
+        # before the sort, which takes (2.0, 1) for a permutation
+        if not {int}.issuperset(map(type, word)):
+            raise TypeError(f"permutation entries must be ints: {word}")
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation word: {word}")
         object.__setattr__(self, "_w", _trim(word))
@@ -65,8 +68,6 @@ class Permutation:
     @classmethod
     def s(cls, k: int) -> "Permutation":
         """Adjacent transposition swapping k and k+1."""
-        if k < 1:
-            raise ValueError("adjacent transposition index must be >= 1")
         return cls.t(k, k + 1)
 
     @classmethod
@@ -190,8 +191,6 @@ class Permutation:
 
     def code_tail(self, n: int) -> tuple[int, ...]:
         """The bounded code (i_1, ..., i_n) of w viewed in S_{n+1}."""
-        if self.size > n + 1:
-            raise ValueError(f"{self} does not fit in S_{n + 1}")
         w = self.as_tuple(n + 1)
         return tuple(
             sum(1 for j in range(k) if w[j] > w[k]) for k in range(1, n + 1)
@@ -208,14 +207,12 @@ class Permutation:
     # -- diagrams ------------------------------------------------------------
 
     def codiagram(self, n: int) -> frozenset[tuple[int, int]]:
-        if self.size > n + 1:
-            raise ValueError(f"{self} does not fit in S_{n + 1}")
-        inv = self.inverse()
+        w, inv = self.as_tuple(n + 1), self.inverse().as_tuple(n + 1)
         return frozenset(
             (i, j)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
-            if self(i + 1) <= j and inv(j + 1) <= i
+            if w[i] <= j and inv[j] <= i
         )
 
     # -- pattern conditions -----------------------------------------------

@@ -60,6 +60,9 @@ class Variable:
     __slots__ = ("kind", "i", "j", "degree", "key", "_text", "_latex")
 
     def __new__(cls, kind: str, i: int, j: int | None, degree: int) -> "Variable":
+        # before the lookup: 1.0 and True equal 1, so x1.0 or cTrue(2) would be interned under the key of x1 or c1(2)
+        if not (type(i) is type(degree) is int and (j is None or type(j) is int)):
+            raise TypeError(f"variable indices and degree must be ints, got {kind}, {i!r}, {j!r}, {degree!r}")
         ident = (kind, i, j, degree)
         v = _INTERNED.get(ident)
         if v is None:
@@ -574,24 +577,34 @@ def parse_text(s: str) -> Polynomial:
             fail("'+', '-' or '*'")
 
 
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # what int() reads in base 10: a JSON coefficient's text
+
+
 def parse_json(data: dict | str) -> Polynomial:
-    """Inverse of :meth:`Polynomial.to_json`; repeated variables merge, zero exponents drop."""
+    """Inverse of :meth:`Polynomial.to_json`; repeated variables merge, zero exponents drop.  A missing or ill-typed
+    field raises ValueError naming it: a coefficient is an int or its text, any other number an int, exponents >= 0."""
     if isinstance(data, str):
         import json
 
         data = json.loads(data)
+
+    def field(entry, key: str, ok: Callable[[object], bool] = lambda v: type(v) is int):  # a bool is no int
+        if not ok(value := entry.get(key) if isinstance(entry, dict) else None):
+            raise ValueError(f"polynomial JSON field {key!r} is missing or malformed in {entry!r}")
+        return value
+
     acc: dict[Monomial, int] = {}
-    for t in data["terms"]:
-        coeff = int(t["coeff"])
+    for t in field(data, "terms", lambda v: type(v) is list):
+        coeff = int(field(t, "coeff", lambda v: type(v) is int or type(v) is str and _INT_TEXT.fullmatch(v)))
         exps: dict[Variable, int] = {}
-        for v in t["vars"]:
-            make = _VARIABLE.get(v["kind"])
-            if make is None:
-                raise ValueError(f"unknown variable kind {v['kind']!r}")
-            if type(v["exp"]) is not int or v["exp"] < 0:
-                raise ValueError(f"exponent must be a non-negative int, got {v['exp']!r}")
-            var = make(v["i"], *(v[key] for key in ("j", "degree") if key in v))
-            exps[var] = exps.get(var, 0) + v["exp"]
+        for v in field(t, "vars", lambda v: type(v) is list):
+            kind = field(v, "kind", lambda k: type(k) is str and k in _VARIABLE)
+            indices = ("i", "j") if kind in _PAIRED else ("i", "degree") if kind == "q" and "degree" in v else ("i",)
+            if stray := [key for key in v if key not in ("kind", "exp", *indices)]:
+                raise ValueError(f"polynomial JSON field {stray[0]!r} does not belong to a {kind}-variable")
+            exp = field(v, "exp", lambda e: type(e) is int and e >= 0)
+            var = _VARIABLE[kind](*(field(v, key) for key in indices))
+            exps[var] = exps.get(var, 0) + exp
         m = tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda p: p[0].key))
         acc[m] = acc.get(m, 0) + coeff
     return Polynomial(acc)

@@ -208,8 +208,7 @@ def universal_single(w: Permutation, n: int) -> MElement:
     The longest element of S_{n+1} has the single code (1, 2, ..., n); each
     step down applies ``partial(k)`` at an ascent k of w.
     """
-    if w.size > n + 1:
-        raise ValueError(f"{w} does not fit in S_{n + 1}")
+    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     if w == Permutation.longest(n + 1):
         return MElement({tuple(range(1, n + 1)): 1}, n)
     k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
@@ -236,8 +235,7 @@ def universal_cy(w: Permutation, n: int) -> Polynomial:
     step down multiplies by -1 and applies the y divided difference at
     a position k whose value k sits left of k+1.
     """
-    if w.size > n + 1:
-        raise ValueError(f"{w} does not fit in S_{n + 1}")
+    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     if w == Permutation.longest(n + 1):
         result = ONE
         for i in range(1, n + 1):
@@ -259,8 +257,7 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
     not one of v^{-1}, so l(u) drops by one as l(v) grows by one.  Those
     descents are read off the words: the values k standing right of k+1.
     """
-    if w.size > n + 1:
-        raise ValueError(f"{w} does not fit in S_{n + 1}")
+    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     level, sign = {(Permutation.identity(), w)}, 1
     while level:

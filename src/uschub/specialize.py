@@ -33,7 +33,6 @@ from .polyring import (
     Polynomial,
     Variable,
     add_product,
-    c,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     determinant,
     elementary_sym,
@@ -78,12 +77,6 @@ class FlagProfile(namedtuple("FlagProfile", "N")):
     def is_member(self, w: Permutation) -> bool:
         """Whether w lies in the subgroup with descents inside N."""
         return w.size <= self.top and w.has_descents_only_in(self.N)
-
-    def block_of(self, j: int) -> int:
-        """Largest cut point n_k <= j; errors below n_1."""
-        if j < self.N[0]:
-            raise ValueError(f"rank {j} lies below the first cut point {self.N[0]}")
-        return max(nk for nk in self.N if nk <= j)
 
     def longest_member(self) -> Permutation:
         return Permutation.longest_with_descents_in(self.N)
@@ -233,10 +226,16 @@ def _specialize(p: Polynomial, rule: str | FlagProfile) -> Polynomial:
     return Polynomial(acc)
 
 
+def round_points(p: Polynomial, ranks: dict[str, tuple[int, ...]]) -> Polynomial:
+    """Send each c_i(j) or d_i(j) of a family ``ranks`` lists, "c" or "d", to the same class at the largest
+    listed rank r <= j, or to 0 when i > r or no rank is <= j (c_i of a rank-0 bundle vanishes): one relabel."""
+    at = {v: max((r for r in ranks[v.kind] if r <= v.j), default=0) for v in p.variables() if v.kind in ranks}
+    return p.relabel({v: (Variable(v.kind, v.i, r, v.i), 1) if v.i <= r else None for v, r in at.items()})
+
+
 def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j, or to 0 when i > n_k."""
-    points = {v: profile.block_of(v.j) for v in p.variables() if v.kind == "c"}
-    return p.relabel({v: (c(v.i, b), 1) if v.i <= b else None for v, b in points.items()})
+    """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j, or to 0 when i > n_k or j < n_1."""
+    return round_points(p, {"c": profile.N})
 
 
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ from uschub.polyring import parse_json
 from uschub.schubert import universal_single
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(*args: str) -> tuple[int, str, str]:
@@ -47,6 +49,34 @@ def run(*args: str) -> tuple[int, str, str]:
 
 def test_single_text():
     assert run("single", "2,3,1") == (0, "c2(2)\n", "")
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, the lines shown under it) for each ``$ uschub`` line of a README code block."""
+    examples, shown, fenced = [], None, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced, shown = not fenced, None
+        elif fenced and line.startswith("$ uschub "):
+            shown = []
+            examples.append((line.removeprefix("$ uschub "), shown))
+        elif shown is not None and line:
+            shown.append(line)
+        else:
+            shown = None
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows():
+    examples = _readme_examples()
+    assert len(examples) == 16
+    for command, shown in examples:
+        command, _, _ = command.partition("#")
+        command, pipe, tail = command.partition("|")
+        assert tail.strip() == ("tail -1" if pipe else ""), command
+        code, out, err = run(*shlex.split(command))
+        assert (code, err) == (0, ""), command
+        assert (out.splitlines()[-1:] if pipe else out.splitlines()) == shown, command
 
 
 def test_single_latex():

@@ -2,8 +2,11 @@
 
 import ast
 import copy
+import os
 import pathlib
 import pickle
+import subprocess
+import sys
 from datetime import timedelta
 
 import pytest
@@ -296,6 +299,63 @@ def test_parse_json_builds_canonical_monomials():
     for bad in (-2, 1.5, "2", True, None):
         with pytest.raises(ValueError):
             parse_json(term((1, bad)))
+
+
+def _one_variable(**entry) -> dict:
+    return {"terms": [{"coeff": "1", "vars": [entry]}]}
+
+
+@pytest.mark.parametrize("document, field", [
+    ({"terms": [{"coeff": 1.5, "vars": []}]}, "coeff"),
+    ({"terms": [{"coeff": True, "vars": []}]}, "coeff"),
+    ({"terms": [{"coeff": "1.5", "vars": []}]}, "coeff"),
+    ({"terms": [{"vars": []}]}, "coeff"),
+    ({}, "terms"),
+    ({"terms": [{"coeff": "1"}]}, "vars"),
+    (_one_variable(kind="x", exp=1), "i"),
+    (_one_variable(kind="c", i=True, j=2, exp=1), "i"),
+    (_one_variable(kind="x", i=1.0, exp=1), "i"),
+    (_one_variable(kind="c", i=1, exp=1), "j"),
+    (_one_variable(kind="x", i=1, j=2, exp=1), "j"),
+    (_one_variable(kind="q", i=1, degree=2.0, exp=1), "degree"),
+    (_one_variable(kind="z", i=1, exp=1), "kind"),
+    (_one_variable(kind="x", i=1), "exp"),
+], ids=("float-coeff", "bool-coeff", "float-text-coeff", "no-coeff", "no-terms", "no-vars", "no-i", "bool-i",
+        "float-i", "no-j", "stray-j", "float-degree", "unknown-kind", "no-exp"))
+def test_parse_json_names_the_malformed_field(document, field):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        parse_json(document)
+
+
+def test_parse_json_reads_a_coefficient_as_an_int_or_the_text_int_reads():
+    for coeff in (-12, "-12", " -12 ", "-1_2"):
+        assert parse_json({"terms": [{"coeff": coeff, "vars": []}]}) == -12
+
+
+_INTERNING = """
+from uschub.permutations import Permutation
+from uschub.polyring import c, parse_json, q, x
+from uschub.schubert import universal_single
+
+bad_i = {"terms": [{"coeff": "1", "vars": [{"kind": "c", "i": True, "j": 2, "exp": 1}]}]}
+for build in (lambda: x(1.0), lambda: c(True, 2), lambda: q(1, 2.0), lambda: parse_json(bad_i)):
+    try:
+        build()
+        print("accepted")
+    except (TypeError, ValueError) as exc:
+        print(type(exc).__name__)
+print(x(1).text())
+print(universal_single(Permutation((1, 3, 2)), 2).to_polynomial("c").text())
+"""
+
+
+def test_non_integer_indices_never_enter_the_intern_table():
+    # 1.0 and True equal 1, so an interned x1.0 would answer every later x(1) in the process:
+    # run in a child so that a regression cannot rename the variables of later tests
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(uschub.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _INTERNING], env=env, text=True, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["TypeError", "TypeError", "TypeError", "ValueError", "x1", "c1(2)"]
 
 
 def test_no_module_imports_fractions():

@@ -22,6 +22,7 @@ from uschub.specialize import (
     partial_flag_specialize,
     quantum_specialize,
     round_down_ranks,
+    round_points,
     to_g_form,
     zero_y,
 )
@@ -229,3 +230,26 @@ def test_long_monomials_do_not_recurse():
     assert got == Polynomial({((g(1, 0), 1),) + xs: 1})
     # here every variable maps, so the memo key is 1,500 variables long
     assert g_classical(Polynomial({tuple((g(i, 0), 1) for i in range(1, 1501)): 3})) == Polynomial({xs: 3})
+
+
+# (polynomial, the same rounded down to the ranks (2, 4))
+_ROUNDING = [
+    # c1(1) lies below the first rank, so its term vanishes; c3(3) rounds to rank 2 < 3 and vanishes
+    ("c1(1)*c2(3) + c1(2) + c3(3)", "c1(2)"),
+    ("c1(3) + c2(3) + c2(5) + c4(5)", "c1(2) + c2(2) + c2(4) + c4(4)"),
+    ("c1(2)*c1(3) - c2(2)*c1(4)^2", "c1(2)^2 - c2(2)*c1(4)^2"),
+    ("c1(1)^3 + c1(5)*x1 + g1[1]", "c1(4)*x1 + g1[1]"),
+    ("7", "7"),
+]
+
+
+@pytest.mark.parametrize("before, after", _ROUNDING)
+def test_round_down_ranks_sends_each_point_to_the_largest_rank_below(before, after):
+    assert round_down_ranks(parse_text(before), FlagProfile((2, 4))) == parse_text(after)
+
+
+@pytest.mark.parametrize("before, after", _ROUNDING)
+def test_round_points_rounds_each_family_to_its_own_ranks(before, after):
+    # as interval-mode locus_formula calls it: both families at once, c left alone by ranks that cover it
+    before, after = (parse_text(text).rename_kind("c", "d") * parse_text("c1(3)") for text in (before, after))
+    assert round_points(before, {"c": (1, 2, 3), "d": (2, 4)}) == after
