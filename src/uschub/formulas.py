@@ -41,7 +41,7 @@ from .polyring import (
     x,
 )
 from .schubert import MElement, peel, universal_double, universal_single
-from .specialize import FlagProfile, round_points, to_g_form
+from .specialize import FlagProfile, _cut_points, round_points, to_g_form
 
 
 # -- f and D ------------------------------------------------------------------
@@ -292,7 +292,7 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
     leads m - rest * (right side of the product rule) at its largest pair
     (k, i, j), labelled None.  That right side sorts after c_i(k) c_j(k) by
     ``_square_key``: a g-term lowers the c-degree, a g-free one at k+1 adds
-    to the weight, one at b = k+2 merges the pair into c_{i+j}(k).  The key
+    to the weight, one at b = k+2 fuses the pair into c_{i+j}(k).  The key
     adds over factors, so each distinct monomial is rewritten once.
     """
     for v in p.variables():
@@ -341,9 +341,8 @@ class RankProfile(namedtuple("RankProfile", "A B")):
     __slots__ = ()
 
     def __new__(cls, A, B):
-        for name, ranks in (("A", A), ("B", B)):
-            if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])) or ranks[0] < 1:
-                raise ValueError(f"rank list {name} must be strictly increasing and positive")
+        A, B = (_cut_points(ranks, f"rank list {name} must be strictly increasing and positive")
+                for name, ranks in (("A", A), ("B", B)))
         return super().__new__(cls, A, B)
 
     def contains_codiagram(self, w: Permutation) -> bool:

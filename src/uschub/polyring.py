@@ -8,9 +8,9 @@ is exact.  Variables come from seven indexed families:
     x_i, y_i          i >= 1, graded degree 1
     q_i               i >= 1, caller-assigned degree (2 by default)
 
-The conventions c_0(j) = 1 and c_i(j) = 0 for i < 0 or i > j are applied
-by the expression-level constructors :func:`cpoly` and friends; a raw
-:class:`Variable` always has indices inside the legal range.
+The conventions c_0(j) = 1 and c_i(j) = 0 for i < 0 or i > j live in
+:func:`_chern_edge`, which :func:`cpoly` and the other expression-level
+constructors read; a raw :class:`Variable` has indices in the legal range.
 
 Variables are interned, one object per (kind, i, j, degree), so they are
 compared and hashed by identity.  A monomial is a sorted tuple of
@@ -304,15 +304,13 @@ class Polynomial:
 
     # -- structural operations ------------------------------------------
 
-    def relabel(self, table: dict[Variable, tuple[Variable, int] | None], *,
-                merges: bool | None = None) -> "Polynomial":
+    def relabel(self, table: dict[Variable, tuple[Variable, int] | None]) -> "Polynomial":
         """Send each variable v of ``table`` to sign * w for its entry (w, sign), or to 0 for None, and keep
         every other variable.  A term maps to at most one term, so nothing is multiplied; variables that land on
-        one variable add their exponents, in a sweep that runs only when ``merges`` (None: when the table lets
-        two of them meet, decided per call; a table that permutes its own keys never does, and passes False)."""
-        if merges is None:
-            targets = {img[0] for img in table.values() if img}
-            merges = len(targets) < len(table) - [*table.values()].count(None) or not table.keys() >= targets
+        one variable add their exponents, in a sweep that runs only when the table lets two of them meet (a
+        table that permutes its own keys never does)."""
+        targets = {img[0] for img in table.values() if img}
+        sweep = len(targets) < len(table) - [*table.values()].count(None) or not table.keys() >= targets
         image = table.get
         acc: dict[Monomial, int] = {}
         for m, co in self._terms.items():
@@ -326,7 +324,7 @@ class Polynomial:
                 out.append((v, e))
             else:
                 out.sort(key=lambda pair: pair[0].key)
-                if merges:  # sorted, so the variables that meet are neighbours
+                if sweep:  # sorted, so the variables that meet are neighbours
                     out = [(v, sum(e for _, e in run)) for v, run in groupby(out, itemgetter(0))]
                 m = tuple(out)
                 acc[m] = acc.get(m, 0) + co
@@ -435,32 +433,35 @@ def determinant(mat: list[list[Polynomial]]) -> Polynomial:
 
 # -- convention-aware expression constructors ----------------------------
 
+def _chern_edge(i: int, k: int) -> Polynomial | None:
+    """c_i of a rank-k bundle where the convention fixes it: 1 at i = 0, 0 for i < 0 or i > k; None for 1..k."""
+    return None if 0 < i <= k else ONE if i == 0 else ZERO
+
+
+def _degree_one_family(kind: str, caller: str) -> Callable[[int], Variable]:
+    if kind not in ("x", "y"):
+        raise ValueError(f"{caller} expects the x or y family")
+    return x if kind == "x" else y
+
+
 def cpoly(i: int, j: int) -> Polynomial:
     """c_i(j) with the conventions c_0 = 1 and out-of-range = 0."""
-    if i == 0:
-        return ONE
-    if i < 0 or i > j:
-        return ZERO
+    if (edge := _chern_edge(i, j)) is not None:
+        return edge
     return Polynomial.var(c(i, j))
 
 
 def dpoly(i: int, j: int) -> Polynomial:
-    if i == 0:
-        return ONE
-    if i < 0 or i > j:
-        return ZERO
+    if (edge := _chern_edge(i, j)) is not None:
+        return edge
     return Polynomial.var(d(i, j))
 
 
 def elementary_sym(i: int, k: int, offset: int = 0, kind: str = "x") -> Polynomial:
     """e_i over the window of k variables of a degree-1 family starting after ``offset``."""
-    if kind not in ("x", "y"):
-        raise ValueError("elementary_sym expects the x or y family")
-    if i == 0:
-        return ONE
-    if i < 0 or i > k:
-        return ZERO
-    mk = x if kind == "x" else y
+    mk = _degree_one_family(kind, "elementary_sym")
+    if (edge := _chern_edge(i, k)) is not None:
+        return edge
     acc: dict[Monomial, int] = {}
     for combo in combinations(range(offset + 1, offset + k + 1), i):
         m = tuple((mk(idx), 1) for idx in combo)
@@ -470,13 +471,11 @@ def elementary_sym(i: int, k: int, offset: int = 0, kind: str = "x") -> Polynomi
 
 def complete_sym(p: int, k: int, offset: int = 0, kind: str = "y") -> Polynomial:
     """h_p over the window of k variables starting after ``offset``."""
-    if kind not in ("x", "y"):
-        raise ValueError("complete_sym expects the x or y family")
+    mk = _degree_one_family(kind, "complete_sym")
     if p == 0:
         return ONE
     if p < 0 or k <= 0:
         return ZERO
-    mk = x if kind == "x" else y
     acc: dict[Monomial, int] = {}
     for combo in combinations_with_replacement(range(offset + 1, offset + k + 1), p):
         counts: dict[int, int] = {}

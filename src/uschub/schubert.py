@@ -42,6 +42,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     Variable,
+    _degree_one_family,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     cpoly,
     memo,
@@ -59,7 +60,7 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
     Term by term from the closed form, for i > j,
     (a^i b^j - a^j b^i) / (a - b) = sum_{t < i-j} a^{i-1-t} b^{j+t}.
     """
-    mk = x if kind == "x" else y
+    mk = _degree_one_family(kind, "divided_difference")
     a, b = mk(k), mk(k + 1)
     acc: dict[Monomial, int] = {}
     for m, co in p.terms().items():

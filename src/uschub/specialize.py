@@ -32,6 +32,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     Variable,
+    _chern_edge,
     add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     determinant,
@@ -44,16 +45,23 @@ from .polyring import (
 from .schubert import universal_single
 
 
+def _cut_points(points, error: str) -> tuple[int, ...]:
+    """Cut points or ranks as a tuple; a non-int (bool too) is a TypeError, a list not rising from 0 ValueError(error)."""
+    points = tuple(points)
+    if any(type(p) is not int for p in points):
+        raise TypeError(f"cut points and ranks must be ints, got {points}")
+    if not points or any(b <= a for a, b in zip((0, *points), points)):
+        raise ValueError(error.format(points))
+    return points
+
+
 class FlagProfile(namedtuple("FlagProfile", "N")):
     """Strictly increasing cut points N = (n_1, ..., n_l)."""
 
     __slots__ = ()
 
     def __new__(cls, N):
-        N = tuple(N)
-        if not N or any(b <= a for a, b in zip(N, N[1:])) or N[0] < 1:
-            raise ValueError(f"cut points must be strictly increasing and positive: {N}")
-        return super().__new__(cls, N)
+        return super().__new__(cls, _cut_points(N, "cut points must be strictly increasing and positive: {}"))
 
     @property
     def l(self) -> int:
@@ -94,10 +102,8 @@ def c_from_g(i: int, k: int) -> Polynomial:
     The recursion in k is unrolled down to c_i(i-1) = 0, so each recursive
     call has a smaller i and the depth stays at most i, however large k is.
     """
-    if i == 0:
-        return ONE
-    if i < 0 or i > k:
-        return ZERO
+    if (edge := _chern_edge(i, k)) is not None:
+        return edge
     return Polynomial.sum(
         Polynomial.var(g(m - j, j)) * c_from_g(i - j - 1, m - j - 1) for m in range(i, k + 1) for j in range(i)
     )
@@ -109,10 +115,8 @@ def c_from_g_det(i: int, k: int) -> Polynomial:
     A is k x k with entry g_r[s-r] at (r, s) for r <= s, -1 at
     (r+1, r), zero elsewhere.  T is carried as x_1, which no entry holds.
     """
-    if i == 0:
-        return ONE
-    if i < 0 or i > k:
-        return ZERO
+    if (edge := _chern_edge(i, k)) is not None:
+        return edge
     mat = [
         [Polynomial.var(g(r, s - r)) if r <= s else -ONE if r == s + 1 else ZERO for s in range(1, k + 1)]
         for r in range(1, k + 1)
@@ -125,10 +129,8 @@ def c_from_g_det(i: int, k: int) -> Polynomial:
 
 def c_from_g_paths(i: int, k: int) -> Polynomial:
     """Oracle: sum over disjoint interval families covering i of k vertices."""
-    if i == 0:
-        return ONE
-    if i < 0 or i > k:
-        return ZERO
+    if (edge := _chern_edge(i, k)) is not None:
+        return edge
 
     def walk(start: int, left: int) -> Polynomial:
         # sum over families using vertices >= start that cover `left` more

@@ -221,8 +221,6 @@ def _rewrite_order(exps: tuple[int, ...]) -> tuple:
 
 class UniversalRing:
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be at least 1")
         self.n = n
         self.w0 = Permutation.longest(n + 1)
         # The split: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
@@ -457,7 +455,7 @@ def omega(p: Polynomial, n: int) -> Polynomial:
     if not table.keys() >= {v for m in p.terms() for v, _ in m}:
         # the image rules raise on the first variable without an image, in package order
         _omega_image(next(v for v in p.variables() if v not in table), n)
-    return p.relabel(table, merges=False)
+    return p.relabel(table)
 
 
 def schubert_basis_expand(e: RingElement) -> dict[Permutation, Polynomial]:

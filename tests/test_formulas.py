@@ -4,6 +4,7 @@ import random
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frozen import (
     CENSUS_FAILURES,
@@ -43,7 +44,14 @@ from uschub.formulas import (
 from uschub.permutations import Permutation, all_perms
 from uschub.polyring import ONE, Polynomial, ZERO, cpoly, g, parse_text, x, y
 from uschub.schubert import schubert_expand_M, universal_cy, universal_double, universal_single
-from uschub.specialize import FlagProfile, c_from_g, classical_specialize, to_g_form
+from uschub.specialize import (
+    FlagProfile,
+    c_from_g,
+    classical_specialize,
+    partial_flag_specialize,
+    round_down_ranks,
+    to_g_form,
+)
 
 
 # -- entry polynomials and determinants ------------------------------------------
@@ -154,6 +162,44 @@ def test_value_classes_keep_their_dataclass_semantics():
     assert repr(DetSpec((2,), (3,))) == "DetSpec(a=(2,), b=(3,))"
     assert repr(FlagProfile([1, 2])) == "FlagProfile(N=(1, 2))"
     assert repr(product_rule(0, 0, 0)) == "ProductRuleReport(i=0, j=0, k=0, lhs=1, rhs=1, equal_in_g=True)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 6), max_size=4))
+def test_flag_and_rank_profiles_accept_the_same_cut_points(points):
+    # one rule for both: nonempty, positive and strictly increasing, stored as a tuple
+    valid = bool(points) and points[0] >= 1 and all(a < b for a, b in zip(points, points[1:]))
+    for build in (FlagProfile, lambda v: RankProfile(v, v)):
+        if valid:
+            assert all(type(field) is tuple and field == tuple(points) for field in build(points))
+        else:
+            with pytest.raises(ValueError, match="must be strictly increasing and positive"):
+                build(points)
+
+
+def test_cut_points_and_ranks_must_be_ints():
+    # a profile refuses them itself, before any polynomial holds one
+    for points in ((1.0, 2), (True, 2), (1, 1.5), ("1", "2"), "12", (1, False)):
+        for build in (FlagProfile, lambda v: RankProfile(v, (1,)), lambda v: RankProfile((1,), v)):
+            with pytest.raises(TypeError, match=r"^cut points and ranks must be ints, got \("):
+                build(points)
+    # answered x1, answered x1, answered c1(2) - d1(2); the last two failed only in Variable
+    cases = (
+        lambda: partial_flag_specialize(Permutation((2, 1)), FlagProfile((1.0, 2))),
+        lambda: partial_flag_specialize(Permutation((2, 1)), FlagProfile((True, 2))),
+        lambda: locus_formula(Permutation((1, 3, 2)), RankProfile((2.0,), (2.0,))),
+        lambda: round_down_ranks(parse_text("c1(1) + c1(2)"), FlagProfile((1.5, 3))),
+        lambda: locus_formula(Permutation((2, 3, 1)), RankProfile((2.0,), (1.0, 2)), mode="interval"),
+    )
+    for case in cases:
+        with pytest.raises(TypeError, match="^cut points and ranks must be ints"):
+            case()
+
+
+def test_rank_profiles_store_tuples():
+    a, b = RankProfile([1, 2], [2]), RankProfile((1, 2), (2,))
+    assert a == b and hash(a) == hash(b)
+    assert type(a.A) is type(a.B) is tuple
 
 
 def test_search_agrees_with_the_laplace_determinant():

@@ -91,7 +91,6 @@ def test_relabel_matches_the_reference(p, table):
 
     expected = substitute_reference(p, image)
     assert p.relabel(table) == expected
-    assert p.relabel(table, merges=True) == expected  # the sweep leaves unmerged terms as they are
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,7 +99,7 @@ def test_relabel_through_a_permutation_of_its_keys_skips_the_sweep(p, images, si
     # distinct images inside the keys never meet each other or a kept variable, as omega relies on
     table = {v: (w, sign) for v, w, sign in zip(RELABEL_POOL, images, signs)}
     image = {v: Polynomial.var(w) * sign for v, (w, sign) in table.items()}
-    assert p.relabel(table, merges=False) == substitute_reference(p, image.get)
+    assert p.relabel(table) == substitute_reference(p, image.get)
 
 
 # Every paired family at two points, so a relabel can land on a variable the term already holds.

@@ -14,7 +14,7 @@ from oracles import (
 )
 from uschub import schubert
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import ONE, ZERO, Polynomial, c, cpoly, g, parse_text, q, x, y
+from uschub.polyring import ONE, ZERO, Polynomial, c, complete_sym, cpoly, elementary_sym, g, parse_text, q, x, y
 from uschub.schubert import (
     MElement,
     classical_single,
@@ -87,6 +87,19 @@ def dd_polys(draw):
 @given(dd_polys(), st.integers(1, 3), st.sampled_from("xy"))
 def test_divided_difference_matches_the_reference(p, k, kind):
     assert divided_difference(p, k, kind) == divided_difference_reference(p, k, kind)
+
+
+def test_degree_one_family_users_refuse_other_kinds():
+    # divided_difference read every kind but "x" as y: kind "X" sent x1 to 0 and kind "z" sent y1 to 1
+    calls = {
+        "divided_difference": lambda kind: divided_difference(parse_text("x1 + y1"), 1, kind),
+        "elementary_sym": lambda kind: elementary_sym(1, 2, kind=kind),
+        "complete_sym": lambda kind: complete_sym(1, 2, kind=kind),
+    }
+    for name, call in calls.items():
+        for kind in ("X", "z", "c"):
+            with pytest.raises(ValueError, match=f"^{name} expects the x or y family$"):
+                call(kind)
 
 
 def test_divided_difference_kills_symmetric_input():

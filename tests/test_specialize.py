@@ -9,7 +9,20 @@ from oracles import classical_reference, flag_map_reference, to_g_form_reference
 from uschub.cli import _profiles
 from uschub.formulas import product_rule
 from uschub.permutations import Permutation, all_perms
-from uschub.polyring import MEMOS, ONE, Polynomial, ZERO, c, clear_caches, g, parse_text, x
+from uschub.polyring import (
+    MEMOS,
+    ONE,
+    Polynomial,
+    ZERO,
+    c,
+    clear_caches,
+    cpoly,
+    dpoly,
+    elementary_sym,
+    g,
+    parse_text,
+    x,
+)
 from uschub.schubert import classical_single, universal_double, universal_single
 from uschub.specialize import (
     FlagProfile,
@@ -33,6 +46,14 @@ def test_c_from_g_small_values():
         assert c_from_g(i, k) == parse_text(expected)
     assert c_from_g(0, 3) == ONE
     assert c_from_g(4, 3) == ZERO
+
+
+@pytest.mark.parametrize("chern", (cpoly, dpoly, elementary_sym, c_from_g, c_from_g_det, c_from_g_paths),
+                         ids=lambda fn: fn.__name__)
+def test_chern_classes_are_one_at_zero_and_vanish_outside_the_rank(chern):
+    # c_0 = 1 and c_i = 0 for i < 0 or i > k, for every constructor of the i-th class of a rank-k bundle
+    for k in range(4):
+        assert [chern(i, k) for i in (-1, 0, k + 1, k + 2)] == [ZERO, ONE, ZERO, ZERO], k
 
 
 def test_c_from_g_routes_agree():

@@ -449,7 +449,7 @@ def test_omega_matches_the_reference():
 
 
 def test_omega_table_permutes_its_keys():
-    # omega relabels without the merge sweep, which is exact only for such a table
+    # relabel reads from such a table that no terms merge, so omega runs no merge sweep
     for n in range(1, 7):
         table = _omega_table(n)
         assert sorted(w.key for w, _ in table.values()) == sorted(v.key for v in table), n
@@ -467,6 +467,14 @@ def test_omega_rejects_out_of_range():
             with pytest.raises(ValueError) as err:
                 route(parse_text(text), n)
             assert str(err.value) == message, (route, text)
+
+
+def test_a_ring_needs_n_of_at_least_1():
+    # UniversalRing reads the refusal from _omega_table, which omega reads too
+    for build in (UniversalRing, lambda n: omega(ONE, n)):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be at least 1$"):
+                build(n)
 
 
 def test_omega_builds_no_ring():
