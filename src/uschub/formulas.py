@@ -48,13 +48,7 @@ from .specialize import FlagProfile, _cut_points, round_points, to_g_form
 
 def f_poly(m: int, k: int, a: int, b: int) -> Polynomial:
     """Alternating convolution of c(a) against h over the window y_{b+1}..y_{b+k}."""
-    if m < 0:
-        return ZERO
-    if m == 0:
-        return ONE
-    return Polynomial.sum(
-        cpoly(m - p, a) * complete_sym(p, k, offset=b, kind="y") * (-1) ** p for p in range(0, m + 1)
-    )
+    return Polynomial.sum(cpoly(m - p, a) * complete_sym(p, k, offset=b, kind="y") * (-1) ** p for p in range(m + 1))
 
 
 def det_D(k: int, a: int, b: int) -> Polynomial:
@@ -100,8 +94,6 @@ def dominant_formula(profile: FlagProfile) -> Polynomial:
 def grassmannian_det(w: Permutation) -> Polynomial:
     """One determinant for a Grassmannian permutation's mixed polynomial."""
     r, lam, mu, phi = w.grassmannian_data()
-    if not mu:
-        return ONE
     mat = [
         [f_poly(mu[i - 1] + j - i, phi[i - 1], r + j - 1, 0) for j in range(1, len(mu) + 1)]
         for i in range(1, len(mu) + 1)
@@ -239,11 +231,8 @@ def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     g_{k-p}[p+1] times the shifted forms of its members with w(k-p) > w(k).
     """
     parts = [member_two_term(a, b, k + 1) for (_, a, b) in product_family(i + 1, j + 1, k + 1)]
-    family = product_family(i, j, k)
-    if not family:  # always so at k = 0, where g_0[1] does not exist
-        return Polynomial.sum(parts)
-    gk1 = Polynomial.var(g(k, 1))
-    parts += [gk1 * member_two_term(a, b, k) for (_, a, b) in family]
+    family = product_family(i, j, k)  # empty at k = 0, where g_0[1] does not exist
+    parts += [Polynomial.var(g(k, 1)) * member_two_term(a, b, k) for (_, a, b) in family]
     for p in range(1, k):
         gp = Polynomial.var(g(k - p, p + 1))
         parts += [gp * member_two_term(a, b, k, p) for (w, a, b) in family if w(k - p) > w(k)]

@@ -71,7 +71,7 @@ class Permutation:
         return cls.t(k, k + 1)
 
     @classmethod
-    @memo(typed=True)  # typed: t(1.0, 2) misses the (1, 2) entry and fails in the body
+    @memo(typed=True)  # typed: t(1.0, 2) and t(True, 2) miss the (1, 2) entry and fail in the body
     def t(cls, a: int, b: int) -> "Permutation":
         """Transposition swapping a and b, one shared object per pair."""
         if a == b or a < 1 or b < 1:
@@ -79,7 +79,7 @@ class Permutation:
         a, b = min(a, b), max(a, b)
         word = list(range(1, b + 1))
         word[a - 1], word[b - 1] = b, a
-        return cls._of(tuple(word))
+        return cls(word)  # the checking constructor, which refuses t(True, 2); once per pair
 
     @classmethod
     def longest(cls, m: int) -> "Permutation":
@@ -199,10 +199,7 @@ class Permutation:
     @classmethod
     def from_code_tail(cls, code: tuple[int, ...]) -> "Permutation":
         """Inverse of :meth:`code_tail`: recovers w in S_{n+1} from (i_1..i_n)."""
-        for k, ik in enumerate(code, start=1):
-            if not 0 <= ik <= k:
-                raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
-        return _from_reversed_code(*reversed(code))
+        return _from_reversed_code(check_code(code)[::-1])
 
     # -- diagrams ------------------------------------------------------------
 
@@ -244,9 +241,7 @@ class Permutation:
         des = self.descents()
         if len(des) > 1:
             raise ValueError(f"{self} has more than one descent")
-        if not des:
-            return (0, (), (), ())
-        r = des[0]
+        r = max(des, default=0)  # the identity's r = 0 leaves every part empty
         lam = tuple(self(r + 1 - i) - (r + 1 - i) for i in range(1, r + 1))
         lam = lam[: next((i for i, p in enumerate(lam) if p == 0), len(lam))]
         mu = conjugate(lam)
@@ -259,12 +254,21 @@ class Permutation:
         return (r, lam, mu, phi)
 
 
+def check_code(code) -> tuple[int, ...]:
+    """The code (i_1, ..., i_n) as a tuple, once each entry is checked: an int (a bool is not) with 0 <= i_k <= k."""
+    code = tuple(code)
+    if not {int}.issuperset(map(type, code)):
+        raise TypeError(f"code entries must be ints: {code}")
+    for k, ik in enumerate(code, start=1):
+        if not 0 <= ik <= k:
+            raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
+    return code
+
+
 # In a cold bench ``query`` round 94 % of the calls repeat a code already
-# decoded in that round (3 rounds, seed 1: 1,979 hits, 128 misses).  The
-# entries are separate arguments so that ``typed`` keys each one's type:
-# (1.0,) misses the (1,) entry and fails in from_lehmer, as an uncached call would.
-@memo(maxsize=1 << 12, typed=True)
-def _from_reversed_code(*lehmer: int) -> Permutation:
+# decoded in that round (3 rounds, seed 1: 1,979 hits, 128 misses).  Entries are checked before the lookup.
+@memo(maxsize=1 << 12)
+def _from_reversed_code(lehmer: tuple[int, ...]) -> Permutation:
     """w = w0 v w0 in S_m, m = n+1, where v has Lehmer code (i_n, ..., i_1, 0): w(i) = m+1 - v(m+1-i)."""
     m = len(lehmer) + 1
     v = Permutation.from_lehmer(lehmer + (0,)).as_tuple(m)
@@ -272,9 +276,7 @@ def _from_reversed_code(*lehmer: int) -> Permutation:
 
 
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
+    return tuple(sum(1 for p in lam if p >= i) for i in range(1, max(lam, default=0) + 1))
 
 
 def all_perms(n: int):

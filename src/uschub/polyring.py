@@ -419,15 +419,12 @@ def add_product(acc: dict[Monomial, int], a: "Polynomial | Monomial", b: Polynom
 
 def determinant(mat: list[list[Polynomial]]) -> Polynomial:
     """The determinant of a square polynomial matrix, by Laplace expansion along the first row."""
-    n = len(mat)
-    if n == 0:
+    if not mat:
         return ONE
-    if n == 1:
-        return mat[0][0]
     return Polynomial.sum(
-        mat[0][col] * determinant([row[:col] + row[col + 1:] for row in mat[1:]]) * (-1) ** col
-        for col in range(n)
-        if mat[0][col]
+        entry * determinant([row[:col] + row[col + 1:] for row in mat[1:]]) * (-1) ** col
+        for col, entry in enumerate(mat[0])
+        if entry
     )
 
 
@@ -472,9 +469,7 @@ def elementary_sym(i: int, k: int, offset: int = 0, kind: str = "x") -> Polynomi
 def complete_sym(p: int, k: int, offset: int = 0, kind: str = "y") -> Polynomial:
     """h_p over the window of k variables starting after ``offset``."""
     mk = _degree_one_family(kind, "complete_sym")
-    if p == 0:
-        return ONE
-    if p < 0 or k <= 0:
+    if p < 0:  # combinations_with_replacement refuses a negative length
         return ZERO
     acc: dict[Monomial, int] = {}
     for combo in combinations_with_replacement(range(offset + 1, offset + k + 1), p):

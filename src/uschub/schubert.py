@@ -33,10 +33,11 @@ elements) and uschub.formulas (square elimination) peel with it too.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from heapq import heapify, heappop, heappush
+from itertools import islice
 
-from .permutations import Permutation
+from .permutations import Permutation, check_code
 from .polyring import (
     ONE,
     Monomial,
@@ -85,8 +86,6 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
 @memo
 def classical_single(w: Permutation) -> Polynomial:
     """Schubert polynomial of w in the x variables."""
-    if w.is_identity():
-        return ONE
     m = w.size
     if w == Permutation.longest(m):
         return Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1})
@@ -98,6 +97,8 @@ def classical_single(w: Permutation) -> Polynomial:
 
 # The most codes one ladder level may hold: s_{m-1} in S_m peaks at 2^(m-2).
 LADDER_BUDGET = 1 << 17
+
+LADDER_STRIDE = 100  # a longer climb recurses in strides of this many levels (see universal_single)
 
 
 # Codes repeat: the 720 doubles of S_6 convert 1,440 codes 763 k times, a cold bench query round ~400 codes 9-10 k.
@@ -120,17 +121,17 @@ class MElement:
     __slots__ = ("codes", "n")
 
     def __init__(self, codes: dict[tuple[int, ...], int], n: int):
-        clean: dict[tuple[int, ...], int] = {}
-        for code, coeff in codes.items():
-            if len(code) != n:
+        for code in codes:
+            if len(check_code(code)) != n:
                 raise ValueError(f"code {code} does not have length {n}")
-            for k, ik in enumerate(code, start=1):
-                if not 0 <= ik <= k:
-                    raise ValueError(f"code {code} breaks the bound i_{k} <= {k}")
-            if coeff:
-                clean[code] = coeff
-        self.codes = clean
-        self.n = n
+        self.codes, self.n = {code: coeff for code, coeff in codes.items() if coeff}, n
+
+    @classmethod
+    def _of(cls, codes: dict[tuple[int, ...], int], n: int) -> "MElement":
+        """An element of codes the ladder kept inside the grid, with nonzero coefficients: no checks."""
+        el = object.__new__(cls)
+        el.codes, el.n = codes, n
+        return el
 
     def __eq__(self, other) -> bool:
         return (
@@ -170,7 +171,7 @@ class MElement:
                         out[nc] = out.get(nc, 0) + s_ * coeff
             if len(out) > LADDER_BUDGET:
                 raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} codes at one level")
-        return MElement(out, self.n)
+        return MElement._of({code: coeff for code, coeff in out.items() if coeff}, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
         if kind not in ("c", "d"):
@@ -207,17 +208,29 @@ def universal_single(w: Permutation, n: int) -> MElement:
     """The code combination of w, built by the ladder operator from the top code.
 
     The longest element of S_{n+1} has the single code (1, 2, ..., n); each
-    step down applies ``partial(k)`` at an ascent k of w.
+    step down applies ``partial(k)`` at the first ascent k of w.  A word whose distance D = n(n+1)/2 - l(w)
+    from the top is a multiple of LADDER_STRIDE above one stride first builds the word one stride up its climb,
+    so a climb recurses at most D / LADDER_STRIDE + 2 * LADDER_STRIDE calls deep, for one more walk of its words.
     """
     w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     if w == Permutation.longest(n + 1):
         return MElement({tuple(range(1, n + 1)): 1}, n)
-    k = next(k for k in range(1, n + 1) if w(k) < w(k + 1))
+    climb, top = _climb(w, n), n * (n + 1) // 2
+    up, k = next(climb)
     try:
-        return universal_single(w * Permutation.s(k), n).partial(k)
+        if top > LADDER_STRIDE and (dist := top - w.length()) > LADDER_STRIDE and not dist % LADDER_STRIDE:
+            universal_single(next(islice(climb, LADDER_STRIDE - 2, None))[0], n)
+        return universal_single(up, n).partial(k)
     except ArithmeticError:  # past LADDER_BUDGET; an lru_cache cannot drop just this walk's levels
         universal_single.cache_clear()
         raise
+
+
+def _climb(w: Permutation, n: int) -> Iterator[tuple[Permutation, int]]:
+    """The words (w s_k, k) up w's chain to the top of S_{n+1}, each at the first ascent k of the one before."""
+    while k := next((k for k in range(1, n + 1) if w(k) < w(k + 1)), 0):
+        w *= Permutation.s(k)
+        yield w, k
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -258,7 +271,6 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
     not one of v^{-1}, so l(u) drops by one as l(v) grows by one.  Those
     descents are read off the words: the values k standing right of k+1.
     """
-    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     level, sign = {(Permutation.identity(), w)}, 1
     while level:

@@ -78,7 +78,7 @@ from .schubert import peel, universal_double, universal_single
 from .specialize import c_from_g, to_g_form
 
 
-@memo
+@memo(typed=True)  # typed: universal_ring(True) misses the R_1 entry and fails in _omega_table
 def universal_ring(n: int) -> "UniversalRing":
     return UniversalRing(n)
 
@@ -222,10 +222,10 @@ def _rewrite_order(exps: tuple[int, ...]) -> tuple:
 class UniversalRing:
     def __init__(self, n: int):
         self.n = n
-        self.w0 = Permutation.longest(n + 1)
         # The split: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
         self._slot = {v: None if v.kind == "g" else v.i - 1 for v in _omega_table(n)}
         self._slot.update((g(k, 0), k - 1) for k in range(1, n + 2))
+        self.w0 = Permutation.longest(n + 1)  # after _omega_table has refused a size that is not an int
         # e_i(x_1..x_{n+1}) cancels from the split of c_i(n+1), which leaves T_i.  The coefficients of U(t)^{-1}
         # follow from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
         split = self._by_x_exponent
@@ -440,9 +440,11 @@ def _omega_image(v: Variable, n: int) -> tuple[Variable, int]:
     raise ValueError(f"unexpected variable {v.text()} under omega")
 
 
-@memo
+@memo(typed=True)  # typed: a cached R_1 table does not answer for True
 def _omega_table(n: int) -> dict[Variable, tuple[Variable, int]]:
     """omega on the variables of R_n: x_1..x_{n+1} and Z[g+]'s g_i[j], j >= 1, i + j <= n+1."""
+    if type(n) is not int:
+        raise TypeError(f"the size of R_n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     domain = [*map(x, range(1, n + 2)), *(g(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))]

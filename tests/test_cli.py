@@ -329,6 +329,17 @@ def test_ladder_answers_long_and_padded_words(time_limit):
         assert run("single", "4,3,2,1", "--n", "6") == (0, "c1(1)*c2(2)*c3(3)\n", "")
 
 
+@pytest.mark.parametrize("args, out", [
+    (("single", "1", "--n", "35"), "1\n"),
+    (("double", "21", "--n", "40"), "c1(1) - d1(1)\n"),
+    (("specialize", "2,1", "--rule", "gform", "--n", "40"), "g1[0]\n"),
+], ids=["single", "double", "specialize"])
+def test_long_climbs_answer(args, out, time_limit):
+    # each exited 1 at the interpreter's recursion limit when every ladder level was one nested call
+    with time_limit(10):
+        assert run(*args) == (0, out, "")
+
+
 def test_long_ladders_exit_1_at_the_budget():
     # s_30 in S_31 ran without bound: its ladder levels grow to 2^29 codes.  A
     # child process keeps the ladder memo (about 150 MB at the budget) out of

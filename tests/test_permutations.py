@@ -226,6 +226,9 @@ def test_public_input_is_validated(build, message):
     lambda: Permutation.s(1.0),
     lambda: Permutation.from_lehmer((1.0, 0)),
     lambda: Permutation((2.0, 1)),
+    lambda: Permutation.t(True, 2),
+    lambda: Permutation.s(True),
+    lambda: Permutation.from_code_tail((True,)),
 ])
 def test_non_integer_entries_are_rejected_whatever_is_cached(build):
     # equal integer inputs already in the memos must not answer for them

@@ -25,6 +25,7 @@ from uschub.polyring import (
     cpoly,
     complete_sym,
     d,
+    determinant,
     elementary_sym,
     g,
     h,
@@ -186,6 +187,21 @@ def test_elementary_and_complete_convolve_to_zero():
                 term = elementary_sym(i, k, kind="y") * complete_sym(p - i, k)
                 total = total + term * sign
             assert total == ZERO
+
+
+def test_complete_symmetric_edges():
+    # h_0 is 1 over any window, empty or not; h_p with p > 0 over no variables and h_{-1} are 0
+    assert complete_sym(0, 0) == ONE
+    assert complete_sym(0, 3, offset=2) == ONE
+    assert complete_sym(2, 0) == ZERO
+    assert complete_sym(-1, 2) == ZERO
+
+
+def test_determinant_edges():
+    p = parse_text("x1 + 2*y3")
+    assert determinant([[p]]) == p
+    assert determinant([[ZERO]]) == ZERO
+    assert determinant([]) == ONE
 
 
 def test_degrees_follow_the_variable_grading():

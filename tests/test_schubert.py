@@ -208,6 +208,20 @@ def test_melement_validates_codes():
         MElement({(1, 0, 0): 1}, 2)
 
 
+def test_melement_refuses_bool_entries():
+    # True met the bound as 1 and printed as [True]
+    MElement({(1,): 1}, 1)
+    with pytest.raises(TypeError, match="code entries must be ints"):
+        MElement({(True,): 1}, 1)
+
+
+def test_long_climbs_answer_below_the_recursion_limit():
+    # one nested call per ladder level passed the interpreter's limit at n = 34
+    assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
+    assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
+    schubert.clear_caches()
+
+
 def test_expand_inverts_the_basis():
     for w in all_perms(4):
         assert schubert_expand_M(universal_single(w, 3)) == {w: 1}
@@ -247,6 +261,16 @@ def test_peel_expands_over_polynomial_coefficients():
     wrong = {**basis, 1: {0: g1, 1: ONE}}
     with pytest.raises(AssertionError, match="earlier term"):
         peel(combo, lambda t: ("ABC"[t], wrong[t]), key=lambda t: t)
+
+
+def test_classical_single_of_the_identity_is_one():
+    assert classical_single(Permutation.identity()) == ONE
+
+
+def test_double_rejects_too_small_n():
+    with pytest.raises(ValueError) as err:
+        universal_double(Permutation((3, 2, 1)), 1)
+    assert str(err.value) == "(3,2,1) does not fit in S_2"
 
 
 def test_single_rejects_too_small_n():

@@ -455,6 +455,20 @@ def test_omega_table_permutes_its_keys():
         assert sorted(w.key for w, _ in table.values()) == sorted(v.key for v in table), n
 
 
+@pytest.mark.parametrize("build", [
+    lambda: UniversalRing(True),
+    lambda: UniversalRing(2.0),
+    lambda: omega(_xp(1), True),
+    lambda: normal_form(_xp(1), True),
+], ids=["ring-bool", "ring-float", "omega-bool", "normal-form-bool"])
+def test_a_non_int_ring_size_is_refused_whatever_is_cached(build):
+    # UniversalRing(True) built R_1 with n = True; the cached n = 1 ring and table must not answer for it
+    normal_form(_xp(1), 1)
+    assert omega(_xp(1), 1) == -_xp(2)
+    with pytest.raises(TypeError, match="the size of R_n must be an int"):
+        build()
+
+
 def test_omega_rejects_out_of_range():
     # across terms, the first variable without an image in package order is named
     for text, n, message in (
