@@ -257,9 +257,9 @@ class Permutation:
 def check_code(code) -> tuple[int, ...]:
     """The code (i_1, ..., i_n) as a tuple, once each entry is checked: an int (a bool is not) with 0 <= i_k <= k."""
     code = tuple(code)
-    if not {int}.issuperset(map(type, code)):
-        raise TypeError(f"code entries must be ints: {code}")
-    for k, ik in enumerate(code, start=1):
+    for k, ik in enumerate(code, start=1):  # one pass: the ladder checks every code of every level it builds
+        if type(ik) is not int:
+            raise TypeError(f"code entries must be ints: {code}")
         if not 0 <= ik <= k:
             raise ValueError(f"entry i_{k} = {ik} outside 0..{k}")
     return code

@@ -33,9 +33,8 @@ elements) and uschub.formulas (square elimination) peel with it too.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from heapq import heapify, heappop, heappush
-from itertools import islice
 
 from .permutations import Permutation, check_code
 from .polyring import (
@@ -98,8 +97,6 @@ def classical_single(w: Permutation) -> Polynomial:
 # The most codes one ladder level may hold: s_{m-1} in S_m peaks at 2^(m-2).
 LADDER_BUDGET = 1 << 17
 
-LADDER_STRIDE = 100  # a longer climb recurses in strides of this many levels (see universal_single)
-
 
 # Codes repeat: the 720 doubles of S_6 convert 1,440 codes 763 k times, a cold bench query round ~400 codes 9-10 k.
 @memo(maxsize=1 << 12)
@@ -125,13 +122,6 @@ class MElement:
             if len(check_code(code)) != n:
                 raise ValueError(f"code {code} does not have length {n}")
         self.codes, self.n = {code: coeff for code, coeff in codes.items() if coeff}, n
-
-    @classmethod
-    def _of(cls, codes: dict[tuple[int, ...], int], n: int) -> "MElement":
-        """An element of codes the ladder kept inside the grid, with nonzero coefficients: no checks."""
-        el = object.__new__(cls)
-        el.codes, el.n = codes, n
-        return el
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,7 +161,7 @@ class MElement:
                         out[nc] = out.get(nc, 0) + s_ * coeff
             if len(out) > LADDER_BUDGET:
                 raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} codes at one level")
-        return MElement._of({code: coeff for code, coeff in out.items() if coeff}, self.n)
+        return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
         if kind not in ("c", "d"):
@@ -208,29 +198,24 @@ def universal_single(w: Permutation, n: int) -> MElement:
     """The code combination of w, built by the ladder operator from the top code.
 
     The longest element of S_{n+1} has the single code (1, 2, ..., n); each
-    step down applies ``partial(k)`` at the first ascent k of w.  A word whose distance D = n(n+1)/2 - l(w)
-    from the top is a multiple of LADDER_STRIDE above one stride first builds the word one stride up its climb,
-    so a climb recurses at most D / LADDER_STRIDE + 2 * LADDER_STRIDE calls deep, for one more walk of its words.
+    step down applies ``partial(k)`` at the first ascent k of w.  Read upward,
+    the steps sort w's word by insertion: w(1..k) falls, and the climb carries
+    w(k+1) left past the smaller entries.  When that takes more than one step,
+    the word with w(1..k+1) in falling order is built first, so a cold climb
+    nests one call per insertion plus one per step of the current one, at
+    most 2(n + 1) calls, and builds no word off its climb.
     """
-    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
-    if w == Permutation.longest(n + 1):
+    word = w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
+    k = next((k for k in range(1, n + 1) if word[k - 1] < word[k]), 0)
+    if not k:  # the longest word
         return MElement({tuple(range(1, n + 1)): 1}, n)
-    climb, top = _climb(w, n), n * (n + 1) // 2
-    up, k = next(climb)
     try:
-        if top > LADDER_STRIDE and (dist := top - w.length()) > LADDER_STRIDE and not dist % LADDER_STRIDE:
-            universal_single(next(islice(climb, LADDER_STRIDE - 2, None))[0], n)
-        return universal_single(up, n).partial(k)
+        if k > 1 and word[k - 2] < word[k]:
+            universal_single(Permutation(sorted(word[: k + 1], reverse=True) + list(word[k + 1:])), n)
+        return universal_single(w * Permutation.s(k), n).partial(k)
     except ArithmeticError:  # past LADDER_BUDGET; an lru_cache cannot drop just this walk's levels
         universal_single.cache_clear()
         raise
-
-
-def _climb(w: Permutation, n: int) -> Iterator[tuple[Permutation, int]]:
-    """The words (w s_k, k) up w's chain to the top of S_{n+1}, each at the first ascent k of the one before."""
-    while k := next((k for k in range(1, n + 1) if w(k) < w(k + 1)), 0):
-        w *= Permutation.s(k)
-        yield w, k
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -275,8 +260,9 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
     level, sign = {(Permutation.identity(), w)}, 1
     while level:
         for v, u in level:
-            dcodes = universal_single(v, n).codes.items()
-            for ccode, cc in universal_single(u, n).codes.items():
+            # u before v: on the first level u = w, so a w that does not fit is refused before any ladder is built
+            ccodes, dcodes = universal_single(u, n).codes.items(), universal_single(v, n).codes.items()
+            for ccode, cc in ccodes:
                 for dcode, dc in dcodes:
                     acc[ccode, dcode] = acc.get((ccode, dcode), 0) + sign * cc * dc
         level = {

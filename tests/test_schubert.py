@@ -273,6 +273,37 @@ def test_double_rejects_too_small_n():
     assert str(err.value) == "(3,2,1) does not fit in S_2"
 
 
+def test_double_refuses_a_word_that_does_not_fit_before_building_a_ladder(time_limit):
+    # the identity's ladder at n was built first, and only then did w's fit check raise
+    schubert.clear_caches()
+    with time_limit(1), pytest.raises(ValueError, match=r"does not fit in S_41"):
+        universal_double(Permutation((*range(1, 42), 43, 42)), 40)
+    assert universal_single.cache_info().currsize == 0
+
+
+def test_cold_climbs_nest_at_most_2n_plus_2_calls(monkeypatch):
+    depth = deepest = 0
+    ladder = schubert.universal_single
+
+    def counted(w, n):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return ladder(w, n)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(schubert, "universal_single", counted)
+    for n, words in ((5, all_perms(6)), (60, (Permutation.identity(), Permutation((*range(2, 62), 1))))):
+        for w in words:
+            schubert.clear_caches()
+            deepest = 0
+            counted(w, n)
+            assert deepest <= 2 * (n + 1), (w, n)
+    schubert.clear_caches()
+
+
 def test_single_rejects_too_small_n():
     with pytest.raises(ValueError):
         universal_single(Permutation((2, 3, 1)), 1)
