@@ -185,12 +185,21 @@ def _term_key(term: tuple[Monomial, int]):
 
 
 class Polynomial:
-    """Immutable sparse polynomial with int coefficients."""
+    """Immutable sparse polynomial with int coefficients.
 
-    __slots__ = ("_terms",)
+    Construction fills ``_terms`` only.  The hash, the sorted term order and
+    the text are computed on first use and kept in their own slots, so a
+    shared value (a memoized form, a specialization) pays for each once.
+    """
+
+    __slots__ = ("_terms", "_hash", "_order", "_text")
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         self._terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def __reduce__(self):
+        # the terms only: a kept hash reads the identities of this process's variables
+        return Polynomial, (self._terms,)
 
     # -- constructors -------------------------------------------------
 
@@ -222,8 +231,12 @@ class Polynomial:
     def terms(self) -> dict[Monomial, int]:
         return dict(self._terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=_term_key)
+    def sorted_terms(self) -> tuple[tuple[Monomial, int], ...]:
+        """The terms in render order, sorted on first use and kept."""
+        order = getattr(self, "_order", None)
+        if order is None:
+            self._order = order = tuple(sorted(self._terms.items(), key=_term_key))
+        return order
 
     def variables(self) -> list[Variable]:
         """The distinct variables, in package order (smallest first)."""
@@ -295,12 +308,13 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self):
-        # a constant hashes like the int it equals, as __eq__ requires
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return hash(self._terms[()])
-        return hash(frozenset(self._terms.items()))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            terms = self._terms
+            # a constant hashes like the int it equals, as __eq__ requires
+            constant = not terms or len(terms) == 1 and () in terms
+            self._hash = h = hash(terms.get((), 0)) if constant else hash(frozenset(terms.items()))
+        return h
 
     # -- structural operations ------------------------------------------
 
@@ -358,7 +372,10 @@ class Polynomial:
         ], times)
 
     def text(self) -> str:
-        return self.render(Variable.text, "*", "^{}")
+        text = getattr(self, "_text", None)
+        if text is None:
+            self._text = text = self.render(Variable.text, "*", "^{}")
+        return text
 
     def latex(self) -> str:
         return self.render(Variable.latex, " ", "^{{{}}}")
@@ -515,6 +532,8 @@ def _tokenize(s: str) -> list:
     return tokens
 
 
+# A session parses the same texts again: a cold bench query round (seeds 1-3) parses 120, 64-67 of them repeats.
+@memo(maxsize=1 << 9, typed=True)
 def parse_text(s: str) -> Polynomial:
     """Inverse of :meth:`Polynomial.text` (q-degrees read as the default).
 

@@ -112,16 +112,27 @@ class MElement:
     A code (i_1, ..., i_n) with 0 <= i_k <= k stands for the product
     c_{i_1}(1) c_{i_2}(2) ... c_{i_n}(n), with c_0(k) read as 1.  The
     class holds no arithmetic; sums and products belong to the polynomial
-    side.
+    side.  An element is immutable, as the memoized ladder shares its
+    levels, and each builds its polynomial once per family.
     """
 
-    __slots__ = ("codes", "n")
+    __slots__ = ("codes", "n", "_polys")
 
     def __init__(self, codes: dict[tuple[int, ...], int], n: int):
         for code in codes:
             if len(check_code(code)) != n:
                 raise ValueError(f"code {code} does not have length {n}")
-        self.codes, self.n = {code: coeff for code, coeff in codes.items() if coeff}, n
+        object.__setattr__(self, "codes", {code: coeff for code, coeff in codes.items() if coeff})
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_polys", {})
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"MElement is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return MElement, (self.codes, self.n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,9 +175,15 @@ class MElement:
         return MElement(out, self.n)
 
     def to_polynomial(self, kind: str = "c") -> Polynomial:
+        """The combination in the c or d family: one shared polynomial per family, built on first use."""
         if kind not in ("c", "d"):
             raise ValueError(f"a code combination reads in the c or d family, not {kind!r}")
-        return Polynomial({_code_monomial(code, kind): coeff for code, coeff in self.codes.items()})
+        poly = self._polys.get(kind)
+        if poly is None:
+            poly = self._polys[kind] = Polynomial({
+                _code_monomial(code, kind): coeff for code, coeff in self.codes.items()
+            })
+        return poly
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, n: int) -> "MElement":

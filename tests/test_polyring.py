@@ -268,6 +268,20 @@ def test_constants_hash_like_the_ints_they_equal():
     assert hash(Polynomial.var(x(1)) ** 0 * 5) == hash(5)
 
 
+def test_a_polynomial_keeps_its_hash_order_and_text():
+    p = parse_text("c1(2)*x1^2 - 3*q1 + g2[1]*d1(1)")
+    fresh = Polynomial(p.terms())
+    # the first use computes each one, later uses read it back
+    assert p.text() is p.text() and p.text() == fresh.text()
+    assert hash(p) == hash(p) == hash(fresh) == hash(frozenset(p.terms().items()))
+    assert p.latex() == fresh.latex() and p.to_json() == fresh.to_json()
+    assert p.sorted_terms() is p.sorted_terms() and p.sorted_terms() == fresh.sorted_terms()
+    assert p.text() == fresh.text() == "-3*q1 + c1(2)*x1^2 + d1(1)*g2[1]"
+    # a copy carries the terms only: a kept hash is one of this process's variable identities
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and not hasattr(twin, "_hash") and twin.text() == p.text()
+
+
 def test_variables_are_interned():
     assert x(1) is x(1)
     assert Variable("c", 1, 2, 1) is c(1, 2)

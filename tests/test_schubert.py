@@ -1,5 +1,8 @@
 """Universal polynomials: the table, construction routes, codes, duality."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +197,21 @@ def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch)
     with pytest.raises(ArithmeticError, match="codes at one level"):
         universal_single(Permutation((1, 2, 4, 3)), 4)
     assert universal_single.cache_info().currsize == 0
+
+
+def test_melements_are_immutable_and_share_their_polynomials():
+    el = universal_single(Permutation((1, 3, 2)), 2)
+    codes, poly = dict(el.codes), el.to_polynomial("c")
+    for name in ("codes", "n", "_polys"):
+        with pytest.raises(AttributeError, match="MElement is immutable"):
+            setattr(el, name, {})
+        with pytest.raises(AttributeError, match="MElement is immutable"):
+            delattr(el, name)
+    # the memoized level and its polynomial are intact, and each family is built once
+    assert universal_single(Permutation((1, 3, 2)), 2) is el and el.codes == codes and el.n == 2
+    assert el.to_polynomial("c") is el.to_polynomial() is poly
+    assert el.to_polynomial("d") is el.to_polynomial("d") and el.to_polynomial("d") != poly
+    assert pickle.loads(pickle.dumps(el)) == el and copy.copy(el) == el and copy.deepcopy(el) == el
 
 
 def test_melement_rejects_an_unknown_kind():
