@@ -9,17 +9,17 @@ Three flavours are constructed here, all exact:
   * universal_cy(w, n) /      mixed forms with a second alphabet, in
     universal_double(w, n)    Z[c; y] and Z[c; d] respectively
 
-The universal single form is built by the code-level ladder operator
-(MElement.partial): the longest element of S_{n+1} has the single code
-(1, 2, ..., n), and each step down to w applies the operator at an
-ascent.  Everything stays in integer code combinations.  The classical
-polynomials come from the divided-difference ladder that starts at the
-dominant staircase monomial; classical_single is the oracle the
-universal form must specialize to.  Divided differences, in x there
-and in y for universal_cy, map each monomial straight to its quotient.  The tests hold further oracles in
-tests/oracles.py: the double Schubert polynomial classical_double, the
-substitution d_to_y, and e_expand, the basis change from classical_single
-to code combinations.
+classical_single, universal_single and universal_cy are one loop (_ladder)
+up a word's first ascents to the longest word and back down from its top
+form, each level built once into a table per ladder and size.  The single
+form steps by the code operator MElement.partial from the top code
+(1, 2, ..., n) of S_{n+1}, so everything stays in integer code
+combinations; the classical polynomial, the oracle it must specialize to,
+by x divided differences from the staircase monomial of w's own S_m, and
+universal_cy by y divided differences from the dominant product, up the
+word of w^{-1}.  The tests hold further oracles in tests/oracles.py: the
+double Schubert polynomial classical_double, the substitution d_to_y, and
+e_expand, the basis change from classical_single to code combinations.
 
 Codes are converted to and from permutations via the count
 code_tail(w)_k = #{j <= k : w(j) > w(k+1)}, which is also the key to
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
+from math import factorial, prod
 
 from .permutations import Permutation, check_code
 from .polyring import (
@@ -80,21 +81,49 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
     return Polynomial(acc)
 
 
-# -- classical polynomials -------------------------------------------------
+# -- the ladder, and the classical polynomials ---------------------------------
+
+@memo
+def _levels(size: int, ladder: str) -> dict:
+    """The levels one ladder has built in S_size, keyed by their words there; clear_caches empties them."""
+    return {}
+
+
+def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[], object], step: Callable[[object, int], object]):
+    """The level of ``word`` on the named ladder: climb by swapping first ascents k, up to a built level or the
+    longest word, then swap back down, applying ``step(form, k)`` per k from that level or ``top()``.  The new
+    levels enter the table together after the last, so a climb that raises leaves none behind."""
+    levels, built, ks, word, k = _levels(len(word), ladder), {}, [], list(word), 1
+    while (key := tuple(word)) not in levels:
+        # positions 1..k fall after the swap at k, so the next first ascent is k - 1 or past k
+        k = next((j for j in range(max(k - 1, 1), len(word)) if word[j - 1] < word[j]), 0)
+        if not k:  # the longest word
+            built[key] = top()
+            break
+        if len(ks) == LADDER_BUDGET:  # before the levels are built: each holds one word and at least one term
+            raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} levels")
+        ks.append(k)
+        word[k - 1], word[k] = word[k], word[k - 1]
+    form = built[key] if built else levels[key]
+    for k in reversed(ks):
+        word[k - 1], word[k] = word[k], word[k - 1]
+        form = built[tuple(word)] = step(form, k)
+    levels.update(built)
+    return form
+
 
 @memo
 def classical_single(w: Permutation) -> Polynomial:
-    """Schubert polynomial of w in the x variables."""
+    """Schubert polynomial of w in the x variables: x divided differences down from x_1^(m-1) ... x_(m-1) in S_m."""
     m = w.size
-    if w == Permutation.longest(m):
-        return Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1})
-    k = next(k for k in range(1, m) if w(k) < w(k + 1))
-    return divided_difference(classical_single(w * Permutation.s(k)), k)
+    return _ladder(w.word, "classical", lambda: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
+                   divided_difference)
 
 
 # -- code combinations -------------------------------------------------------
 
-# The most codes one ladder level may hold: s_{m-1} in S_m peaks at 2^(m-2).
+# The most codes one ladder level may hold (s_{m-1} in S_m peaks at 2^(m-2)), levels one climb may
+# build (n(n+1)/2 for the identity in S_{n+1}) and terms universal_cy's top form may hold ((n+1)! at n).
 LADDER_BUDGET = 1 << 17
 
 
@@ -215,24 +244,10 @@ def universal_single(w: Permutation, n: int) -> MElement:
     """The code combination of w, built by the ladder operator from the top code.
 
     The longest element of S_{n+1} has the single code (1, 2, ..., n); each
-    step down applies ``partial(k)`` at the first ascent k of w.  Read upward,
-    the steps sort w's word by insertion: w(1..k) falls, and the climb carries
-    w(k+1) left past the smaller entries.  When that takes more than one step,
-    the word with w(1..k+1) in falling order is built first, so a cold climb
-    nests one call per insertion plus one per step of the current one, at
-    most 2(n + 1) calls, and builds no word off its climb.
+    step down applies ``partial(k)`` at the first ascent k of w.
     """
-    word = w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
-    k = next((k for k in range(1, n + 1) if word[k - 1] < word[k]), 0)
-    if not k:  # the longest word
-        return MElement({tuple(range(1, n + 1)): 1}, n)
-    try:
-        if k > 1 and word[k - 2] < word[k]:
-            universal_single(Permutation(sorted(word[: k + 1], reverse=True) + list(word[k + 1:])), n)
-        return universal_single(w * Permutation.s(k), n).partial(k)
-    except ArithmeticError:  # past LADDER_BUDGET; an lru_cache cannot drop just this walk's levels
-        universal_single.cache_clear()
-        raise
+    # as_tuple raises unless w fits in S_{n+1}
+    return _ladder(w.as_tuple(n + 1), "single", lambda: MElement({tuple(range(1, n + 1)): 1}, n), MElement.partial)
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -249,18 +264,15 @@ def universal_cy(w: Permutation, n: int) -> Polynomial:
     The top element of S_{n+1} gets
     prod_{i=1}^{n} sum_{j=0}^{i} c_{i-j}(i) (-y_{n+1-i})^j, and each
     step down multiplies by -1 and applies the y divided difference at
-    a position k whose value k sits left of k+1.
+    a position k whose value k sits left of k+1: a first ascent of w^{-1}.
     """
     w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
-    if w == Permutation.longest(n + 1):
-        result = ONE
-        for i in range(1, n + 1):
-            yv = Polynomial.var(y(n + 1 - i))
-            result = result * Polynomial.sum(cpoly(i - j, i) * ((-1) ** j) * (yv ** j) for j in range(0, i + 1))
-        return result
-    lefts = w.left_descents()
-    k = next(k for k in range(1, n + 1) if k not in lefts)
-    return -divided_difference(universal_cy(Permutation.s(k) * w, n), k, kind="y")
+    if (terms := factorial(n + 1)) > LADDER_BUDGET:  # one factor of i + 1 terms per i, in distinct variables
+        raise ArithmeticError(f"the dominant product at n = {n} has {terms:,} terms, more than {LADDER_BUDGET:,}")
+    return _ladder(w.inverse().as_tuple(n + 1), "cy", lambda: prod((
+        Polynomial.sum(cpoly(i - j, i) * (-1) ** j * Polynomial.var(y(n + 1 - i)) ** j for j in range(i + 1))
+        for i in range(1, n + 1)
+    ), start=ONE), lambda p, k: -divided_difference(p, k, kind="y"))
 
 
 @memo

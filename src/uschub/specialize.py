@@ -18,7 +18,7 @@ built from its prefix's.  The rules are "gform", "classical" (c, d -> e_i of
 the x's, y's) and the flag map of a profile N: g_i[0] -> x_i, one g per adjacent
 block pair -> a signed q of degree n_{i+1} - n_{i-1}, every other g -> 0, c_i(j)
 -> the map of its g-form.  Its one-block case N = (1) is the classical ring
-(g_classical); its full flag (1, ..., m) is the quantum ring (quantum_specialize).
+(g_classical); its full flag (1, ..., m), for every m at once, is "quantum".
 """
 
 from __future__ import annotations
@@ -167,19 +167,9 @@ def zero_y(p: Polynomial) -> Polynomial:
 
 
 def quantum_specialize(p: Polynomial) -> Polynomial:
-    """g_i[0] -> x_i, g_i[1] -> q_i, g_i[j] -> 0 for j >= 2, each c_i(j) through its g-form.
-
-    This is the flag map of the full flag (1, 2, ..., m), with m the largest c-point or
-    g-index sum i + j of the input, so every g_i[1] the g-form can hold has i < m.
-    d or h variables have no quantum reading here and raise.
-    """
-    m = 1
-    for v in p.variables():
-        if v.kind in "dh":
-            raise ValueError("quantum specialization is defined for single polynomials only")
-        if v.kind in "cg":
-            m = max(m, v.j if v.kind == "c" else v.i + v.j)
-    return _specialize(p, FlagProfile(tuple(range(1, m + 1))))
+    """The full flag's map at every length: g_i[0] -> x_i, g_i[1] -> q_i, g_i[j] -> 0 for j >= 2, each c_i(j)
+    through its g-form.  d or h variables have no quantum reading here and raise."""
+    return _specialize(p, "quantum")
 
 
 @memo
@@ -187,17 +177,22 @@ def _rule_image(v: Variable, rule: str | FlagProfile) -> Polynomial | None:
     """One variable's image under ``rule``, None keeping it.  "gform": c_i(j) -> c_from_g(i, j), d_i(j) -> its
     h analogue.  "classical": c_i(j) -> e_i(x_1..x_j), d_i(j) -> e_i(y_1..y_j).  A FlagProfile: g_i[0] -> x_i,
     g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i of degree n_{i+1} - n_{i-1}, every other
-    g_s[t], t >= 1, -> 0, and c_i(j) -> the map of c_from_g(i, j)."""
+    g_s[t], t >= 1, -> 0, and c_i(j) -> the map of c_from_g(i, j).  "quantum", the full flag's map: g_i[0] ->
+    x_i, g_i[1] -> q_i, every other g_s[t] -> 0, c_i(j) through its g-form, and a d or h variable raises."""
     if rule == "gform" and v.kind in "cd":
         return c_from_g(v.i, v.j) if v.kind == "c" else c_from_g(v.i, v.j).rename_kind("g", "h")
     if rule == "classical" and v.kind in "cd":
         return elementary_sym(v.i, v.j, kind="x" if v.kind == "c" else "y")
-    if isinstance(rule, str) or v.kind not in "cg":
+    if rule == "quantum" and v.kind in "dh":
+        raise ValueError("quantum specialization is defined for single polynomials only")
+    if rule in ("gform", "classical") or v.kind not in "cg":
         return None
     if v.kind == "c":
         return _specialize(c_from_g(v.i, v.j), rule)
     if v.j == 0:
         return Polynomial.var(x(v.i))
+    if rule == "quantum":
+        return Polynomial.var(q(v.i)) if v.j == 1 else ZERO
     for i in range(1, rule.l):
         if (v.i, v.j) == (rule.n_(i - 1) + 1, rule.k_(i) + rule.k_(i + 1) - 1):
             return Polynomial.var(q(i, degree=rule.q_degree(i))) * (-1) ** (rule.k_(i + 1) + 1)

@@ -25,6 +25,7 @@ from frozen import (
     SEARCH_DET19_DIGESTS,
     VERIFY_CENSUS_STDOUT,
 )
+from uschub import schubert
 from uschub.cli import build_parser, main
 from uschub.formulas import det19_census, det19_record
 from uschub.permutations import Permutation
@@ -312,13 +313,25 @@ def test_foreign_variables_exit_1_even_when_they_cancel():
     assert (code, out, err) == (1, "", "error: unexpected variable d1(1) in reduction\n")
 
 
-def test_too_deep_a_recursion_exits_1_without_a_traceback(time_limit):
-    # A cold climb at n nests up to 2(n + 1) ladder calls, past the interpreter's limit at n = 300.
-    with time_limit(30):
-        code, out, err = run("single", "1", "--n", "300")
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and "recursion" in err
-    assert "Traceback" not in err
+def test_too_deep_a_recursion_exits_1_without_a_traceback(monkeypatch):
+    def too_deep(w, n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(schubert, "universal_single", too_deep)
+    assert run("single", "1", "--n", "3") == (1, "", "error: maximum recursion depth exceeded\n")
+
+
+def test_a_climb_of_45k_levels_answers_and_one_past_the_budget_exits_1(time_limit):
+    # n = 300 nested up to 2(n + 1) ladder calls and exited 1 past the interpreter's limit; the ladder is a loop now,
+    # and the identity's n(n+1)/2 levels pass LADDER_BUDGET from n = 512
+    try:
+        with time_limit(30):
+            assert run("single", "1", "--n", "300") == (0, "1\n", "")
+    finally:
+        schubert.clear_caches()
+    with time_limit(10):
+        code, out, err = run("single", "1", "--n", "600")
+    assert (code, out, err) == (1, "", "error: the ladder needs more than 131,072 levels\n")
 
 
 def test_ladder_answers_long_and_padded_words(time_limit):

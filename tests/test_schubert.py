@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,13 +191,24 @@ def test_ladder_levels_stop_at_the_budget(monkeypatch):
 
 
 def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch):
-    # At 2 codes a level, the walk from the top of S_5 down to 1243 finishes
-    # six levels before it stops; none of them may stay in the memo.
-    monkeypatch.setattr(schubert, "LADDER_BUDGET", 2)
+    # At 20 codes a level, the walk from the top of S_7 down to s_6 (20 levels, which the same budget
+    # allows one climb) finishes five levels, of 1 to 16 codes, before it stops at 32; none may stay.
+    monkeypatch.setattr(schubert, "LADDER_BUDGET", 20)
     schubert.clear_caches()
     with pytest.raises(ArithmeticError, match="codes at one level"):
-        universal_single(Permutation((1, 2, 4, 3)), 4)
-    assert universal_single.cache_info().currsize == 0
+        universal_single(Permutation((1, 2, 3, 4, 5, 7, 6)), 6)
+    assert universal_single.cache_info().currsize == 0 and schubert._levels(7, "single") == {}
+
+
+def test_a_climb_longer_than_the_budget_is_refused_before_it_builds(monkeypatch):
+    # the identity climbs n(n+1)/2 levels in S_{n+1}, and only the recursion limit stopped it when levels nested
+    monkeypatch.setattr(schubert, "LADDER_BUDGET", 5)
+    schubert.clear_caches()
+    with pytest.raises(ArithmeticError, match="the ladder needs more than 5 levels"):
+        universal_single(Permutation.identity(), 3)
+    assert schubert._levels(4, "single") == {}
+    assert universal_single(Permutation((2, 1)), 3) == MElement({(1, 0, 0): 1}, 3)  # five levels
+    schubert.clear_caches()
 
 
 def test_melements_are_immutable_and_share_their_polynomials():
@@ -238,6 +250,18 @@ def test_long_climbs_answer_below_the_recursion_limit():
     assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
     assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
     schubert.clear_caches()
+
+
+def test_the_y_ladder_refuses_a_dominant_product_past_the_budget(time_limit):
+    # (n + 1)! terms: only the recursion limit stopped n = 40, and a loop would start on a 41!-term product
+    with time_limit(1), pytest.raises(ArithmeticError, match=r"the dominant product at n = 40 has [\d,]+ terms"):
+        universal_cy(Permutation((2, 1)), 40)
+    with pytest.raises(ArithmeticError) as err:
+        universal_cy(Permutation.identity(), 8)
+    assert str(err.value) == "the dominant product at n = 8 has 362,880 terms, more than 131,072"
+    # the fit check reads w itself, whose inverse is (3,1,2)
+    with pytest.raises(ValueError, match=r"^\(2,3,1\) does not fit in S_2$"):
+        universal_cy(Permutation((2, 3, 1)), 1)
 
 
 def test_expand_inverts_the_basis():
@@ -299,27 +323,24 @@ def test_double_refuses_a_word_that_does_not_fit_before_building_a_ladder(time_l
     assert universal_single.cache_info().currsize == 0
 
 
-def test_cold_climbs_nest_at_most_2n_plus_2_calls(monkeypatch):
-    depth = deepest = 0
-    ladder = schubert.universal_single
-
-    def counted(w, n):
-        nonlocal depth, deepest
-        depth += 1
-        deepest = max(deepest, depth)
-        try:
-            return ladder(w, n)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(schubert, "universal_single", counted)
-    for n, words in ((5, all_perms(6)), (60, (Permutation.identity(), Permutation((*range(2, 62), 1))))):
-        for w in words:
-            schubert.clear_caches()
-            deepest = 0
-            counted(w, n)
-            assert deepest <= 2 * (n + 1), (w, n)
+def test_cold_climbs_run_a_few_dozen_frames_deep():
+    # every ladder nested calls per level, 2(n + 1) at most for universal_single and one per level for the others
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
     schubert.clear_caches()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
+        assert universal_single(Permutation((*range(2, 62), 1)), 60).codes == {(0,) * 59 + (60,): 1}
+        w = Permutation((*range(1, 49), 50, 49))
+        assert classical_single(w) == Polynomial.sum(Polynomial.var(x(i)) for i in range(1, 50))
+        for w in all_perms(6):
+            universal_single(w, 5), universal_cy(w, 5)
+    finally:
+        sys.setrecursionlimit(limit)
+        schubert.clear_caches()
 
 
 def test_single_rejects_too_small_n():
