@@ -11,8 +11,8 @@ Grassmannian index sets:
     where a_i = 0, searched over row orders to express single universal
     polynomials as one determinant.
   * product_family(i, j, k), the Grassmannian permutations entering the product
-    rule for c_i(k) c_j(k), together with the explicit two-term forms of
-    their polynomials that make the rule effective for rewriting.
+    rule for c_i(k) c_j(k): their sums come in Remark 4.7's closed form, and
+    the explicit two-term forms of their polynomials give the shifted terms.
 
 The locus emitter renames evaluation points to bundle tags in rendered
 output only; the underlying polynomial algebra never changes kinds.
@@ -229,12 +229,14 @@ def member_two_term(a: int, b: int, k: int, p: int = 0) -> Polynomial:
 def _rule_rhs(i: int, j: int, k: int) -> Polynomial:
     """Right side of the rule for c_i(k) c_j(k), in the proof's explicit form.
 
-    The family at k+1, plus g_k[1] times the family at k, plus
-    g_{k-p}[p+1] times the shifted forms of its members with w(k-p) > w(k).
+    The family at k+1, plus g_k[1] times the family at k, both summed in
+    Remark 4.7's closed form (the family at k is empty when i or j is 0),
+    plus g_{k-p}[p+1] times the shifted forms of its members with w(k-p) > w(k).
     """
-    parts = [member_two_term(a, b, k + 1) for (_, a, b) in product_family(i + 1, j + 1, k + 1)]
-    family = product_family(i, j, k)  # empty at k = 0, where g_0[1] does not exist
-    parts += [Polynomial.var(g(k, 1)) * member_two_term(a, b, k) for (_, a, b) in family]
+    parts = [remark47_first_sum(i, j, k)]
+    if i and j:
+        parts.append(Polynomial.var(g(k, 1)) * remark47_first_sum(i - 1, j - 1, k - 1))
+    family = product_family(i, j, k)
     for p in range(1, k):
         gp = Polynomial.var(g(k - p, p + 1))
         parts += [gp * member_two_term(a, b, k, p) for (w, a, b) in family if w(k - p) > w(k)]
@@ -290,11 +292,12 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
     to the weight, one at b = k+2 fuses the pair into c_{i+j}(k).  The key
     adds over factors, so each distinct monomial is rewritten once.
     """
-    for v in p.variables():
-        if v.kind not in ("c", "g"):
-            raise ValueError("rewrite_no_squares expects a polynomial in c (and g)")
-        if n is not None and v.kind == "c" and v.j > n:
-            raise ValueError(f"c-point {v.j} exceeds the stated bound {n}")
+    # both errors name the first offending variable in package order, a foreign one before a far c-point
+    variables = p.variables()
+    if foreign := next((v for v in variables if v.kind not in ("c", "g")), None):
+        raise ValueError(f"expand works on c/g polynomials, found {foreign.text()}")
+    if n is not None and (far := next((v.j for v in variables if v.kind == "c" and v.j > n), None)):
+        raise ValueError(f"c-point {far} exceeds the stated bound {n}")
     written = 0
 
     def lead(mono: Monomial) -> tuple[Monomial | None, dict[Monomial, int]]:
@@ -314,7 +317,7 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
         add_product(relation, rest, _rule_rhs(i, j, k), -1)
         written += len(relation) - 1
         if written > SQUARE_BUDGET:
-            raise RuntimeError(f"square elimination writes more than {SQUARE_BUDGET:,} terms")
+            raise ArithmeticError(f"square elimination writes more than {SQUARE_BUDGET:,} terms")
         return None, relation
 
     return Polynomial({mono: coeff for mono, coeff in peel(p.terms(), lead, _square_key).items() if mono is not None})

@@ -488,14 +488,11 @@ def complete_sym(p: int, k: int, offset: int = 0, kind: str = "y") -> Polynomial
     mk = _degree_one_family(kind, "complete_sym")
     if p < 0:  # combinations_with_replacement refuses a negative length
         return ZERO
-    acc: dict[Monomial, int] = {}
-    for combo in combinations_with_replacement(range(offset + 1, offset + k + 1), p):
-        counts: dict[int, int] = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
-        m = tuple((mk(idx), e) for idx, e in sorted(counts.items()))
-        acc[m] = acc.get(m, 0) + 1
-    return Polynomial(acc)
+    # each multiset is one sorted combination, so each monomial occurs once, with coefficient 1
+    return Polynomial({
+        tuple((mk(idx), len(list(run))) for idx, run in groupby(combo)): 1
+        for combo in combinations_with_replacement(range(offset + 1, offset + k + 1), p)
+    })
 
 
 # -- parsing ---------------------------------------------------------------

@@ -33,6 +33,7 @@ elements) and uschub.formulas (square elimination) peel with it too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from math import factorial, prod
@@ -65,15 +66,18 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
     a, b = mk(k), mk(k + 1)
     acc: dict[Monomial, int] = {}
     for m, co in p.terms().items():
-        exps = dict(m)
-        i, j = exps.pop(a, 0), exps.pop(b, 0)
+        # a and b are adjacent in package order: the monomial is its smaller variables, a^i b^j, its larger ones
+        start = end = bisect_left(m, a.key, key=lambda pair: pair[0].key)
+        i = j = 0
+        if end < len(m) and m[end][0] is a:
+            i, end = m[end][1], end + 1
+        if end < len(m) and m[end][0] is b:
+            j, end = m[end][1], end + 1
         if i == j:
             continue
         if i < j:
             i, j, co = j, i, -co
-        # a and b are adjacent in package order, so they go right after the smaller variables
-        before = tuple((v, e) for v, e in exps.items() if v.key < a.key)
-        after = tuple((v, e) for v, e in exps.items() if v.key > a.key)
+        before, after = m[:start], m[end:]
         for t in range(i - j):
             ea, eb = i - 1 - t, j + t
             mono = before + (((a, ea),) if ea else ()) + (((b, eb),) if eb else ()) + after
@@ -94,11 +98,12 @@ def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[], object], step:
     longest word, then swap back down, applying ``step(form, k)`` per k from that level or ``top()``.  The new
     levels enter the table together after the last, so a climb that raises leaves none behind."""
     levels, built, ks, word, k = _levels(len(word), ladder), {}, [], list(word), 1
-    while (key := tuple(word)) not in levels:
+    # an empty table holds no level to meet, so the climb keys no word of length n + 1 until the top
+    while not levels or (key := tuple(word)) not in levels:
         # positions 1..k fall after the swap at k, so the next first ascent is k - 1 or past k
         k = next((j for j in range(max(k - 1, 1), len(word)) if word[j - 1] < word[j]), 0)
         if not k:  # the longest word
-            built[key] = top()
+            built[key := tuple(word)] = top()
             break
         if len(ks) == LADDER_BUDGET:  # before the levels are built: each holds one word and at least one term
             raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} levels")

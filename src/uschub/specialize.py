@@ -232,11 +232,6 @@ def round_points(p: Polynomial, ranks: dict[str, tuple[int, ...]]) -> Polynomial
     return p.relabel({v: (Variable(v.kind, v.i, r, v.i), 1) if v.i <= r else None for v, r in at.items()})
 
 
-def round_down_ranks(p: Polynomial, profile: FlagProfile) -> Polynomial:
-    """Send each c_i(j) to c_i(n_k) for the largest cut point n_k <= j, or to 0 when i > n_k or j < n_1."""
-    return round_points(p, {"c": profile.N})
-
-
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:
     """The flag-profile quantum polynomial of w, by either route.
 
@@ -250,7 +245,7 @@ def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "
     n = max(profile.top - 1, 1)
     p = universal_single(w, n).to_polynomial("c")
     if route == "B":
-        p = round_down_ranks(p, profile)
+        p = round_points(p, {"c": profile.N})
     elif route != "A":
         raise ValueError(f"unknown route {route!r}")
     return _specialize(p, profile)

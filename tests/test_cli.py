@@ -321,6 +321,23 @@ def test_too_deep_a_recursion_exits_1_without_a_traceback(monkeypatch):
     assert run("single", "1", "--n", "3") == (1, "", "error: maximum recursion depth exceeded\n")
 
 
+def test_a_bug_is_not_reported_as_an_error_line(monkeypatch):
+    # every budget raises ArithmeticError, so a plain RuntimeError is a fault and leaves main with its traceback
+    def broken(w, n):
+        raise RuntimeError("generator raised StopIteration")
+
+    monkeypatch.setattr(schubert, "universal_single", broken)
+    with pytest.raises(RuntimeError, match="generator raised StopIteration"):
+        main(["single", "1", "--n", "3"])
+
+
+def test_a_climb_past_the_budget_is_refused_in_a_time_independent_of_n(time_limit):
+    # the climb keyed its word of length n + 1 at every level: 17-22 s at n = 20,000 before it exited 1
+    with time_limit(5):
+        code, out, err = run("single", "1", "--n", "20000")
+    assert (code, out, err) == (1, "", "error: the ladder needs more than 131,072 levels\n")
+
+
 def test_a_climb_of_45k_levels_answers_and_one_past_the_budget_exits_1(time_limit):
     # n = 300 nested up to 2(n + 1) ladder calls and exited 1 past the interpreter's limit; the ladder is a loop now,
     # and the identity's n(n+1)/2 levels pass LADDER_BUDGET from n = 512

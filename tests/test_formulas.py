@@ -49,7 +49,7 @@ from uschub.specialize import (
     c_from_g,
     classical_specialize,
     partial_flag_specialize,
-    round_down_ranks,
+    round_points,
     to_g_form,
 )
 
@@ -188,7 +188,7 @@ def test_cut_points_and_ranks_must_be_ints():
         lambda: partial_flag_specialize(Permutation((2, 1)), FlagProfile((1.0, 2))),
         lambda: partial_flag_specialize(Permutation((2, 1)), FlagProfile((True, 2))),
         lambda: locus_formula(Permutation((1, 3, 2)), RankProfile((2.0,), (2.0,))),
-        lambda: round_down_ranks(parse_text("c1(1) + c1(2)"), FlagProfile((1.5, 3))),
+        lambda: round_points(parse_text("c1(1) + c1(2)"), {"c": FlagProfile((1.5, 3)).N}),
         lambda: locus_formula(Permutation((2, 3, 1)), RankProfile((2.0,), (1.0, 2)), mode="interval"),
     )
     for case in cases:
@@ -316,6 +316,17 @@ def test_first_sum_is_the_family_sum():
                 for w, _, _ in product_family(i + 1, j + 1, k + 1):
                     total = total + universal_single(w, k + 1).to_polynomial("c")
                 assert remark47_first_sum(i, j, k) == total
+    # _rule_rhs reads both unshifted family sums in closed form: the family at k+1, and the family at k
+    # (g_k[1]'s), which is empty when i or j is 0; here through the members' two-term forms, for k <= 6
+    for k in range(0, 7):
+        for i in range(0, k + 1):
+            for j in range(0, k + 1):
+                if k < 6:
+                    family = product_family(i + 1, j + 1, k + 1)
+                    total = Polynomial.sum(member_two_term(a, b, k + 1) for _, a, b in family)
+                    assert total == remark47_first_sum(i, j, k), (i, j, k)
+                total = Polynomial.sum(member_two_term(a, b, k) for _, a, b in product_family(i, j, k))
+                assert total == (remark47_first_sum(i - 1, j - 1, k - 1) if i and j else ZERO), (i, j, k)
 
 
 def test_classically_only_the_first_sum_survives():
@@ -410,7 +421,7 @@ def test_tenth_power_eliminates_within_the_budget():
 
 def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
     monkeypatch.setattr(formulas, "SQUARE_BUDGET", 3)
-    with pytest.raises(RuntimeError, match="writes more than 3 terms"):
+    with pytest.raises(ArithmeticError, match="writes more than 3 terms"):
         rewrite_no_squares(cpoly(1, 2) ** 4)
     assert main(["expand", "c1(2)^4"]) == 1
     out, err = capsys.readouterr()
@@ -420,13 +431,14 @@ def test_square_elimination_stops_at_the_budget(monkeypatch, capsys):
 def test_a_huge_exponent_reaches_the_budget_without_a_list_of_its_size(monkeypatch):
     # the pair at each point was picked from a list with one entry per unit of exponent
     monkeypatch.setattr(formulas, "SQUARE_BUDGET", 100)
-    with pytest.raises(RuntimeError, match="writes more than 100 terms"):
+    with pytest.raises(ArithmeticError, match="writes more than 100 terms"):
         rewrite_no_squares(parse_text("c1(1)^99999999999"))
 
 
 def test_rewrite_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        rewrite_no_squares(parse_text("d1(1)"))
+    # the first foreign variable in package order is named, before a c-point past the bound
+    with pytest.raises(ValueError, match=r"^expand works on c/g polynomials, found d1\(1\)$"):
+        rewrite_no_squares(parse_text("c1(5) + x1 + d1(1)"), 2)
 
 
 def test_square_expansion_in_the_schubert_basis():

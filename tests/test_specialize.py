@@ -34,7 +34,6 @@ from uschub.specialize import (
     g_classical,
     partial_flag_specialize,
     quantum_specialize,
-    round_down_ranks,
     round_points,
     to_g_form,
     zero_y,
@@ -213,7 +212,7 @@ def _kernel_cases():
     for profile in _profiles(5):
         for w in profile.members():
             single = universal_single(w, max(profile.top - 1, 1)).to_polynomial("c")
-            for route, p in (("A", single), ("B", round_down_ranks(single, profile))):
+            for route, p in (("A", single), ("B", round_points(single, {"c": profile.N}))):
                 yield (lambda w=w, N=profile, r=route: partial_flag_specialize(w, N, r)), flag_map_reference(p, profile)
     for w in all_perms(4):
         double = universal_double(w, 3)
@@ -266,7 +265,8 @@ _ROUNDING = [
 
 @pytest.mark.parametrize("before, after", _ROUNDING)
 def test_round_down_ranks_sends_each_point_to_the_largest_rank_below(before, after):
-    assert round_down_ranks(parse_text(before), FlagProfile((2, 4))) == parse_text(after)
+    # route B's rounding of c-points down to a profile's cut points
+    assert round_points(parse_text(before), {"c": FlagProfile((2, 4)).N}) == parse_text(after)
 
 
 @pytest.mark.parametrize("before, after", _ROUNDING)
