@@ -41,7 +41,7 @@ from .polyring import (
     x,
 )
 from .schubert import MElement, peel, universal_double, universal_single
-from .specialize import FlagProfile, _cut_points, round_points, to_g_form
+from .specialize import FlagProfile, _cut_points, _specialize, round_points
 
 
 # -- f and D ------------------------------------------------------------------
@@ -249,11 +249,12 @@ ProductRuleReport = namedtuple("ProductRuleReport", "i j k lhs rhs equal_in_g")
 # A cold bench query round (seeds 1-3) checks 120 rules, 75-76 of them repeats; typed: True misses the entry of 1.
 @memo(maxsize=1 << 8, typed=True)
 def product_rule(i: int, j: int, k: int) -> ProductRuleReport:
-    """Both sides of the rule for c_i(k) c_j(k), checked in the g variables."""
+    """Both sides of the rule for c_i(k) c_j(k), compared in g after one recursion step takes their points k+1 to k:
+    every g there sits at level k+1, and the c_i(m), m <= k, are unitriangular in the lower g's, so they are free."""
     if not (0 <= i <= k and 0 <= j <= k):
         raise ValueError("need 0 <= i, j <= k")
     lhs, rhs = cpoly(i, k) * cpoly(j, k), _rule_rhs(i, j, k)
-    return ProductRuleReport(i, j, k, lhs, rhs, to_g_form(lhs) == to_g_form(rhs))
+    return ProductRuleReport(i, j, k, lhs, rhs, not _specialize(lhs - rhs, k + 1))
 
 
 def remark47_first_sum(i: int, j: int, k: int) -> Polynomial:

@@ -19,6 +19,7 @@ the x's, y's) and the flag map of a profile N: g_i[0] -> x_i, one g per adjacent
 block pair -> a signed q of degree n_{i+1} - n_{i-1}, every other g -> 0, c_i(j)
 -> the map of its g-form.  Its one-block case N = (1) is the classical ring
 (g_classical); its full flag (1, ..., m), for every m at once, is "quantum".
+An int point m is one step of the recursion above at k = m, the rest kept.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .polyring import (
     _chern_edge,
     add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
+    cpoly,
     determinant,
     elementary_sym,
     g,
@@ -173,12 +175,15 @@ def quantum_specialize(p: Polynomial) -> Polynomial:
 
 
 @memo
-def _rule_image(v: Variable, rule: str | FlagProfile) -> Polynomial | None:
-    """One variable's image under ``rule``, None keeping it.  "gform": c_i(j) -> c_from_g(i, j), d_i(j) -> its
-    h analogue.  "classical": c_i(j) -> e_i(x_1..x_j), d_i(j) -> e_i(y_1..y_j).  A FlagProfile: g_i[0] -> x_i,
-    g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i of degree n_{i+1} - n_{i-1}, every other
-    g_s[t], t >= 1, -> 0, and c_i(j) -> the map of c_from_g(i, j).  "quantum", the full flag's map: g_i[0] ->
-    x_i, g_i[1] -> q_i, every other g_s[t] -> 0, c_i(j) through its g-form, and a d or h variable raises."""
+def _rule_image(v: Variable, rule: str | int | FlagProfile) -> Polynomial | None:
+    """One variable's image under ``rule``, None keeping it.  An int m: c_i(m) -> its recursion step.  "gform":
+    c_i(j) -> c_from_g(i, j), d_i(j) -> its h analogue.  "classical": c_i(j) -> e_i(x_1..x_j), d_i(j) -> e_i(y_1..y_j).
+    A FlagProfile: g_i[0] -> x_i, g_{n_{i-1}+1}[k_i + k_{i+1} - 1] -> (-1)^{k_{i+1}+1} q_i of degree n_{i+1} - n_{i-1},
+    every other g_s[t], t >= 1, -> 0, and c_i(j) -> the map of c_from_g(i, j).  "quantum", the full flag's map:
+    g_i[0] -> x_i, g_i[1] -> q_i, every other g_s[t] -> 0, c_i(j) through its g-form, and a d or h variable raises."""
+    if isinstance(rule, int):
+        return None if v.kind != "c" or v.j != rule else Polynomial.sum([cpoly(v.i, rule - 1)] + [
+            Polynomial.var(g(rule - j, j)) * cpoly(v.i - j - 1, rule - j - 1) for j in range(v.i)])
     if rule == "gform" and v.kind in "cd":
         return c_from_g(v.i, v.j) if v.kind == "c" else c_from_g(v.i, v.j).rename_kind("g", "h")
     if rule == "classical" and v.kind in "cd":
@@ -201,7 +206,7 @@ def _rule_image(v: Variable, rule: str | FlagProfile) -> Polynomial | None:
 
 # A cold bench query round looks up 2.1-2.4 k mapped monomials, 0.8-0.9 k of them new (seeds 1-3).
 @memo(maxsize=1 << 12)
-def _monomial_image(mapped: Monomial, rule: str | FlagProfile) -> Polynomial:
+def _monomial_image(mapped: Monomial, rule: str | int | FlagProfile) -> Polynomial:
     """The image of a monomial whose every variable maps: its prefix's image times the last power."""
     v, e = mapped[-1]
     image = _rule_image(v, rule) if e == 1 else _rule_image(v, rule) ** e
@@ -210,7 +215,7 @@ def _monomial_image(mapped: Monomial, rule: str | FlagProfile) -> Polynomial:
 
 # A session maps the same forms again: a cold bench query round (seeds 1-3) specializes 515-540 times, 153-160 repeats.
 @memo(maxsize=1 << 10, typed=True)
-def _specialize(p: Polynomial, rule: str | FlagProfile) -> Polynomial:
+def _specialize(p: Polynomial, rule: str | int | FlagProfile) -> Polynomial:
     """p under ``rule``: a term holding a zero image is dropped, every other adds co * kept * the image of its
     mapped part, read through the memo :func:`_monomial_image`, to one dict."""
     images = {v: img for v in p.variables() if (img := _rule_image(v, rule)) is not None}

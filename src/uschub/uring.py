@@ -50,12 +50,16 @@ key below the floor, and pairs below it are skipped.  An equivalent route
 reads the coefficient of the longest permutation in the Schubert-basis
 expansion of the product, and the routes are compared in tests.
 
-The involution omega permutes the variables of R_n up to sign, so it is a
-signed relabel of each term through a per-n table; it reads no rules.
+The ring owns its per-n tables: the split, omega's, the x variables and
+the top staircase.  They are built with it, and the rules the first time a
+walk leaves the staircase, so a ring that only splits or relabels costs
+none of them.  The involution omega permutes the variables of R_n up to
+sign, so it is a signed relabel of each term through the ring's table.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from operator import add, gt
 
@@ -78,7 +82,7 @@ from .schubert import peel, universal_double, universal_single
 from .specialize import c_from_g, to_g_form
 
 
-@memo(typed=True)  # typed: universal_ring(True) misses the R_1 entry and fails in _omega_table
+@memo(typed=True)  # typed: universal_ring(True) misses the R_1 entry, and UniversalRing refuses it
 def universal_ring(n: int) -> "UniversalRing":
     return UniversalRing(n)
 
@@ -126,43 +130,31 @@ def _over_budget(exps: tuple[int, ...]) -> ArithmeticError:
     return ArithmeticError(f"reducing the x-exponents {shown} needs more than {WALK_BUDGET:,} stored g-terms")
 
 
-@memo
-def _x_variables(n: int) -> tuple[Variable, ...]:
-    return tuple(map(x, range(1, n + 1)))
-
-
-@memo
-def _top_staircase(n: int) -> tuple[int, ...]:
-    # x_1^n ... x_n over x_1..x_{n+1}: entry i-1 is the staircase bound n+1-i
-    return (*range(n, 0, -1), 0)
-
-
 class RingElement:
     """A reduced element of R_n: staircase x-monomials with g+ coefficients.
 
     Keys of ``coeffs`` are exponent tuples over x_1..x_{n+1}, the keys of
     the walk table, whose i-th entry is at most n+1-i; so the last entry,
     x_{n+1}'s, is always 0.  Coefficients may hold only the g_i[j] of Z[g+],
-    the g keys of omega's per-n table.
+    the g keys of the ring's omega table.
     """
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], Polynomial]):
         self.n = n
-        bound = _top_staircase(n)
-        table = _omega_table(n)
+        ring = universal_ring(n)
         clean = {}
         for exps, poly in coeffs.items():
             if len(exps) != n + 1 or exps[-1] != 0:
                 raise ValueError("exponent tuple must have length n+1 and end in 0")
-            if any(map(gt, exps, bound)):
+            if any(map(gt, exps, ring.top_stair)):
                 raise ValueError("exponents exceed the staircase bound")
             for mono in poly.terms():
                 for v, _ in mono:
-                    if v.kind != "g" or v not in table:
-                        v = min((v for p in coeffs.values() for v in p.variables() if v.kind != "g" or v not in table),
-                                key=lambda v: v.key)
+                    if v.kind != "g" or v not in ring.omega_table:
+                        v = min(v for p in coeffs.values() for v in p.variables()
+                                if v.kind != "g" or v not in ring.omega_table)
                         raise ValueError(f"{v.text()} is outside Z[g+] for n = {n}")
             if poly:
                 clean[exps] = poly
@@ -199,7 +191,7 @@ class RingElement:
 
     def to_polynomial(self) -> Polynomial:
         # g sorts before x, so a g-monomial followed by an x-monomial is sorted
-        xs = _x_variables(self.n)
+        xs = universal_ring(self.n)._xs
         out: dict[Monomial, int] = {}
         for exps, poly in self.coeffs.items():
             xmono = tuple([pair for pair in zip(xs, exps) if pair[1]])
@@ -221,31 +213,44 @@ def _rewrite_order(exps: tuple[int, ...]) -> tuple:
 
 class UniversalRing:
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise TypeError(f"the size of R_n must be an int, got {n!r}")
+        if n < 1:
+            raise ValueError("n must be at least 1")
         self.n = n
+        # omega on the variables of R_n: x_1..x_{n+1} and Z[g+]'s g_i[j], j >= 1, i + j <= n+1.
+        domain = [*map(x, range(1, n + 2)), *(g(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))]
+        self.omega_table = {v: _omega_image(v, n) for v in domain}
         # The split: x_k and g_k[0] go to x-slot k-1, g+ (omega's other variables) to None.
-        self._slot = {v: None if v.kind == "g" else v.i - 1 for v in _omega_table(n)}
+        self._slot = {v: None if v.kind == "g" else v.i - 1 for v in domain}
         self._slot.update((g(k, 0), k - 1) for k in range(1, n + 2))
-        self.w0 = Permutation.longest(n + 1)  # after _omega_table has refused a size that is not an int
+        self.w0 = Permutation.longest(n + 1)
+        self._xs = tuple(map(x, range(1, n + 1)))
+        # One normal-form table per degree floor: {x-exponents: {staircase: coefficient}}.
+        self._nf: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]]] = {}
+        self.top_degree = n * (n + 1) // 2
+        # x_1^n ... x_n over x_1..x_{n+1}: entry i-1 is the staircase bound n+1-i
+        self.top_stair = (*range(n, 0, -1), 0)
+
+    @cached_property
+    def _rules(self) -> dict[int, dict[tuple[int, ...], Polynomial]]:
+        """rules[k]: the relation h_m(x_1..x_k) - (-1)^m sum_j e_j(x_{k+1}..x_{n+1}) inv[m-j] = 0, led by x_k^m."""
         # e_i(x_1..x_{n+1}) cancels from the split of c_i(n+1), which leaves T_i.  The coefficients of U(t)^{-1}
         # follow from inv[r] = sum_i T_i inv[r-i]; T_1 = 0.
-        split = self._by_x_exponent
+        n, split = self.n, self._by_x_exponent
         tails = {i: split(c_from_g(i, n + 1) - elementary_sym(i, n + 1)) for i in range(2, n + 2)}
         inv = [{(0,) * (n + 1): ONE}]
         for r in range(1, n + 2):
             inv.append(self._combine(self._products((tails[i], inv[r - i]) for i in range(2, r + 1))))
-        # rules[k]: the relation h_m(x_1..x_k) - (-1)^m sum_j e_j(x_{k+1}..x_{n+1}) inv[m-j] = 0, led by x_k^m.
-        self._rules: dict[int, dict[tuple[int, ...], Polynomial]] = {}
+        rules = {}
         for k in range(1, n + 1):
             m = n + 2 - k
             relation = self._combine(self._products([(split(complete_sym(m, k, kind="x")), inv[0])] + [
                 (split(elementary_sym(j, n + 1 - k, offset=k) * (-1) ** (m + 1)), inv[m - j]) for j in range(m)]))
-            # x_{n+1}^b leaves once, by the walk's own step; that step reads no rules, so it runs before they exist
-            self._rules[k] = self._combine((-poly, dict(self._rewrite(exps))) if exps[-1] else (poly, {exps: ONE})
-                                           for exps, poly in relation.items())
-        # One normal-form table per degree floor: {x-exponents: {staircase: coefficient}}.
-        self._nf: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], Polynomial]]] = {}
-        self._top_degree = n * (n + 1) // 2
-        self._top_stair = _top_staircase(n)
+            # x_{n+1}^b leaves once, by the walk's own step; that step reads no rules, so it runs while they are built
+            rules[k] = self._combine((-poly, dict(self._rewrite(exps))) if exps[-1] else (poly, {exps: ONE})
+                                     for exps, poly in relation.items())
+        return rules
 
     # -- presentation -------------------------------------------------------
 
@@ -400,7 +405,7 @@ class UniversalRing:
             raise ValueError("mixed ambient n")
         # Forms of the floor walk hold the top staircase key at most.  Per alpha, the sum of pb * top(alpha + beta)
         # comes first; pa then multiplies it as the form, the sum's term dict being the scalar.
-        floor = self._top_degree
+        floor = self.top_degree
         right = [(floor - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
         acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for alpha, pa in a.coeffs.items():
@@ -411,7 +416,7 @@ class UniversalRing:
                     _add_form(inner, pb, self._nf_monomial(tuple(map(add, alpha, beta)), floor))
             for stair, terms in inner.items():
                 _add_form(acc, terms, {stair: pa})
-        return Polynomial(acc.get(self._top_stair, {}))
+        return Polynomial(acc.get(self.top_stair, {}))
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
         return self.schubert_basis_expand(self.multiply(a, b)).get(self.w0, ZERO)
@@ -419,7 +424,12 @@ class UniversalRing:
     # -- the involution ----------------------------------------------------------
 
     def omega(self, p: Polynomial) -> Polynomial:
-        return omega(p, self.n)
+        """The involution as one signed relabel through the ring's table, which permutes its keys: no terms merge."""
+        table = self.omega_table
+        if not table.keys() >= {v for m in p.terms() for v, _ in m}:
+            # the image rules raise on the first variable without an image, in package order
+            _omega_image(next(v for v in p.variables() if v not in table), self.n)
+        return p.relabel(table)
 
 
 def normal_form(p: Polynomial, n: int) -> RingElement:
@@ -440,24 +450,8 @@ def _omega_image(v: Variable, n: int) -> tuple[Variable, int]:
     raise ValueError(f"unexpected variable {v.text()} under omega")
 
 
-@memo(typed=True)  # typed: a cached R_1 table does not answer for True
-def _omega_table(n: int) -> dict[Variable, tuple[Variable, int]]:
-    """omega on the variables of R_n: x_1..x_{n+1} and Z[g+]'s g_i[j], j >= 1, i + j <= n+1."""
-    if type(n) is not int:
-        raise TypeError(f"the size of R_n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    domain = [*map(x, range(1, n + 2)), *(g(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j))]
-    return {v: _omega_image(v, n) for v in domain}
-
-
 def omega(p: Polynomial, n: int) -> Polynomial:
-    """The involution as one signed relabel through the per-n table, which permutes its own keys: no terms merge."""
-    table = _omega_table(n)
-    if not table.keys() >= {v for m in p.terms() for v, _ in m}:
-        # the image rules raise on the first variable without an image, in package order
-        _omega_image(next(v for v in p.variables() if v not in table), n)
-    return p.relabel(table)
+    return universal_ring(n).omega(p)
 
 
 def schubert_basis_expand(e: RingElement) -> dict[Permutation, Polynomial]:
@@ -481,10 +475,9 @@ def staircase_rank_report(n: int) -> dict:
     Each degree row gives the number of x-monomials in x_1..x_n.
     """
     ring = universal_ring(n)
-    top = n * (n + 1) // 2
     full_rank = ring.rules_are_triangular() and not any(ring.normal_form(c_from_g(i, n + 1)) for i in range(1, n + 2))
-    degrees = [{"degree": d, "dimension": comb(d + n - 1, n - 1)} for d in range(top + 1)]
-    return {"n": n, "top_degree": top, "full_rank": full_rank, "degrees": degrees}
+    degrees = [{"degree": d, "dimension": comb(d + n - 1, n - 1)} for d in range(ring.top_degree + 1)]
+    return {"n": n, "top_degree": ring.top_degree, "full_rank": full_rank, "degrees": degrees}
 
 
 def check_orthogonality(n: int) -> dict:

@@ -86,7 +86,7 @@ from uschub.polyring import (
 )
 from uschub.schubert import MElement, classical_single, divided_difference, universal_single
 from uschub.specialize import FlagProfile, c_from_g
-from uschub.uring import RingElement, UniversalRing, _top_staircase, universal_ring
+from uschub.uring import RingElement, UniversalRing, universal_ring
 
 _classical_double_cache: dict[tuple[int, ...], Polynomial] = {}
 _e_basis_cache: dict[tuple[int, int], tuple] = {}
@@ -138,7 +138,7 @@ def d_to_y(p: Polynomial) -> Polynomial:
 
 
 def inner_product_full(ring: UniversalRing, a: RingElement, b: RingElement) -> Polynomial:
-    return ring.multiply(a, b).coeffs.get(_top_staircase(ring.n), ZERO)
+    return ring.multiply(a, b).coeffs.get(ring.top_stair, ZERO)
 
 
 def substitute_reference(p: Polynomial, image) -> Polynomial:

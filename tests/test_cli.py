@@ -266,6 +266,15 @@ def test_ring_actions_without_expressions_refuse_stray_ones(action, exprs):
         1, "", f"error: ring {action} takes 0 expression(s), got {len(exprs)}\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("specialize", "2,1", "--rule", "flag"), "rule 'flag' needs --profile"),
+    (("ring", "normal-form", "x1"), "ring actions need an explicit --n"),
+    (("product-rule", "--i", "3", "--j", "0", "--k", "2"), "need 0 <= i, j <= k"),
+], ids=("flag-without-profile", "ring-without-n", "product-rule-out-of-range"))
+def test_a_request_missing_its_size_or_out_of_range_exits_1(args, message):
+    assert run(*args) == (1, "", f"error: {message}\n")
+
+
 def test_ring_multiply_outside_s_n_plus_1_exits_1():
     assert run("ring", "multiply", "321", "21", "--n", "1") == (1, "", "error: (3,2,1) does not fit in S_2\n")
 

@@ -303,6 +303,34 @@ def test_zero_index_collapses_the_rule():
     assert to_g_form(report.rhs) == to_g_form(cpoly(2, 3))
 
 
+def test_the_one_step_verdict_is_the_g_form_verdict(monkeypatch):
+    # equal_in_g steps the c-points k+1 down once; the full g-forms of both sides must give the same verdict, on
+    # every triple and on each right side with its first g-term doubled, which both must refuse
+    changed = {}
+    for k in range(0, 6):
+        for i in range(0, k + 1):
+            for j in range(0, k + 1):
+                report = product_rule(i, j, k)
+                assert report.equal_in_g == (to_g_form(report.lhs) == to_g_form(report.rhs)), (i, j, k)
+                gterms = [m for m in report.rhs.terms() if any(v.kind == "g" for v, _ in m)]
+                if gterms:
+                    changed[i, j, k] = report.rhs + Polynomial({gterms[0]: 1})
+    assert len(changed) > 50
+    monkeypatch.setattr(formulas, "_rule_rhs", lambda *triple: changed[triple])
+    for (i, j, k), rhs in changed.items():
+        by_g_form = to_g_form(cpoly(i, k) * cpoly(j, k)) == to_g_form(rhs)
+        assert (product_rule.__wrapped__(i, j, k).equal_in_g, by_g_form) == (False, False), (i, j, k)
+
+
+def test_every_g_of_the_rule_sits_at_level_k_plus_1():
+    # what the one-step check needs: each g_s[t] of the right side has s + t = k+1, and no c-point passes k+1
+    for k in range(0, 9):
+        for i in range(0, k + 1):
+            for j in range(0, k + 1):
+                for v in _rule_rhs(i, j, k).variables():
+                    assert v.i + v.j == k + 1 if v.kind == "g" else v.kind == "c" and v.j <= k + 1, (i, j, k, v)
+
+
 def test_first_sum_values():
     assert remark47_first_sum(0, 0, 2) == ONE
     assert remark47_first_sum(1, 0, 1) == cpoly(1, 1)
@@ -465,6 +493,16 @@ def test_locus_strict_example():
 def test_locus_requires_containment():
     with pytest.raises(ValueError):
         locus_formula(Permutation((2, 1)), RankProfile((2,), (2,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: det_D(0, 1, 0), "window size k must be positive"),
+    (lambda: locus_formula(Permutation((2, 1)), RankProfile((1,), (1,)), mode="loose"), "unknown mode 'loose'"),
+])
+def test_a_bad_window_or_locus_mode_is_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_locus_interval_mode_snaps_points():

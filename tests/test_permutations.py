@@ -211,6 +211,9 @@ def test_parse_oneline():
     (lambda: Permutation.t(2, 2), "bad transposition (2, 2)"),
     (lambda: parse_oneline("1,,2"), "cannot read permutation from '1,,2'"),
     (lambda: parse_oneline("2,2,1"), "not a permutation word: (2, 2, 1)"),
+    (lambda: Permutation((2, 1))(0), "positions are 1-based"),
+    (lambda: Permutation((2, 1, 4, 3)).grassmannian_data(), "(2,1,4,3) has more than one descent"),
+    (lambda: Permutation.longest_with_descents_in(()), "need a nonempty set of positive cut points"),
 ])
 def test_public_input_is_validated(build, message):
     # derived words skip the check; every word a caller hands in still meets it

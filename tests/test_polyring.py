@@ -154,6 +154,21 @@ def test_integer_coercion():
     assert 2 - p == -(p - 2)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: d(2, 1), "d-variable needs 1 <= i <= j, got d2(1)"),
+    (lambda: g(0, 0), "g-variable needs i >= 1, j >= 0, got g0[0]"),
+    (lambda: h(1, -1), "h-variable needs i >= 1, j >= 0, got h1[-1]"),
+    (lambda: x(0), "x-variable needs i >= 1, got x0"),
+    (lambda: y(0), "y-variable needs i >= 1, got y0"),
+    (lambda: q(1, 0), "q-variable needs i >= 1 and a positive degree, got q1 deg 0"),
+    (lambda: Polynomial.var(x(1)) ** -1, "negative powers are not defined"),
+])
+def test_out_of_range_indices_and_negative_powers_are_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_powers_square_only_while_bits_remain(monkeypatch):
     p = parse_text("x1 + 2*y1 - c1(2)")
     assert p ** 0 == ONE

@@ -245,6 +245,16 @@ def test_melement_refuses_bool_entries():
         MElement({(True,): 1}, 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MElement({(1,): 1}, 1).partial(0), "operator index 0 outside 1..1"),
+    (lambda: MElement.from_polynomial(cpoly(1, 1) ** 2, 1), "monomial ((c1(1), 2),) is not a plain code product"),
+])
+def test_melement_refuses_a_bad_operator_index_and_a_square(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_long_climbs_answer_below_the_recursion_limit():
     # one nested call per ladder level passed the interpreter's limit at n = 34
     assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)

@@ -27,6 +27,7 @@ from uschub.schubert import classical_single, universal_double, universal_single
 from uschub.specialize import (
     FlagProfile,
     _monomial_image,
+    _specialize,
     c_from_g,
     c_from_g_det,
     c_from_g_paths,
@@ -72,6 +73,15 @@ def test_c_from_g_recursion_step():
             for r in range(0, s):
                 total = total + Polynomial.var(g(k + 1 - r, r)) * c_from_g(s - r - 1, k - r)
             assert total == c_from_g(s, k + 1)
+
+
+def test_an_int_point_takes_one_recursion_step():
+    # c_2(3) -> c_2(2) + g_3[0] c_1(2) + g_2[1] and c_3(3) -> g_3[0] c_2(2) + g_2[1] c_1(1) + g_1[2]; the rest is kept
+    p = parse_text("c2(3)*c1(2)*x1 + c3(3) + c1(4)")
+    stepped = _specialize(p, 3)
+    assert stepped == parse_text("c2(2)*c1(2)*x1 + g3[0]*c1(2)^2*x1 + g2[1]*c1(2)*x1"
+                                 " + g3[0]*c2(2) + g2[1]*c1(1) + g1[2] + c1(4)")
+    assert to_g_form(stepped) == to_g_form(p)
 
 
 def test_c_from_g_printed_monomial():
@@ -185,6 +195,12 @@ def test_partial_flag_example():
 def test_partial_flag_rejects_non_members():
     with pytest.raises(ValueError):
         partial_flag_specialize(Permutation((3, 1, 2)), FlagProfile((2, 4)))
+
+
+def test_partial_flag_rejects_an_unknown_route():
+    with pytest.raises(ValueError) as err:
+        partial_flag_specialize(Permutation((2, 1)), FlagProfile((1, 2)), route="C")
+    assert str(err.value) == "unknown route 'C'"
 
 
 def test_classical_specialize_example():

@@ -21,7 +21,6 @@ from uschub.specialize import c_from_g, g_classical, to_g_form
 from uschub.uring import (
     RingElement,
     UniversalRing,
-    _omega_table,
     check_diagonal_vanishing,
     check_orthogonality,
     inner_product,
@@ -121,7 +120,7 @@ def test_top_is_the_walk_with_a_degree_floor():
         bound = n * (n + 1) // 2 + 2
         for exps in product(range(bound + 1), repeat=n + 1):
             if sum(exps) <= bound:
-                top = ring._nf_monomial(exps, ring._top_degree).get(stair, ZERO)
+                top = ring._nf_monomial(exps, ring.top_degree).get(stair, ZERO)
                 assert top == ring._nf_monomial(exps).get(stair, ZERO), (n, exps)
 
 
@@ -131,7 +130,7 @@ def test_walks_stop_at_the_budget(monkeypatch):
     with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
         ring.normal_form(_xp(2) ** 30)
     with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
-        ring._nf_monomial((0, 30, 0), ring._top_degree)
+        ring._nf_monomial((0, 30, 0), ring.top_degree)
     with pytest.raises(ArithmeticError, match="more than 50 stored g-terms"):
         ring.normal_form(_xp(3) ** 30)
     assert ring.normal_form(_xp(2) ** 3) == normal_form_reference(_xp(2) ** 3, 2)
@@ -451,7 +450,7 @@ def test_omega_matches_the_reference():
 def test_omega_table_permutes_its_keys():
     # relabel reads from such a table that no terms merge, so omega runs no merge sweep
     for n in range(1, 7):
-        table = _omega_table(n)
+        table = universal_ring(n).omega_table
         assert sorted(w.key for w, _ in table.values()) == sorted(v.key for v in table), n
 
 
@@ -484,18 +483,32 @@ def test_omega_rejects_out_of_range():
 
 
 def test_a_ring_needs_n_of_at_least_1():
-    # UniversalRing reads the refusal from _omega_table, which omega reads too
+    # omega reads the refusal from UniversalRing
     for build in (UniversalRing, lambda n: omega(ONE, n)):
         for n in (0, -1):
             with pytest.raises(ValueError, match="^n must be at least 1$"):
                 build(n)
 
 
-def test_omega_builds_no_ring():
-    # the rewrite rules of R_8 take tens of seconds, and omega reads none of them
+def test_omega_builds_no_rules():
+    # the rewrite rules of R_8 take seconds, and omega reads none of them
     polyring.clear_caches()
     assert omega(_xp(1), 8) == -_xp(9)
-    assert universal_ring.cache_info().currsize == 0
+    assert "_rules" not in vars(universal_ring(8))
+
+
+def test_rules_are_built_when_a_walk_first_leaves_the_staircase(time_limit):
+    # x1 is on the staircase of R_8, so its normal form reads no rule; x1^2 * x1 leaves the staircase of R_2
+    polyring.clear_caches()
+    with time_limit(1):
+        assert normal_form(_xp(1), 8).to_polynomial() == _xp(1)
+    assert "_rules" not in vars(universal_ring(8))
+    ring = universal_ring(2)
+    square = ring.normal_form(_xp(1) ** 2)
+    assert "_rules" not in vars(ring)
+    cube = ring.multiply(square, ring.normal_form(_xp(1)))
+    assert "_rules" in vars(ring)
+    assert cube == normal_form_reference(_xp(1) ** 3, 2)
 
 
 # -- the verification sweeps ---------------------------------------------------------
