@@ -315,7 +315,7 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
         # dropping exponents keeps the monomial's variable order
         rest = tuple((v, e) for v, e in exps.items() if e)
         relation = {mono: 1}
-        add_product(relation, rest, _rule_rhs(i, j, k), -1)
+        add_product(relation, {rest: -1}, _rule_rhs(i, j, k))
         written += len(relation) - 1
         if written > SQUARE_BUDGET:
             raise ArithmeticError(f"square elimination writes more than {SQUARE_BUDGET:,} terms")

@@ -423,11 +423,11 @@ def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
     return "".join(chunks) or "0"
 
 
-def add_product(acc: dict[Monomial, int], a: "Polynomial | Monomial", b: Polynomial, scale: int = 1) -> None:
-    """acc += scale * a * b, term by term, ``a`` a polynomial or one monomial: the one multiply-accumulate
+def add_product(acc: dict[Monomial, int], a: "Polynomial | dict[Monomial, int]", b: Polynomial, scale: int = 1) -> None:
+    """acc += scale * a * b, term by term, ``a`` a polynomial or its term dict: the one multiply-accumulate
     kernel.  Coefficients that cancel stay in ``acc`` as zeros; ``Polynomial(acc)`` drops them.
     """
-    for m1, c1 in a._terms.items() if isinstance(a, Polynomial) else ((a, 1),):
+    for m1, c1 in (a._terms if isinstance(a, Polynomial) else a).items():
         c1 *= scale
         for m2, c2 in b._terms.items():
             m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2

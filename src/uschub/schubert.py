@@ -12,10 +12,10 @@ Three flavours are constructed here, all exact:
 classical_single, universal_single and universal_cy are one loop (_ladder)
 up a word's first ascents to the longest word and back down from its top
 form, each level built once into a table per ladder and size.  The single
-form steps by the code operator MElement.partial from the top code
-(1, 2, ..., n) of S_{n+1}, so everything stays in integer code
-combinations; the classical polynomial, the oracle it must specialize to,
-by x divided differences from the staircase monomial of w's own S_m, and
+form steps by the code operator MElement.partial from the top code of w's
+own S_m, (1, ..., m-1) padded to length n, so everything stays in integer
+code combinations; the classical polynomial, the oracle it must specialize
+to, by x divided differences from the staircase monomial of S_m, and
 universal_cy by y divided differences from the dominant product, up the
 word of w^{-1}.  The tests hold further oracles in tests/oracles.py: the
 double Schubert polynomial classical_double, the substitution d_to_y, and
@@ -89,16 +89,16 @@ def divided_difference(p: Polynomial, k: int, kind: str = "x") -> Polynomial:
 
 @memo
 def _levels(size: int, ladder: str) -> dict:
-    """The levels one ladder has built in S_size, keyed by their words there; clear_caches empties them."""
+    """The levels one ladder has built at one size, keyed by their words; clear_caches empties them."""
     return {}
 
 
-def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[], object], step: Callable[[object, int], object]):
-    """The level of ``word`` on the named ladder: climb by swapping first ascents k, up to a built level or the
-    longest word, then swap back down, applying ``step(form, k)`` per k from that level or ``top()``.  The new
-    levels enter the table together after the last, so a climb that raises leaves none behind."""
-    levels, built, ks, word, k = _levels(len(word), ladder), {}, [], list(word), 1
-    # an empty table holds no level to meet, so the climb keys no word of length n + 1 until the top
+def _ladder(word: tuple[int, ...], levels: dict, top: Callable[[], object], step: Callable[[object, int], object]):
+    """The level of ``word`` in the table ``levels``: climb by swapping first ascents k, up to a built level or the
+    longest word of ``word``'s length, then swap back down, applying ``step(form, k)`` per k from that level or
+    ``top()``.  The new levels enter the table together after the last, so a climb that raises leaves none behind."""
+    built, ks, word, k = {}, [], list(word), 1
+    # an empty table holds no level to meet, so the climb keys no word until the top
     while not levels or (key := tuple(word)) not in levels:
         # positions 1..k fall after the swap at k, so the next first ascent is k - 1 or past k
         k = next((j for j in range(max(k - 1, 1), len(word)) if word[j - 1] < word[j]), 0)
@@ -121,14 +121,14 @@ def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[], object], step:
 def classical_single(w: Permutation) -> Polynomial:
     """Schubert polynomial of w in the x variables: x divided differences down from x_1^(m-1) ... x_(m-1) in S_m."""
     m = w.size
-    return _ladder(w.word, "classical", lambda: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
+    return _ladder(w.word, _levels(m, "classical"), lambda: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
                    divided_difference)
 
 
 # -- code combinations -------------------------------------------------------
 
 # The most codes one ladder level may hold (s_{m-1} in S_m peaks at 2^(m-2)), levels one climb may
-# build (n(n+1)/2 for the identity in S_{n+1}) and terms universal_cy's top form may hold ((n+1)! at n).
+# build ((m-1)(m-2)/2 for the cycle 2, 3, ..., m, 1 in S_m) and terms universal_cy's top form may hold ((n+1)! at n).
 LADDER_BUDGET = 1 << 17
 
 
@@ -246,13 +246,15 @@ class MElement:
 
 @memo
 def universal_single(w: Permutation, n: int) -> MElement:
-    """The code combination of w, built by the ladder operator from the top code.
+    """The code combination of w, the same in every S_{n+1} that holds w: its unique expansion in the codes.
 
-    The longest element of S_{n+1} has the single code (1, 2, ..., n); each
-    step down applies ``partial(k)`` at the first ascent k of w.
+    The climb stays in S_m, m = max(w.size, 1), as w(m) only falls, from the longest word's code (1, ..., m-1,
+    0, ..., 0) of length n; each step down applies ``partial(k)`` at the first ascent k of w.
     """
-    # as_tuple raises unless w fits in S_{n+1}
-    return _ladder(w.as_tuple(n + 1), "single", lambda: MElement({tuple(range(1, n + 1)): 1}, n), MElement.partial)
+    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
+    m = max(w.size, 1)
+    return _ladder(w.as_tuple(m), _levels(n, "single"), lambda: MElement({(*range(1, m), *(0,) * (n + 1 - m)): 1}, n),
+                   MElement.partial)
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -274,7 +276,7 @@ def universal_cy(w: Permutation, n: int) -> Polynomial:
     w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
     if (terms := factorial(n + 1)) > LADDER_BUDGET:  # one factor of i + 1 terms per i, in distinct variables
         raise ArithmeticError(f"the dominant product at n = {n} has {terms:,} terms, more than {LADDER_BUDGET:,}")
-    return _ladder(w.inverse().as_tuple(n + 1), "cy", lambda: prod((
+    return _ladder(w.inverse().as_tuple(n + 1), _levels(n + 1, "cy"), lambda: prod((
         Polynomial.sum(cpoly(i - j, i) * (-1) ** j * Polynomial.var(y(n + 1 - i)) ** j for j in range(i + 1))
         for i in range(1, n + 1)
     ), start=ONE), lambda p, k: -divided_difference(p, k, kind="y"))
@@ -294,7 +296,7 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
     level, sign = {(Permutation.identity(), w)}, 1
     while level:
         for v, u in level:
-            # u before v: on the first level u = w, so a w that does not fit is refused before any ladder is built
+            # u before v: on the first level u = w and v = e, so a w that does not fit is refused before e's level
             ccodes, dcodes = universal_single(u, n).codes.items(), universal_single(v, n).codes.items()
             for ccode, cc in ccodes:
                 for dcode, dc in dcodes:

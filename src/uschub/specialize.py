@@ -226,7 +226,7 @@ def _specialize(p: Polynomial, rule: str | int | FlagProfile) -> Polynomial:
             kept = tuple(pair for pair in m if pair[0] not in images) if len(mapped) < len(m) else ()
             for k in range(32, len(mapped), 32):  # short to long, so a cold monomial recurses at most 32 deep
                 _monomial_image(mapped[:k], rule)
-            add_product(acc, kept, _monomial_image(mapped, rule) if mapped else ONE, co)
+            add_product(acc, {kept: co}, _monomial_image(mapped, rule) if mapped else ONE)
     return Polynomial(acc)
 
 

@@ -28,9 +28,9 @@ g+ to the coefficient, and a product adds exponent tuples.  The rules are
 computed so, and a Schubert element is the split of its g-form, which is
 already reduced.  A normal form reads each input term once into raw term
 dicts by exponent tuple, drops the groups that cancel, then walks each
-tuple on one budget, memoizing one form per tuple.  ``_add_form`` adds a
-group's coefficient times a whole walked form into one accumulator of term
-dicts, and the sum becomes Polynomials once, at the end; the element is
+tuple on one budget, memoizing one form per tuple.  ``add_product`` adds a
+group's coefficient times its walked form, one term dict per staircase
+key, and the sums become Polynomials once, at the end; the element is
 built without re-checking what the ring made.  The walk steps x_{n+1}^b,
 b > 0, to (-(x_1 + ... + x_n))^b; the rules lose x_{n+1} by the same step.
 
@@ -70,7 +70,7 @@ from .polyring import (
     Polynomial,
     Variable,
     ZERO,
-    _mono_mul,
+    add_product,
     clear_caches,  # noqa: F401  (bench/ empties the memos by this name)
     complete_sym,
     elementary_sym,
@@ -103,25 +103,6 @@ def _drop_power(n: int, b: int) -> list[tuple[tuple[int, ...], Polynomial]]:
     for _ in range(n - 1):
         terms = [(exps + (a,), coeff * comb(left, a), left - a) for exps, coeff, left in terms for a in range(left, -1, -1)]
     return [((*exps, left, -b), Polynomial.const(coeff)) for exps, coeff, left in terms]
-
-
-def _add_form(acc: dict[tuple[int, ...], dict[Monomial, int]], scalar: Polynomial | dict[Monomial, int],
-              form: dict[tuple[int, ...], Polynomial], scale: int = 1) -> None:
-    """acc[stair] += scale * scalar * form[stair] for every staircase key of ``form``, in one call.
-
-    The R_n twin of ``polyring.add_product``: ``scalar`` is a polynomial or its term dict, and ``acc`` holds
-    term dicts, in which cancelled coefficients stay as zeros.
-    """
-    scalar = (scalar._terms if isinstance(scalar, Polynomial) else scalar).items()
-    for stair, poly in form.items():
-        terms = acc.get(stair)
-        if terms is None:
-            terms = acc[stair] = {}
-        for m1, c1 in scalar:
-            c1 *= scale
-            for m2, c2 in poly._terms.items():
-                m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
-                terms[m] = terms.get(m, 0) + c1 * c2
 
 
 def _over_budget(exps: tuple[int, ...]) -> ArithmeticError:
@@ -315,10 +296,11 @@ class UniversalRing:
         ]
 
     def _combine(self, parts, scale: int = 1) -> dict[tuple[int, ...], Polynomial]:
-        """scale * sum of scalar * form over (scalar, {x-exponents: coefficient}) pairs, through ``_add_form``."""
+        """scale * sum of scalar * form over (scalar, {x-exponents: coefficient}) pairs, by ``add_product`` per key."""
         acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
         for scalar, form in parts:
-            _add_form(acc, scalar, form, scale)
+            for stair, poly in form.items():
+                add_product(acc.setdefault(stair, {}), scalar, poly, scale)
         return {stair: poly for stair, terms in acc.items() if (poly := Polynomial(terms))}
 
     def _products(self, pairs):
@@ -404,7 +386,7 @@ class UniversalRing:
         if {a.n, b.n} != {self.n}:
             raise ValueError("mixed ambient n")
         # Forms of the floor walk hold the top staircase key at most.  Per alpha, the sum of pb * top(alpha + beta)
-        # comes first; pa then multiplies it as the form, the sum's term dict being the scalar.
+        # comes first; pa then multiplies it, the sum's term dict being the kernel's left operand.
         floor = self.top_degree
         right = [(floor - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
         acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
@@ -413,9 +395,10 @@ class UniversalRing:
             inner: dict[tuple[int, ...], dict[Monomial, int]] = {}
             for least, beta, pb in right:
                 if degree >= least:
-                    _add_form(inner, pb, self._nf_monomial(tuple(map(add, alpha, beta)), floor))
+                    for stair, poly in self._nf_monomial(tuple(map(add, alpha, beta)), floor).items():
+                        add_product(inner.setdefault(stair, {}), pb, poly)
             for stair, terms in inner.items():
-                _add_form(acc, terms, {stair: pa})
+                add_product(acc.setdefault(stair, {}), terms, pa)
         return Polynomial(acc.get(self.top_stair, {}))
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:

@@ -340,24 +340,37 @@ def test_a_bug_is_not_reported_as_an_error_line(monkeypatch):
         main(["single", "1", "--n", "3"])
 
 
+def cycle(m: int) -> str:
+    """The cycle 2, 3, ..., m, 1, whose climb in its own S_m is (m-1)(m-2)/2 levels of one code each."""
+    return ",".join(map(str, [*range(2, m + 1), 1]))
+
+
 def test_a_climb_past_the_budget_is_refused_in_a_time_independent_of_n(time_limit):
     # the climb keyed its word of length n + 1 at every level: 17-22 s at n = 20,000 before it exited 1
-    with time_limit(5):
-        code, out, err = run("single", "1", "--n", "20000")
-    assert (code, out, err) == (1, "", "error: the ladder needs more than 131,072 levels\n")
+    for m in (600, 20_000):
+        with time_limit(5):
+            code, out, err = run("single", cycle(m))
+        assert (code, out, err) == (1, "", "error: the ladder needs more than 131,072 levels\n")
 
 
 def test_a_climb_of_45k_levels_answers_and_one_past_the_budget_exits_1(time_limit):
     # n = 300 nested up to 2(n + 1) ladder calls and exited 1 past the interpreter's limit; the ladder is a loop now,
-    # and the identity's n(n+1)/2 levels pass LADDER_BUDGET from n = 512
+    # and the cycle's (m-1)(m-2)/2 levels pass LADDER_BUDGET from m = 514
     try:
         with time_limit(30):
-            assert run("single", "1", "--n", "300") == (0, "1\n", "")
+            assert run("single", cycle(301)) == (0, "c300(300)\n", "")
     finally:
         schubert.clear_caches()
     with time_limit(10):
-        code, out, err = run("single", "1", "--n", "600")
+        code, out, err = run("single", cycle(600))
     assert (code, out, err) == (1, "", "error: the ladder needs more than 131,072 levels\n")
+
+
+def test_short_words_answer_at_any_n(time_limit):
+    # the identity and 2,1 climbed all of S_{n+1}: about 2 s and 246 MB at n = 300, and refused from n = 512
+    with time_limit(2):
+        assert run("single", "1", "--n", "600") == (0, "1\n", "")
+        assert run("double", "21", "--n", "300") == (0, "c1(1) - d1(1)\n", "")
 
 
 def test_ladder_answers_long_and_padded_words(time_limit):

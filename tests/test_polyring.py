@@ -20,6 +20,7 @@ from uschub.polyring import (
     ONE,
     Variable,
     ZERO,
+    add_product,
     c,
     clear_caches,
     cpoly,
@@ -234,6 +235,19 @@ def test_coefficient_extraction():
     split = p.coefficients_by("x")
     assert split[mono] == parse_text("3*c1(1) - 2")
     assert split[()] == Polynomial.const(5)
+
+
+def test_add_product_takes_a_polynomial_or_its_term_dict_with_a_scale():
+    a, b = parse_text("2*x1 - c1(1) + 1"), parse_text("x1 + 3*g1[1]")
+    for left in (a, a.terms()):
+        acc = {}
+        add_product(acc, left, b)
+        assert Polynomial(acc) == a * b
+        add_product(acc, left, b, -3)
+        assert Polynomial(acc) == a * b * -2
+        # coefficients that cancel stay in the accumulator as zeros
+        add_product(acc, left, b, 2)
+        assert len(acc) == len(a * b) and set(acc.values()) == {0}
 
 
 def test_text_formatting_is_stable():

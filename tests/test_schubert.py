@@ -112,12 +112,20 @@ def test_divided_difference_kills_symmetric_input():
 
 
 def test_construction_routes_agree_on_s4():
-    # At n = 4 the window is padded: the ladder starts at longest(5).
+    # At n = 4 the window is padded: the ladder starts at the longest word of w's own S_m, its code padded with 0s.
     for n in (3, 4):
         for w in all_perms(4):
             ladder = universal_single(w, n)
             assert ladder.codes == e_expand(classical_single(w), n).codes
             assert zero_y(universal_cy(w, n)) == ladder.to_polynomial("c")
+
+
+def test_single_forms_are_stable_in_n():
+    # the ladder climbs w's own S_m only, whatever n is; e_expand writes the classical polynomial in the codes of n
+    for m, sizes in ((4, (3, 4, 5)), (5, (4, 5))):
+        for w in all_perms(m):
+            for n in sizes:
+                assert universal_single(w, n) == e_expand(classical_single(w), n), (w, n)
 
 
 def test_cy_route_is_the_double_polynomial_in_y():
@@ -197,17 +205,26 @@ def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch)
     schubert.clear_caches()
     with pytest.raises(ArithmeticError, match="codes at one level"):
         universal_single(Permutation((1, 2, 3, 4, 5, 7, 6)), 6)
-    assert universal_single.cache_info().currsize == 0 and schubert._levels(7, "single") == {}
+    assert universal_single.cache_info().currsize == 0 and schubert._levels(6, "single") == {}
 
 
 def test_a_climb_longer_than_the_budget_is_refused_before_it_builds(monkeypatch):
-    # the identity climbs n(n+1)/2 levels in S_{n+1}, and only the recursion limit stopped it when levels nested
+    # the cycle 2, 3, ..., m, 1 climbs (m-1)(m-2)/2 levels in S_m, and only the recursion limit stopped it when
+    # levels nested
     monkeypatch.setattr(schubert, "LADDER_BUDGET", 5)
     schubert.clear_caches()
     with pytest.raises(ArithmeticError, match="the ladder needs more than 5 levels"):
-        universal_single(Permutation.identity(), 3)
+        universal_single(Permutation((2, 3, 4, 5, 1)), 4)  # six levels
     assert schubert._levels(4, "single") == {}
-    assert universal_single(Permutation((2, 1)), 3) == MElement({(1, 0, 0): 1}, 3)  # five levels
+    assert universal_single(Permutation((2, 3, 5, 4, 1)), 4) == MElement({(0, 0, 1, 4): 1}, 4)  # five levels
+    schubert.clear_caches()
+
+
+def test_a_short_word_builds_only_the_levels_of_its_own_size():
+    # the identity climbed all n(n+1)/2 levels of S_{n+1}; in S_1 it is the longest word, one level
+    schubert.clear_caches()
+    assert universal_single(Permutation.identity(), 300) == MElement({(0,) * 300: 1}, 300)
+    assert list(schubert._levels(300, "single")) == [(1,)]
     schubert.clear_caches()
 
 
@@ -342,8 +359,8 @@ def test_cold_climbs_run_a_few_dozen_frames_deep():
     schubert.clear_caches()
     sys.setrecursionlimit(depth + 40)
     try:
-        assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
-        assert universal_single(Permutation((*range(2, 62), 1)), 60).codes == {(0,) * 59 + (60,): 1}
+        cycle = universal_single(Permutation((*range(2, 62), 1)), 60)  # a cold climb: 1,771 levels of S_61
+        assert cycle.codes == {(0,) * 59 + (60,): 1} and cycle.to_polynomial("c").text() == "c60(60)"
         w = Permutation((*range(1, 49), 50, 49))
         assert classical_single(w) == Polynomial.sum(Polynomial.var(x(i)) for i in range(1, 50))
         for w in all_perms(6):
