@@ -10,13 +10,13 @@ Three flavours are constructed here, all exact:
     universal_double(w, n)    Z[c; y] and Z[c; d] respectively
 
 classical_single, universal_single and universal_cy are one loop (_ladder)
-up a word's first ascents to the longest word and back down from its top
-form, each level built once into a table per ladder and size.  The single
-form steps by the code operator MElement.partial from the top code of w's
-own S_m, (1, ..., m-1) padded to length n, so everything stays in integer
-code combinations; the classical polynomial, the oracle it must specialize
+up a word's first ascents to the longest word of its own S_m and back down
+from its top form, each level built once into a table per ladder and m,
+whatever n is.  The single form steps by the code operator MElement.partial
+from S_m's top code (1, ..., m-1), in integer code combinations padded to
+length n on return; the classical polynomial, the oracle it must specialize
 to, by x divided differences from the staircase monomial of S_m, and
-universal_cy by y divided differences from the dominant product, up the
+universal_cy by y divided differences from S_m's dominant product, up the
 word of w^{-1}.  The tests hold further oracles in tests/oracles.py: the
 double Schubert polynomial classical_double, the substitution d_to_y, and
 e_expand, the basis change from classical_single to code combinations.
@@ -93,17 +93,17 @@ def _levels(size: int, ladder: str) -> dict:
     return {}
 
 
-def _ladder(word: tuple[int, ...], levels: dict, top: Callable[[], object], step: Callable[[object, int], object]):
-    """The level of ``word`` in the table ``levels``: climb by swapping first ascents k, up to a built level or the
-    longest word of ``word``'s length, then swap back down, applying ``step(form, k)`` per k from that level or
-    ``top()``.  The new levels enter the table together after the last, so a climb that raises leaves none behind."""
-    built, ks, word, k = {}, [], list(word), 1
+def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[int], object], step: Callable[[object, int], object]):
+    """The level of the trimmed ``word`` in its ladder's table of size m = len(word): climb by swapping first ascents k
+    up to a built level or S_m's longest word, then swap back down, applying ``step(form, k)`` per k from that level
+    or ``top(m)``.  The new levels enter the table together after the last, so a climb that raises leaves none."""
+    levels, built, ks, word, k = _levels(len(word), ladder), {}, [], list(word), 1
     # an empty table holds no level to meet, so the climb keys no word until the top
     while not levels or (key := tuple(word)) not in levels:
         # positions 1..k fall after the swap at k, so the next first ascent is k - 1 or past k
         k = next((j for j in range(max(k - 1, 1), len(word)) if word[j - 1] < word[j]), 0)
         if not k:  # the longest word
-            built[key := tuple(word)] = top()
+            built[key := tuple(word)] = top(len(word))
             break
         if len(ks) == LADDER_BUDGET:  # before the levels are built: each holds one word and at least one term
             raise ArithmeticError(f"the ladder needs more than {LADDER_BUDGET:,} levels")
@@ -120,15 +120,14 @@ def _ladder(word: tuple[int, ...], levels: dict, top: Callable[[], object], step
 @memo
 def classical_single(w: Permutation) -> Polynomial:
     """Schubert polynomial of w in the x variables: x divided differences down from x_1^(m-1) ... x_(m-1) in S_m."""
-    m = w.size
-    return _ladder(w.word, _levels(m, "classical"), lambda: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
+    return _ladder(w.word, "classical", lambda m: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
                    divided_difference)
 
 
 # -- code combinations -------------------------------------------------------
 
 # The most codes one ladder level may hold (s_{m-1} in S_m peaks at 2^(m-2)), levels one climb may
-# build ((m-1)(m-2)/2 for the cycle 2, 3, ..., m, 1 in S_m) and terms universal_cy's top form may hold ((n+1)! at n).
+# build ((m-1)(m-2)/2 for the cycle 2, 3, ..., m, 1 in S_m) and terms universal_cy's top form may hold (m! in S_m).
 LADDER_BUDGET = 1 << 17
 
 
@@ -248,13 +247,12 @@ class MElement:
 def universal_single(w: Permutation, n: int) -> MElement:
     """The code combination of w, the same in every S_{n+1} that holds w: its unique expansion in the codes.
 
-    The climb stays in S_m, m = max(w.size, 1), as w(m) only falls, from the longest word's code (1, ..., m-1,
-    0, ..., 0) of length n; each step down applies ``partial(k)`` at the first ascent k of w.
+    The climb stays in w's own S_m from the longest word's code (1, ..., m-1); each step down applies ``partial(k)``
+    at the first ascent k of w.  The codes are then padded with zeros to length n.
     """
     w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
-    m = max(w.size, 1)
-    return _ladder(w.as_tuple(m), _levels(n, "single"), lambda: MElement({(*range(1, m), *(0,) * (n + 1 - m)): 1}, n),
-                   MElement.partial)
+    own = _ladder(w.word, "single", lambda m: MElement({tuple(range(1, m)): 1}, max(m - 1, 0)), MElement.partial)
+    return MElement({code + (0,) * (n - own.n): coeff for code, coeff in own.codes.items()}, n) if n > own.n else own
 
 
 # bench/workloads.py still calls the ladder by this name; keep the alias
@@ -266,20 +264,22 @@ universal_single_inductive = universal_single
 
 @memo
 def universal_cy(w: Permutation, n: int) -> Polynomial:
-    """The mixed form in c and y, from the dominant product by y-ladders.
+    """The mixed form in c and y, from the dominant product by y-ladders, in w's own S_m.
 
-    The top element of S_{n+1} gets
-    prod_{i=1}^{n} sum_{j=0}^{i} c_{i-j}(i) (-y_{n+1-i})^j, and each
+    The top element of S_m gets
+    prod_{i=1}^{m-1} sum_{j=0}^{i} c_{i-j}(i) (-y_{m-i})^j, and each
     step down multiplies by -1 and applies the y divided difference at
     a position k whose value k sits left of k+1: a first ascent of w^{-1}.
     """
     w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
-    if (terms := factorial(n + 1)) > LADDER_BUDGET:  # one factor of i + 1 terms per i, in distinct variables
-        raise ArithmeticError(f"the dominant product at n = {n} has {terms:,} terms, more than {LADDER_BUDGET:,}")
-    return _ladder(w.inverse().as_tuple(n + 1), _levels(n + 1, "cy"), lambda: prod((
-        Polynomial.sum(cpoly(i - j, i) * (-1) ** j * Polynomial.var(y(n + 1 - i)) ** j for j in range(i + 1))
-        for i in range(1, n + 1)
-    ), start=ONE), lambda p, k: -divided_difference(p, k, kind="y"))
+
+    def top(m: int) -> Polynomial:
+        if (terms := factorial(m)) > LADDER_BUDGET:  # one factor of i + 1 terms per i, in distinct variables
+            raise ArithmeticError(f"the dominant product at n = {m - 1} has {terms:,} terms, more than {LADDER_BUDGET:,}")
+        return prod((Polynomial.sum(cpoly(i - j, i) * (-1) ** j * Polynomial.var(y(m - i)) ** j for j in range(i + 1))
+                     for i in range(1, m)), start=ONE)
+
+    return _ladder(w.inverse().word, "cy", top, lambda p, k: -divided_difference(p, k, kind="y"))
 
 
 @memo
@@ -292,12 +292,13 @@ def universal_double(w: Permutation, n: int) -> Polynomial:
     not one of v^{-1}, so l(u) drops by one as l(v) grows by one.  Those
     descents are read off the words: the values k standing right of k+1.
     """
+    w.as_tuple(n + 1)  # raises unless w fits in S_{n+1}
+    own = max(w.size - 1, 0)  # every u and v lies in w's own S_m, and a single form does not change with n
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     level, sign = {(Permutation.identity(), w)}, 1
     while level:
         for v, u in level:
-            # u before v: on the first level u = w and v = e, so a w that does not fit is refused before e's level
-            ccodes, dcodes = universal_single(u, n).codes.items(), universal_single(v, n).codes.items()
+            ccodes, dcodes = universal_single(u, own).codes.items(), universal_single(v, own).codes.items()
             for ccode, cc in ccodes:
                 for dcode, dc in dcodes:
                     acc[ccode, dcode] = acc.get((ccode, dcode), 0) + sign * cc * dc

@@ -385,21 +385,18 @@ class UniversalRing:
         """The top staircase coefficient of a*b, without building the product."""
         if {a.n, b.n} != {self.n}:
             raise ValueError("mixed ambient n")
-        # Forms of the floor walk hold the top staircase key at most.  Per alpha, the sum of pb * top(alpha + beta)
-        # comes first; pa then multiplies it, the sum's term dict being the kernel's left operand.
-        floor = self.top_degree
+        # x_1^n ... x_n is the only staircase key at the floor's degree, so a form of the floor walk holds it at most
+        floor, top = self.top_degree, self.top_stair
         right = [(floor - sum(beta), beta, pb) for beta, pb in b.coeffs.items()]
-        acc: dict[tuple[int, ...], dict[Monomial, int]] = {}
+        acc: dict[Monomial, int] = {}
         for alpha, pa in a.coeffs.items():
             degree = sum(alpha)
-            inner: dict[tuple[int, ...], dict[Monomial, int]] = {}
+            inner: dict[Monomial, int] = {}
             for least, beta, pb in right:
                 if degree >= least:
-                    for stair, poly in self._nf_monomial(tuple(map(add, alpha, beta)), floor).items():
-                        add_product(inner.setdefault(stair, {}), pb, poly)
-            for stair, terms in inner.items():
-                add_product(acc.setdefault(stair, {}), terms, pa)
-        return Polynomial(acc.get(self.top_stair, {}))
+                    add_product(inner, pb, self._nf_monomial(tuple(map(add, alpha, beta)), floor).get(top, ZERO))
+            add_product(acc, inner, pa)
+        return Polynomial(acc)
 
     def inner_product_w0(self, a: RingElement, b: RingElement) -> Polynomial:
         return self.schubert_basis_expand(self.multiply(a, b)).get(self.w0, ZERO)

@@ -112,7 +112,7 @@ def test_divided_difference_kills_symmetric_input():
 
 
 def test_construction_routes_agree_on_s4():
-    # At n = 4 the window is padded: the ladder starts at the longest word of w's own S_m, its code padded with 0s.
+    # At n = 4 the codes are padded: the ladder climbs w's own S_m, and its codes are padded with 0s on return.
     for n in (3, 4):
         for w in all_perms(4):
             ladder = universal_single(w, n)
@@ -129,8 +129,11 @@ def test_single_forms_are_stable_in_n():
 
 
 def test_cy_route_is_the_double_polynomial_in_y():
-    for w in all_perms(4):
-        assert universal_cy(w, 3) == d_to_y(universal_double(w, 3))
+    # 504 cases: the y ladder climbs w's own S_m, so its form must not change with n
+    for m in range(1, 6):
+        for w in all_perms(m):
+            for n in range(max(m - 1, 1), 7):
+                assert universal_cy(w, n) == d_to_y(universal_double(w, n)), (w, n)
 
 
 def test_classical_specialization_matches_the_oracles():
@@ -205,7 +208,7 @@ def test_a_walk_stopped_at_the_ladder_budget_leaves_no_level_cached(monkeypatch)
     schubert.clear_caches()
     with pytest.raises(ArithmeticError, match="codes at one level"):
         universal_single(Permutation((1, 2, 3, 4, 5, 7, 6)), 6)
-    assert universal_single.cache_info().currsize == 0 and schubert._levels(6, "single") == {}
+    assert universal_single.cache_info().currsize == 0 and schubert._levels(7, "single") == {}
 
 
 def test_a_climb_longer_than_the_budget_is_refused_before_it_builds(monkeypatch):
@@ -215,16 +218,29 @@ def test_a_climb_longer_than_the_budget_is_refused_before_it_builds(monkeypatch)
     schubert.clear_caches()
     with pytest.raises(ArithmeticError, match="the ladder needs more than 5 levels"):
         universal_single(Permutation((2, 3, 4, 5, 1)), 4)  # six levels
-    assert schubert._levels(4, "single") == {}
+    assert schubert._levels(5, "single") == {}
     assert universal_single(Permutation((2, 3, 5, 4, 1)), 4) == MElement({(0, 0, 1, 4): 1}, 4)  # five levels
     schubert.clear_caches()
 
 
 def test_a_short_word_builds_only_the_levels_of_its_own_size():
-    # the identity climbed all n(n+1)/2 levels of S_{n+1}; in S_1 it is the longest word, one level
+    # the identity climbed all n(n+1)/2 levels of S_{n+1}, past the interpreter's limit from n = 34 while each level
+    # was one nested call; its trimmed word is the longest word of S_0, one level in the table of size 0
     schubert.clear_caches()
     assert universal_single(Permutation.identity(), 300) == MElement({(0,) * 300: 1}, 300)
-    assert list(schubert._levels(300, "single")) == [(1,)]
+    assert list(schubert._levels(0, "single")) == [()] and schubert._levels(300, "single") == {}
+    assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
+    assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
+    schubert.clear_caches()
+
+
+def test_a_word_asked_at_several_n_builds_its_levels_once():
+    # each n filled a table of its own with the same 436 levels of S_31, padded: 1,308 levels for three sizes
+    schubert.clear_caches()
+    w = Permutation((*range(2, 32), 1))
+    for n in (30, 31, 32):
+        assert universal_single(w, n).codes == {(0,) * 29 + (30,) + (0,) * (n - 30): 1}
+    assert sum(len(schubert._levels(size, "single")) for size in range(34)) == 436
     schubert.clear_caches()
 
 
@@ -272,20 +288,18 @@ def test_melement_refuses_a_bad_operator_index_and_a_square(build, message):
     assert str(err.value) == message
 
 
-def test_long_climbs_answer_below_the_recursion_limit():
-    # one nested call per ladder level passed the interpreter's limit at n = 34
-    assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
-    assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
-    schubert.clear_caches()
-
-
 def test_the_y_ladder_refuses_a_dominant_product_past_the_budget(time_limit):
-    # (n + 1)! terms: only the recursion limit stopped n = 40, and a loop would start on a 41!-term product
+    # m! terms in w's own S_m: only the recursion limit stopped s_40 at n = 40, and a loop would start on a 41!-term
+    # product
     with time_limit(1), pytest.raises(ArithmeticError, match=r"the dominant product at n = 40 has [\d,]+ terms"):
-        universal_cy(Permutation((2, 1)), 40)
+        universal_cy(Permutation((*range(1, 40), 41, 40)), 40)
     with pytest.raises(ArithmeticError) as err:
-        universal_cy(Permutation.identity(), 8)
+        universal_cy(Permutation((*range(1, 8), 9, 8)), 8)
     assert str(err.value) == "the dominant product at n = 8 has 362,880 terms, more than 131,072"
+    # a short word climbs its own S_m: both were refused when every word climbed all of S_{n+1}
+    with time_limit(1):
+        assert universal_cy(Permutation((2, 1)), 40).text() == "c1(1) - y1"
+    assert universal_cy(Permutation.identity(), 8) == ONE
     # the fit check reads w itself, whose inverse is (3,1,2)
     with pytest.raises(ValueError, match=r"^\(2,3,1\) does not fit in S_2$"):
         universal_cy(Permutation((2, 3, 1)), 1)
