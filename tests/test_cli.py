@@ -370,9 +370,6 @@ def test_short_words_answer_at_any_n(time_limit):
     # the identity and 2,1 climbed all of S_{n+1}: past the interpreter's recursion limit from n = 34 while every
     # ladder level was one nested call, about 2 s and 246 MB at n = 300, and refused from n = 512
     with time_limit(2):
-        assert run("single", "1", "--n", "35") == (0, "1\n", "")
-        assert run("double", "21", "--n", "40") == (0, "c1(1) - d1(1)\n", "")
-        assert run("specialize", "2,1", "--rule", "gform", "--n", "40") == (0, "g1[0]\n", "")
         assert run("single", "1", "--n", "600") == (0, "1\n", "")
         assert run("double", "21", "--n", "300") == (0, "c1(1) - d1(1)\n", "")
 
@@ -383,6 +380,18 @@ def test_ladder_answers_long_and_padded_words(time_limit):
     with time_limit(10):
         assert run("single", "1,2,3,4,5,6,7,8,9,10,12,11") == (0, "c1(11)\n", "")
         assert run("single", "4,3,2,1", "--n", "6") == (0, "c1(1)*c2(2)*c3(3)\n", "")
+
+
+@pytest.mark.parametrize("args, out", [
+    (("single", "1", "--n", "35"), "1\n"),
+    (("double", "21", "--n", "40"), "c1(1) - d1(1)\n"),
+    (("specialize", "2,1", "--rule", "gform", "--n", "40"), "g1[0]\n"),
+], ids=["single", "double", "specialize"])
+def test_long_climbs_answer(args, out, time_limit):
+    # each exited 1 at the interpreter's recursion limit when every ladder level was one nested call; each word now
+    # builds one level of its own S_m, and the cycle tests above walk long climbs
+    with time_limit(10):
+        assert run(*args) == (0, out, "")
 
 
 def test_long_ladders_exit_1_at_the_budget():
