@@ -310,8 +310,8 @@ def rewrite_no_squares(p: Polynomial, n: int | None = None) -> Polynomial:
             return mono, {mono: 1}
         k, i, j = pair
         exps = dict(mono)
-        exps[Variable("c", i, k, i)] -= 1
-        exps[Variable("c", j, k, j)] -= 1
+        exps[Variable("c", i, k)] -= 1
+        exps[Variable("c", j, k)] -= 1
         # dropping exponents keeps the monomial's variable order
         rest = tuple((v, e) for v, e in exps.items() if e)
         relation = {mono: 1}

@@ -8,9 +8,11 @@ is exact.  Variables come from seven indexed families:
     x_i, y_i          i >= 1, graded degree 1
     q_i               i >= 1, caller-assigned degree (2 by default)
 
-The conventions c_0(j) = 1 and c_i(j) = 0 for i < 0 or i > j live in
-:func:`_chern_edge`, which :func:`cpoly` and the other expression-level
-constructors read; a raw :class:`Variable` has indices in the legal range.
+:class:`Variable` checks these rules and derives the degree, so a raw
+Variable has indices in the legal range, and a family trade, which keeps
+i and j, stays inside c/d or inside g/h.  The conventions c_0(j) = 1 and
+c_i(j) = 0 for i < 0 or i > j live in :func:`_chern_edge`, which
+:func:`cpoly` and the other expression-level constructors read.
 
 Variables are interned, one object per (kind, i, j, degree), so they are
 compared and hashed by identity.  A monomial is a sorted tuple of
@@ -59,13 +61,19 @@ class Variable:
 
     __slots__ = ("kind", "i", "j", "degree", "key", "_text", "_latex")
 
-    def __new__(cls, kind: str, i: int, j: int | None, degree: int) -> "Variable":
+    def __new__(cls, kind: str, i: int, j: int | None = None, degree: int | None = None) -> "Variable":
         # before the lookup: 1.0 and True equal 1, so x1.0 or cTrue(2) would be interned under the key of x1 or c1(2)
-        if not (type(i) is type(degree) is int and (j is None or type(j) is int)):
+        if not (type(i) is int and (j is None or type(j) is int) and (degree is None or type(degree) is int)):
             raise TypeError(f"variable indices and degree must be ints, got {kind}, {i!r}, {j!r}, {degree!r}")
+        if degree is None:  # the family's: 1 for x/y, i for c/d, j + 1 for g/h, 2 for q
+            degree = (1 if kind in ("x", "y") else i if kind in ("c", "d")
+                      else j + 1 if kind in ("g", "h") and j is not None else 2)
         ident = (kind, i, j, degree)
         v = _INTERNED.get(ident)
         if v is None:
+            # the family rules, once per variable: a warm lookup finds only variables that passed them
+            if kind not in _KIND_RANK or (kind in _PAIRED) == (j is None):
+                raise ValueError(f"the variable kinds are c, d, g, h with a j and x, y, q without, got {kind!r}, j = {j}")
             v = object.__new__(cls)
             key = (_KIND_RANK[kind], i, -1 if j is None else j, degree)
             for name, value in zip(cls.__slots__, (*ident, key)):
@@ -73,6 +81,15 @@ class Variable:
             # both names once per variable, not once per occurrence in a render
             object.__setattr__(v, "_text", v._name("", ""))
             object.__setattr__(v, "_latex", v._name("_{", "}"))
+            rule, legal, family = (("1 <= i <= j", 1 <= i <= j, i) if kind in ("c", "d")
+                                   else ("i >= 1, j >= 0", i >= 1 and j >= 0, j + 1) if kind in ("g", "h")
+                                   else ("i >= 1", i >= 1, 1) if kind in ("x", "y")
+                                   else ("i >= 1 and a positive degree", i >= 1 and degree >= 1, degree))
+            if not legal:
+                shown = f"{v._text} deg {degree}" if kind == "q" else v._text
+                raise ValueError(f"{kind}-variable needs {rule}, got {shown}")
+            if degree != family:
+                raise ValueError(f"{v._text} has degree {family}, got {degree}")
             # publish only a finished object, and keep the first if two threads race
             v = _INTERNED.setdefault(ident, v)
         return v
@@ -107,44 +124,30 @@ class Variable:
 
 
 def c(i: int, j: int) -> Variable:
-    if not 1 <= i <= j:
-        raise ValueError(f"c-variable needs 1 <= i <= j, got c{i}({j})")
-    return Variable("c", i, j, i)
+    return Variable("c", i, j)
 
 
 def d(i: int, j: int) -> Variable:
-    if not 1 <= i <= j:
-        raise ValueError(f"d-variable needs 1 <= i <= j, got d{i}({j})")
-    return Variable("d", i, j, i)
+    return Variable("d", i, j)
 
 
 def g(i: int, j: int) -> Variable:
-    if i < 1 or j < 0:
-        raise ValueError(f"g-variable needs i >= 1, j >= 0, got g{i}[{j}]")
-    return Variable("g", i, j, j + 1)
+    return Variable("g", i, j)
 
 
 def h(i: int, j: int) -> Variable:
-    if i < 1 or j < 0:
-        raise ValueError(f"h-variable needs i >= 1, j >= 0, got h{i}[{j}]")
-    return Variable("h", i, j, j + 1)
+    return Variable("h", i, j)
 
 
 def x(i: int) -> Variable:
-    if i < 1:
-        raise ValueError(f"x-variable needs i >= 1, got x{i}")
-    return Variable("x", i, None, 1)
+    return Variable("x", i)
 
 
 def y(i: int) -> Variable:
-    if i < 1:
-        raise ValueError(f"y-variable needs i >= 1, got y{i}")
-    return Variable("y", i, None, 1)
+    return Variable("y", i)
 
 
 def q(i: int, degree: int = 2) -> Variable:
-    if i < 1 or degree < 1:
-        raise ValueError(f"q-variable needs i >= 1 and a positive degree, got q{i} deg {degree}")
     return Variable("q", i, None, degree)
 
 
@@ -404,10 +407,11 @@ ONE = Polynomial.one()
 
 
 def _trade_table(p: Polynomial, trade: dict[str, str]) -> dict[Variable, tuple[Variable, int]]:
-    """The relabel table moving each variable of ``p`` in a paired family to the family ``trade`` names."""
-    if not set(trade) | set(trade.values()) <= _PAIRED:
-        raise ValueError("kind renaming only applies to the c/d/g/h families")
-    return {v: (Variable(trade[v.kind], v.i, v.j, v.degree), 1) for v in p.variables() if v.kind in trade}
+    """The relabel table moving each variable of ``p`` in a traded family to the family ``trade`` names: a c/d
+    class keeps its degree i and a g/h class its degree j + 1 only inside its own pair of families."""
+    if any({src, dst} - {"c", "d"} and {src, dst} - {"g", "h"} for src, dst in trade.items()):
+        raise ValueError("kind renaming trades inside the c/d or the g/h families only")
+    return {v: (Variable(trade[v.kind], v.i, v.j), 1) for v in p.variables() if v.kind in trade}
 
 
 def signed_sum(terms: Iterable[tuple[str, int]], times: str) -> str:
@@ -505,9 +509,6 @@ _TOKEN_RE = re.compile(
     r")"
 )
 
-# Variable constructors by kind; their arguments are the indices, then a q-degree.
-_VARIABLE = {"c": c, "d": d, "g": g, "h": h, "x": x, "y": y, "q": q}
-
 
 def _tokenize(s: str) -> list:
     tokens = []
@@ -521,7 +522,7 @@ def _tokenize(s: str) -> list:
         pos = m.end()
         if m.group("var"):
             name = m.group("var")
-            tokens.append(("var", _VARIABLE[name[0]](*map(int, re.findall(r"\d+", name)))))
+            tokens.append(("var", Variable(name[0], *map(int, re.findall(r"\d+", name)))))
         elif m.group("num"):
             tokens.append(("num", int(m.group("num"))))
         else:
@@ -608,12 +609,12 @@ def parse_json(data: dict | str) -> Polynomial:
         coeff = int(field(t, "coeff", lambda v: type(v) is int or type(v) is str and _INT_TEXT.fullmatch(v)))
         exps: dict[Variable, int] = {}
         for v in field(t, "vars", lambda v: type(v) is list):
-            kind = field(v, "kind", lambda k: type(k) is str and k in _VARIABLE)
+            kind = field(v, "kind", lambda k: type(k) is str and k in _KIND_RANK)
             indices = ("i", "j") if kind in _PAIRED else ("i", "degree") if kind == "q" and "degree" in v else ("i",)
             if stray := [key for key in v if key not in ("kind", "exp", *indices)]:
                 raise ValueError(f"polynomial JSON field {stray[0]!r} does not belong to a {kind}-variable")
             exp = field(v, "exp", lambda e: type(e) is int and e >= 0)
-            var = _VARIABLE[kind](*(field(v, key) for key in indices))
+            var = Variable(kind, **{key: field(v, key) for key in indices})
             exps[var] = exps.get(var, 0) + exp
         m = tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda p: p[0].key))
         acc[m] = acc.get(m, 0) + coeff

@@ -117,7 +117,6 @@ def _ladder(word: tuple[int, ...], ladder: str, top: Callable[[int], object], st
     return form
 
 
-@memo
 def classical_single(w: Permutation) -> Polynomial:
     """Schubert polynomial of w in the x variables: x divided differences down from x_1^(m-1) ... x_(m-1) in S_m."""
     return _ladder(w.word, "classical", lambda m: Polynomial({tuple((x(i), m - i) for i in range(1, m)): 1}),
@@ -136,7 +135,7 @@ LADDER_BUDGET = 1 << 17
 def _code_monomial(code: tuple[int, ...], kind: str) -> Monomial:
     """The sorted monomial kind_{i_1}(1) ... kind_{i_n}(n), reading a zero entry as 1."""
     pairs = sorted((i, point) for point, i in enumerate(code, start=1) if i)
-    return tuple((Variable(kind, i, point, i), 1) for i, point in pairs)
+    return tuple((Variable(kind, i, point), 1) for i, point in pairs)
 
 
 class MElement:
@@ -262,7 +261,6 @@ universal_single_inductive = universal_single
 
 # -- universal double forms ---------------------------------------------------
 
-@memo
 def universal_cy(w: Permutation, n: int) -> Polynomial:
     """The mixed form in c and y, from the dominant product by y-ladders, in w's own S_m.
 

@@ -234,7 +234,7 @@ def round_points(p: Polynomial, ranks: dict[str, tuple[int, ...]]) -> Polynomial
     """Send each c_i(j) or d_i(j) of a family ``ranks`` lists, "c" or "d", to the same class at the largest
     listed rank r <= j, or to 0 when i > r or no rank is <= j (c_i of a rank-0 bundle vanishes): one relabel."""
     at = {v: max((r for r in ranks[v.kind] if r <= v.j), default=0) for v in p.variables() if v.kind in ranks}
-    return p.relabel({v: (Variable(v.kind, v.i, r, v.i), 1) if v.i <= r else None for v, r in at.items()})
+    return p.relabel({v: (Variable(v.kind, v.i, r), 1) if v.i <= r else None for v, r in at.items()})
 
 
 def partial_flag_specialize(w: Permutation, profile: FlagProfile, route: str = "A") -> Polynomial:

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
-from operator import add, gt
+from operator import add
 
 from .permutations import Permutation, all_perms
 from .polyring import (
@@ -125,21 +125,19 @@ class RingElement:
     def __init__(self, n: int, coeffs: dict[tuple[int, ...], Polynomial]):
         self.n = n
         ring = universal_ring(n)
-        clean = {}
         for exps, poly in coeffs.items():
-            if len(exps) != n + 1 or exps[-1] != 0:
-                raise ValueError("exponent tuple must have length n+1 and end in 0")
-            if any(map(gt, exps, ring.top_stair)):
-                raise ValueError("exponents exceed the staircase bound")
-            for mono in poly.terms():
-                for v, _ in mono:
-                    if v.kind != "g" or v not in ring.omega_table:
-                        v = min(v for p in coeffs.values() for v in p.variables()
-                                if v.kind != "g" or v not in ring.omega_table)
-                        raise ValueError(f"{v.text()} is outside Z[g+] for n = {n}")
-            if poly:
-                clean[exps] = poly
-        self.coeffs = clean
+            if len(exps) != n + 1:
+                raise ValueError(f"exponent tuple {exps} must have length n+1 = {n + 1}")
+            for e, top in zip(exps, ring.top_stair):
+                if type(e) is not int:  # a bool too: True would read as the exponent 1
+                    raise TypeError(f"exponent entry {e!r} of {exps} is not an int")
+                if not 0 <= e <= top:
+                    raise ValueError(f"exponent entry {e} of {exps} is outside 0..{top}, the staircase bound")
+            if not isinstance(poly, Polynomial):
+                raise TypeError(f"coefficient {poly!r} of {exps} is not a Polynomial")
+        if foreign := [v for p in coeffs.values() for v in p.variables() if v.kind != "g" or v not in ring.omega_table]:
+            raise ValueError(f"{min(foreign).text()} is outside Z[g+] for n = {n}")
+        self.coeffs = {exps: poly for exps, poly in coeffs.items() if poly}
 
     @classmethod
     def _of(cls, n: int, coeffs: dict[tuple[int, ...], Polynomial]) -> "RingElement":

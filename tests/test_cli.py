@@ -29,8 +29,8 @@ from uschub import schubert
 from uschub.cli import build_parser, main
 from uschub.formulas import det19_census, det19_record
 from uschub.permutations import Permutation
-from uschub.polyring import parse_json
-from uschub.schubert import universal_single
+from uschub.polyring import ONE, parse_json
+from uschub.schubert import MElement, universal_single
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "s3_table.txt"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -372,6 +372,11 @@ def test_short_words_answer_at_any_n(time_limit):
     with time_limit(2):
         assert run("single", "1", "--n", "600") == (0, "1\n", "")
         assert run("double", "21", "--n", "300") == (0, "c1(1) - d1(1)\n", "")
+        assert run("single", "1", "--n", "35") == (0, "1\n", "")
+        assert run("double", "21", "--n", "40") == (0, "c1(1) - d1(1)\n", "")
+        assert run("specialize", "2,1", "--rule", "gform", "--n", "40") == (0, "g1[0]\n", "")
+        assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
+        assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
 
 
 def test_ladder_answers_long_and_padded_words(time_limit):
@@ -382,16 +387,23 @@ def test_ladder_answers_long_and_padded_words(time_limit):
         assert run("single", "4,3,2,1", "--n", "6") == (0, "c1(1)*c2(2)*c3(3)\n", "")
 
 
-@pytest.mark.parametrize("args, out", [
-    (("single", "1", "--n", "35"), "1\n"),
-    (("double", "21", "--n", "40"), "c1(1) - d1(1)\n"),
-    (("specialize", "2,1", "--rule", "gform", "--n", "40"), "g1[0]\n"),
+@pytest.mark.parametrize("args, out, levels", [
+    (("single", cycle(48), "--n", "47"), "c47(47)\n", 1 + 1_081),
+    (("double", cycle(12)), "99c289b70a995b2e7bc4d5d938b00501b4587559abc017c84e12279be7f51afd", 706),
+    (("specialize", cycle(48), "--rule", "classical"), "*".join(f"x{i}" for i in range(1, 48)) + "\n", 1 + 1_081),
 ], ids=["single", "double", "specialize"])
-def test_long_climbs_answer(args, out, time_limit):
-    # each exited 1 at the interpreter's recursion limit when every ladder level was one nested call; each word now
-    # builds one level of its own S_m, and the cycle tests above walk long climbs
-    with time_limit(10):
-        assert run(*args) == (0, out, "")
+def test_long_climbs_answer(args, out, levels, time_limit):
+    # each exited 1 at the interpreter's recursion limit when every ladder level was one nested call.  A cycle in S_48
+    # climbs 1,081 levels below its top; the double of the cycle in S_12 (80,900 bytes, given by its digest) climbs
+    # the single forms of all its factors, 706 levels of S_12
+    schubert.clear_caches()
+    try:
+        with time_limit(10):
+            code, text, err = run(*args)
+        assert (code, err) == (0, "") and out in (text, sha256(text.encode()).hexdigest())
+        assert len(schubert._levels(len(args[1].split(",")), "single")) == levels
+    finally:
+        schubert.clear_caches()
 
 
 def test_long_ladders_exit_1_at_the_budget():

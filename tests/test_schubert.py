@@ -287,11 +287,14 @@ def test_melement_refuses_a_bad_operator_index_and_a_square(build, message):
 
 
 def test_long_climbs_answer_below_the_recursion_limit():
-    # one nested call per ladder level passed the interpreter's limit at n = 34; each word now builds one level of its
-    # own S_m, and test_cold_climbs_run_a_few_dozen_frames_deep walks a long climb under a tight limit
-    assert universal_single(Permutation((2, 1)), 40) == MElement({(1,) + (0,) * 39: 1}, 40)
-    assert universal_single(Permutation.identity(), 60).to_polynomial("c") == ONE
+    # one nested call per ladder level passed the interpreter's limit at n = 34; the ladder is a loop, and the cycle
+    # 2, 3, ..., 48, 1 climbs 47 * 46 / 2 = 1,081 levels below the top of S_48, past the default limit of 1,000
     schubert.clear_caches()
+    try:
+        assert universal_single(Permutation((*range(2, 49), 1)), 47) == MElement({(0,) * 46 + (47,): 1}, 47)
+        assert len(schubert._levels(48, "single")) == 1 + 1_081
+    finally:
+        schubert.clear_caches()
 
 
 def test_the_y_ladder_refuses_a_dominant_product_past_the_budget(time_limit):

@@ -200,6 +200,14 @@ def test_element_validation():
         RingElement(2, {(0, 0, 1): ONE})
     with pytest.raises(ValueError):
         RingElement(1, {(0, 0): ONE}) + RingElement.zero(2)
+    # x1^-1 failed in the Schubert expansion, and True read as the exponent 1
+    with pytest.raises(ValueError, match=r"exponent entry -1 of \(-1, 0\)"):
+        RingElement(1, {(-1, 0): ONE})
+    with pytest.raises(TypeError, match=r"exponent entry True of \(True, 0\)"):
+        RingElement(1, {(True, 0): ONE})
+    for coeff in (1, None):
+        with pytest.raises(TypeError, match=f"coefficient {coeff} of \\(0, 0\\) is not a Polynomial"):
+            RingElement(1, {(0, 0): coeff})
 
 
 
